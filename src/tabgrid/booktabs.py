@@ -8,14 +8,13 @@ wider than a threshold calibrated on the page's own word spacing.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dsu import UnionFind
 from .errors import DegenerateGrid, EmptyBody, InsufficientContext
-from .geometry import BoundingBox, clamp, contains_point, union_box
+from .geometry import BoundingBox, contains_point, union_box
 from .kernels import interval_profile
 from .model import (
     Cell,
@@ -26,10 +25,11 @@ from .model import (
     SeparatorOrientation,
     TableSource,
     Word,
+    WordIndex,
     assign_words_to_cells,
     make_cell,
 )
-from .separator import assign_table_label
+from .separator import assign_table_label, label_candidates
 
 # Rules whose y-centers land this close together form one header level.
 LEVEL_CLUSTER_TOL = 3.0
@@ -85,13 +85,14 @@ def _aligned(a: Separator, b: Separator) -> bool:
 def find_rule_triples(
     horizontals: list[Separator] | tuple[Separator, ...],
     cfg: RecognizerConfig,
-    words: list[Word] | tuple[Word, ...] = (),
+    words: WordIndex | None = None,
 ) -> list[RuleTriple]:
     """Greedy top-down scan for aligned (top, middle, bottom) rule triples.
 
     Left/right edges must agree within max(5 px, 2 % of rule width).
     Rules strictly between top and middle that overlap the triple's
-    x-extent become its inner (grouping) rules.
+    x-extent become its inner (grouping) rules.  A triple is labeled
+    only when ``words`` (the page's word index) holds a label for it.
     """
     rules = sorted(horizontals, key=lambda s: (s.box.top, s.box.left, s.box.right))
     used = [False] * len(rules)
@@ -127,7 +128,9 @@ def find_rule_triples(
                 inner.append(r)
                 used[ii] = True
         inner.sort(key=lambda s: (s.box.top, s.box.left))
-        labeled = assign_table_label(extent, words, cfg)
+        labeled = words is not None and assign_table_label(
+            extent, label_candidates(words, extent, cfg), cfg
+        )
         triples.append(
             RuleTriple(top=a, middle=b, bottom=c, inner_rules=tuple(inner), labeled=labeled)
         )
@@ -234,55 +237,22 @@ def segment_columns(
     ]
 
 
-def _reconstruct_lines(words: list[Word]) -> list[list[Word]]:
-    # chain words whose vertical overlap covers half the smaller box
-    uf = UnionFind(len(words))
-    for i in range(len(words)):
-        bi = words[i].box
-        for j in range(i + 1, len(words)):
-            bj = words[j].box
-            overlap = min(bi.bottom, bj.bottom) - max(bi.top, bj.top)
-            if overlap > 0 and overlap >= 0.5 * min(bi.height, bj.height):
-                uf.union(i, j)
-    groups = uf.groups()
-    lines = [[words[i] for i in idxs] for idxs in groups.values()]
-    lines.sort(key=lambda ws: min(w.box.top for w in ws))
-    return lines
-
-
 def compute_column_threshold(
     page: PageLayout, table_words: list[Word] | tuple[Word, ...], gamma: float
 ) -> ColumnThreshold:
     """d_column = d_page * h_table * gamma.
 
     d_page is the page-wide median of (horizontal gap / mean pair
-    height) over horizontally adjacent words on one line; lines come
-    from line_id when present, else from vertical-overlap chaining.
+    height) over horizontally adjacent words on one line, computed once
+    per page by ``WordIndex.d_page``; h_table is the candidate's mean
+    word height.
     """
-    with_ids = [w for w in page.words if w.line_id is not None]
-    if with_ids:
-        by_line: dict[int, list[Word]] = {}
-        for w in with_ids:
-            by_line.setdefault(w.line_id, []).append(w)
-        lines = [by_line[k] for k in sorted(by_line)]
-    else:
-        lines = _reconstruct_lines(list(page.words))
-
-    units = []
-    for line in lines:
-        line = sorted(line, key=lambda w: (w.box.left, w.box.top))
-        for prev, nxt in zip(line, line[1:]):
-            mean_h = (prev.box.height + nxt.box.height) / 2.0
-            if mean_h <= 0:
-                continue
-            gap = max(0, nxt.box.left - prev.box.right)
-            units.append(gap / mean_h)
-    if not units:
+    d_page = page.word_index.d_page
+    if d_page is None:
         raise InsufficientContext("no adjacent same-line word pairs on the page")
     if not table_words:
         raise InsufficientContext("table candidate contains no words")
 
-    d_page = statistics.median(units)
     h_table = sum(w.box.height for w in table_words) / len(table_words)
     return ColumnThreshold(d_page=d_page, h_table=h_table, d_column=d_page * h_table * gamma)
 
@@ -357,9 +327,10 @@ def recognize_booktabs_tables(
     horizontals = [
         s for s in layout.separators if s.orientation is SeparatorOrientation.HORIZONTAL
     ]
+    index = layout.word_index
     tables: list[RecognizedTable] = []
     diagnostics: list[str] = []
-    for triple in find_rule_triples(horizontals, cfg, layout.words):
+    for triple in find_rule_triples(horizontals, cfg, index):
         extent = triple.extent
         if cfg.require_labels_booktabs and not triple.labeled:
             diagnostics.append(
@@ -379,7 +350,8 @@ def recognize_booktabs_tables(
             region.left, triple.middle.box.bottom, region.right, triple.bottom.box.top
         )
         try:
-            body_borders = segment_rows(horizontal_profile(layout.words, body_region))
+            body_words = index.touching(body_region.top, body_region.bottom)
+            body_borders = segment_rows(horizontal_profile(body_words, body_region))
             lowest_band_top = (
                 levels.levels[-1].band[1] if levels.levels else triple.top.box.bottom
             )
@@ -392,15 +364,20 @@ def recognize_booktabs_tables(
             )
             projection_words = [
                 w
-                for w in layout.words
+                for w in index.centered(lowest_band.top, body_region.bottom)
                 if contains_point(body_region, *w.box.center)
                 or contains_point(lowest_band, *w.box.center)
             ]
-            table_words = [w for w in layout.words if contains_point(region, *w.box.center)]
+            table_words = [
+                w
+                for w in index.centered(region.top, region.bottom)
+                if contains_point(region, *w.box.center)
+            ]
             threshold = compute_column_threshold(layout, table_words, cfg.gamma)
             col_borders = segment_columns(projection_words, region, threshold.d_column)
+            # the grid tiles region, so its words are exactly table_words
             table = build_booktabs_grid(
-                triple, levels, body_borders, col_borders, layout.words
+                triple, levels, body_borders, col_borders, table_words
             )
         except (EmptyBody, InsufficientContext, DegenerateGrid) as exc:
             diagnostics.append(f"booktabs candidate at {extent.as_tuple()} dropped: {exc}")

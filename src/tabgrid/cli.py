@@ -45,7 +45,7 @@ from .evaluate import (
     wavg_f1,
 )
 from .fixtures import build_corpus
-from .interpret import interpret_table, load_meanings, match_meanings, tuple_set_to_dict
+from .interpret import load_meanings, match_meanings, tuple_set_to_dict, tuples_from_matching
 from .model import (
     RecognizerConfig,
     load_recognizer_config,
@@ -121,6 +121,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     errors: list[tuple[str, str]] = []
+    crashed: list[str] = []
 
     def work(path: Path) -> None:
         try:
@@ -128,6 +129,9 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
             dump_json(out_dir / path.name, payload)
         except (TabgridError, json.JSONDecodeError, OSError) as exc:
             errors.append((path.name, str(exc)))
+        except Exception as exc:  # one bad page never ends the run
+            errors.append((path.name, f"{type(exc).__name__}: {exc}"))
+            crashed.append(path.name)
 
     n_threads = _thread_count()
     if n_threads <= 1 or len(files) <= 1:
@@ -146,7 +150,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     if errors:
         for name, message in sorted(errors):
             print(f"error: {name}: {message}", file=sys.stderr)
-        return 2
+        return 1 if crashed else 2
     print(f"recognized {len(files)} page(s) -> {out_dir}")
     return 0
 
@@ -177,10 +181,12 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
             payload = read_json(path)
             for idx, tdict in enumerate(payload.get("tables", [])):
                 table = recognized_table_from_dict(tdict)
-                _, matching = match_meanings(table, meanings)
+                views, matching = match_meanings(table, meanings)
                 if not matching.pairs:
                     continue
-                ts = interpret_table(table, meanings, file_id, page_nr, idx)
+                ts = tuples_from_matching(
+                    table, meanings, views, matching, file_id, page_nr, idx
+                )
                 dump_json(
                     out_dir / format_tuple_name(file_id, page_nr, idx), tuple_set_to_dict(ts)
                 )

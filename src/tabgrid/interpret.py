@@ -214,6 +214,21 @@ def interpret_table(
 ) -> TupleSet:
     """One tuple per body row with the matched meanings' cell strings."""
     views, matching = match_meanings(table, meanings)
+    return tuples_from_matching(
+        table, meanings, views, matching, file_id, page_nr, table_idx
+    )
+
+
+def tuples_from_matching(
+    table: RecognizedTable,
+    meanings: list[MeaningConfig] | tuple[MeaningConfig, ...],
+    views: list[ColumnView],
+    matching: Matching,
+    file_id: str = "",
+    page_nr: int = 0,
+    table_idx: int = 0,
+) -> TupleSet:
+    """The tuple set of ``interpret_table`` from an existing ``match_meanings`` result."""
     result = TupleSet(file_id=file_id, page_nr=page_nr, table_idx=table_idx)
     if not matching.pairs:
         return result

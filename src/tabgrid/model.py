@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import enum
 import json
+import statistics
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
+from .dsu import UnionFind
 from .errors import ConfigError, LayoutError
-from .geometry import BoundingBox, clamp, contains_point, transpose_box
+from .geometry import BoundingBox, clamp, transpose_box
 
 DEFAULT_LABEL_KEYWORDS = ("table", "tab.")
 
@@ -52,6 +56,103 @@ class PageLayout:
     words: tuple[Word, ...]
     separators: tuple[Separator, ...]
     non_text_regions: tuple[BoundingBox, ...] = ()
+
+    @cached_property
+    def word_index(self) -> WordIndex:
+        """The page's words indexed by y, built on first use.
+
+        It lives on the page object, so pages recognized on different
+        threads never share one.
+        """
+        return WordIndex(self.words)
+
+
+class WordIndex:
+    """One page's words sorted by y, so a region asks only for its own rows.
+
+    Every query returns words in page order, which keeps cell contents
+    and tie-breaks the same as a scan over ``PageLayout.words``.
+    """
+
+    def __init__(self, words: tuple[Word, ...]) -> None:
+        self.words = words
+        # the doubled center y, top + bottom, stays an integer
+        doubled = [w.box.top + w.box.bottom for w in words]
+        self._by_center = sorted(range(len(words)), key=doubled.__getitem__)
+        self._centers = [doubled[i] for i in self._by_center]
+        tops = [w.box.top for w in words]
+        self._by_top = sorted(range(len(words)), key=tops.__getitem__)
+        self._tops = [tops[i] for i in self._by_top]
+        self._max_height = max((w.box.height for w in words), default=0)
+
+    def _in_page_order(self, indices: list[int]) -> list[Word]:
+        return [self.words[i] for i in sorted(indices)]
+
+    def centered(self, top: int, bottom: int) -> list[Word]:
+        """Words whose box center y lies in [top, bottom)."""
+        lo = bisect_left(self._centers, 2 * top)
+        hi = bisect_left(self._centers, 2 * bottom)
+        return self._in_page_order(self._by_center[lo:hi])
+
+    def touching(self, top: int, bottom: int) -> list[Word]:
+        """Words whose rows [box.top, box.bottom] meet [top, bottom]."""
+        lo = bisect_left(self._tops, top - self._max_height)
+        hi = bisect_right(self._tops, bottom)
+        words = self.words
+        return self._in_page_order(
+            [i for i in self._by_top[lo:hi] if words[i].box.bottom >= top]
+        )
+
+    @cached_property
+    def d_page(self) -> float | None:
+        """Median of (horizontal gap / mean pair height) over horizontally
+        adjacent words on one line, or None when the page has no such pair.
+
+        Lines come from ``line_id`` when any word has one (words without
+        one are then left out), else from ``reconstruct_lines``.
+        """
+        with_ids = [w for w in self.words if w.line_id is not None]
+        if with_ids:
+            by_line: dict[int, list[Word]] = {}
+            for w in with_ids:
+                by_line.setdefault(w.line_id, []).append(w)
+            lines = [by_line[k] for k in sorted(by_line)]
+        else:
+            lines = reconstruct_lines(list(self.words))
+
+        units = []
+        for line in lines:
+            line = sorted(line, key=lambda w: (w.box.left, w.box.top))
+            for prev, nxt in zip(line, line[1:]):
+                mean_h = (prev.box.height + nxt.box.height) / 2.0
+                if mean_h <= 0:
+                    continue
+                gap = max(0, nxt.box.left - prev.box.right)
+                units.append(gap / mean_h)
+        return statistics.median(units) if units else None
+
+
+def reconstruct_lines(words: list[Word]) -> list[list[Word]]:
+    """Chain words whose vertical overlap covers half the smaller box.
+
+    A sweep down the page tests each word only against the words whose
+    box is still open at its top edge; no other pair overlaps.  Lines
+    keep page order inside and are sorted by their topmost word.
+    """
+    uf = UnionFind(len(words))
+    open_: list[int] = []
+    for j in sorted(range(len(words)), key=lambda i: words[i].box.top):
+        bj = words[j].box
+        open_ = [i for i in open_ if words[i].box.bottom > bj.top]
+        for i in open_:
+            bi = words[i].box
+            overlap = min(bi.bottom, bj.bottom) - bj.top  # bj.top >= bi.top
+            if overlap > 0 and overlap >= 0.5 * min(bi.height, bj.height):
+                uf.union(i, j)
+        open_.append(j)
+    lines = [[words[i] for i in idxs] for idxs in uf.groups().values()]
+    lines.sort(key=lambda ws: min(w.box.top for w in ws))
+    return lines
 
 
 class TableSource(enum.Enum):
@@ -149,14 +250,35 @@ def cell_grid(table: RecognizedTable) -> list[list[Cell]]:
 
 
 def assign_words_to_cells(cells: list[Cell], words: list[Word] | tuple[Word, ...]) -> list[Cell]:
-    """Rebuild each cell with the words whose box center it contains."""
-    out = []
-    for c in cells:
-        mine = [w for w in words if contains_point(c.box, *w.box.center)]
-        out.append(
-            make_cell(c.box, c.row_start, c.row_end, c.col_start, c.col_end, mine)
-        )
-    return out
+    """Rebuild each cell with the words whose box center it contains.
+
+    The distinct cell borders cut the plane into slots; each word center
+    is bisected into its slot, and a slot -> covering cells map does the
+    rest.  Cells may overlap or leave gaps; each keeps its words in the
+    order given.
+    """
+    xs = sorted({v for c in cells for v in (c.box.left, c.box.right)})
+    ys = sorted({v for c in cells for v in (c.box.top, c.box.bottom)})
+    x_at = {v: i for i, v in enumerate(xs)}
+    y_at = {v: i for i, v in enumerate(ys)}
+    covering: dict[tuple[int, int], list[int]] = {}
+    for k, c in enumerate(cells):
+        b = c.box
+        for i in range(y_at[b.top], y_at[b.bottom]):
+            for j in range(x_at[b.left], x_at[b.right]):
+                covering.setdefault((i, j), []).append(k)
+
+    mine: list[list[Word]] = [[] for _ in cells]
+    for w in words:
+        x, y = w.box.center
+        # slot (i, j) is [ys[i], ys[i + 1]) x [xs[j], xs[j + 1]), half-open like cells
+        slot = (bisect_right(ys, y) - 1, bisect_right(xs, x) - 1)
+        for k in covering.get(slot, ()):
+            mine[k].append(w)
+    return [
+        make_cell(c.box, c.row_start, c.row_end, c.col_start, c.col_end, ws)
+        for c, ws in zip(cells, mine)
+    ]
 
 
 @dataclass(frozen=True)

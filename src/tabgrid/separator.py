@@ -23,6 +23,7 @@ from .model import (
     SeparatorOrientation,
     TableSource,
     Word,
+    WordIndex,
     assign_words_to_cells,
     make_cell,
 )
@@ -37,10 +38,8 @@ PROBE_SPAN_FRACTION = 0.6
 
 @dataclass(frozen=True)
 class SeparatorCluster:
-    members: tuple[Separator, ...]
     raw_members: tuple[Separator, ...]
-    hull: BoundingBox
-    intersections: tuple[tuple[float, float], ...]
+    hull: BoundingBox  # union of the members' boxes, grown by the expansion margin
 
     @property
     def horizontals(self) -> list[Separator]:
@@ -71,40 +70,31 @@ def merge_separators(
 
     Merging runs to a fixed point: a cluster absorbs another as soon as
     any pair of member boxes intersects, which is exactly the connected
-    components of the pairwise intersection graph.
+    components of the pairwise intersection graph.  A sweep down the page
+    finds those pairs: each grown box is tested only against the boxes
+    still open at its top edge.
     """
     raw = sorted(separators, key=_sort_key)
-    grown = [replace(s, box=expand(s.box, expand_px)) for s in raw]
+    grown = [expand(s.box, expand_px) for s in raw]
     uf = UnionFind(len(grown))
-    for i in range(len(grown)):
-        for j in range(i + 1, len(grown)):
-            if intersects(grown[i].box, grown[j].box):
+    open_: list[int] = []
+    for j in sorted(range(len(grown)), key=lambda i: grown[i].top):
+        bj = grown[j]
+        open_ = [i for i in open_ if grown[i].bottom >= bj.top]
+        for i in open_:
+            if grown[i].left <= bj.right and bj.left <= grown[i].right:
                 uf.union(i, j)
+        open_.append(j)
 
     clusters = []
     for indices in uf.groups().values():
-        members = [grown[i] for i in indices]
-        orientations = {m.orientation for m in members}
-        if len(orientations) < 2:
+        members = [raw[i] for i in indices]
+        if len({m.orientation for m in members}) < 2:
             continue  # rulings alone in one direction never form a table
-        raw_members = [raw[i] for i in indices]
-        points = []
-        for h in members:
-            if h.orientation is not SeparatorOrientation.HORIZONTAL:
-                continue
-            for v in members:
-                if v.orientation is not SeparatorOrientation.VERTICAL:
-                    continue
-                if intersects(h.box, v.box):
-                    x = (max(h.box.left, v.box.left) + min(h.box.right, v.box.right)) / 2.0
-                    y = (max(h.box.top, v.box.top) + min(h.box.bottom, v.box.bottom)) / 2.0
-                    points.append((x, y))
         clusters.append(
             SeparatorCluster(
-                members=tuple(members),
-                raw_members=tuple(raw_members),
-                hull=union_box([m.box for m in members]),
-                intersections=tuple(sorted(points)),
+                raw_members=tuple(members),
+                hull=expand(union_box([m.box for m in members]), expand_px),
             )
         )
     clusters.sort(key=lambda c: (c.hull.top, c.hull.left, c.hull.bottom, c.hull.right))
@@ -135,6 +125,16 @@ def assign_table_label(
         if any(text.startswith(k) for k in keywords):
             return True
     return False
+
+
+def label_candidates(
+    words: WordIndex, candidate_hull: BoundingBox, cfg: RecognizerConfig
+) -> list[Word]:
+    """The page's words that can meet either band assign_table_label searches."""
+    m = cfg.label_search_margin_px
+    return words.touching(candidate_hull.top - m, candidate_hull.top) + words.touching(
+        candidate_hull.bottom, candidate_hull.bottom + m
+    )
 
 
 def _cluster_coords(values: list[float], tol: float = BORDER_CLUSTER_TOL) -> list[int]:
@@ -269,10 +269,13 @@ def refine_grid(
 def recognize_separator_tables(
     layout: PageLayout, cfg: RecognizerConfig
 ) -> tuple[list[RecognizedTable], list[str]]:
+    index = layout.word_index
     tables: list[RecognizedTable] = []
     diagnostics: list[str] = []
     for cluster in merge_separators(list(layout.separators), cfg.separator_expand_px):
-        labeled = assign_table_label(cluster.hull, layout.words, cfg)
+        labeled = assign_table_label(
+            cluster.hull, label_candidates(index, cluster.hull, cfg), cfg
+        )
         if cfg.require_labels_separator and not labeled:
             diagnostics.append(
                 f"separator candidate at {cluster.hull.as_tuple()} dropped: no table label"
@@ -283,6 +286,8 @@ def recognize_separator_tables(
         except DegenerateGrid as exc:
             diagnostics.append(f"separator candidate dropped: {exc}")
             continue
-        table = refine_grid(grid, cluster, layout.words)
+        # the refined cells tile the rough grid, so a word centered outside its rows lands nowhere
+        words = index.centered(grid.row_borders[0], grid.row_borders[-1])
+        table = refine_grid(grid, cluster, words)
         tables.append(replace(table, labeled=labeled))
     return tables, diagnostics

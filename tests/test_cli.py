@@ -6,9 +6,10 @@ import json
 
 import pytest
 
-from tabgrid import __version__
+from tabgrid import __version__, cli
 from tabgrid.cli import main
 from tabgrid.corpusio import dump_json
+from tabgrid.model import page_layout_from_dict
 
 
 SPEC = {
@@ -170,6 +171,32 @@ def test_bad_layout_names_reported_per_file(tmp_path, capsys):
     assert "error: bad.json:" in err
     # sorted per-file reporting
     assert err.index("also-bad.json") < err.index("bad.json")
+
+
+def test_page_crash_is_reported_and_run_completes(tmp_path, monkeypatch, capsys):
+    spec_path = tmp_path / "spec.json"
+    dump_json(spec_path, {"seed": 3, "random": {"bordered": {"count": 3}}})
+    corpus = tmp_path / "corpus"
+    assert main(["gen-fixtures", str(spec_path), str(corpus)]) == 0
+    layouts = sorted((corpus / "layouts").glob("*.json"))
+    assert len(layouts) == 3
+    bad = layouts[1]
+    bad_layout = page_layout_from_dict(json.loads(bad.read_text()))
+    real = cli.recognize_page
+
+    def flaky(layout, *args, **kwargs):
+        if layout == bad_layout:
+            raise RuntimeError("boom")
+        return real(layout, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "recognize_page", flaky)
+    monkeypatch.setenv("TABGRID_THREADS", "3")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["recognize", str(corpus / "layouts"), str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {bad.name}: RuntimeError: boom\n"
+    written = sorted(p.name for p in out.glob("*.json"))
+    assert written == sorted([layouts[0].name, layouts[2].name, "run_manifest.json"])
 
 
 def test_unparseable_layout_json_is_exit_2(tmp_path, capsys):

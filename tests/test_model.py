@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tabgrid.dsu import UnionFind
 from tabgrid.errors import ConfigError, LayoutError
-from tabgrid.geometry import box
+from tabgrid.geometry import box, contains_point
 from tabgrid.model import (
     Cell,
     PageLayout,
@@ -11,6 +14,7 @@ from tabgrid.model import (
     SeparatorOrientation,
     TableSource,
     Word,
+    WordIndex,
     assign_words_to_cells,
     cell_grid,
     grid_is_tiled,
@@ -22,6 +26,7 @@ from tabgrid.model import (
     recognized_table_to_dict,
     recognizer_config_from_dict,
     recognizer_config_to_dict,
+    reconstruct_lines,
 )
 
 
@@ -136,6 +141,91 @@ def test_assign_words_by_center():
     out = assign_words_to_cells(cells, words)
     assert out[0].content == "left"
     assert out[1].content == "mostly-right"
+
+
+# ---------------------------------------------------------------------------
+# indexed word placement against brute-force scans
+
+
+def assign_words_oracle(cells, words):
+    """Per-cell scan over every word: the definition of the assignment."""
+    return [
+        make_cell(
+            c.box, c.row_start, c.row_end, c.col_start, c.col_end,
+            [w for w in words if contains_point(c.box, *w.box.center)],
+        )
+        for c in cells
+    ]
+
+
+def reconstruct_lines_oracle(words):
+    """Pairwise test of every word pair."""
+    uf = UnionFind(len(words))
+    for i in range(len(words)):
+        bi = words[i].box
+        for j in range(i + 1, len(words)):
+            bj = words[j].box
+            overlap = min(bi.bottom, bj.bottom) - max(bi.top, bj.top)
+            if overlap > 0 and overlap >= 0.5 * min(bi.height, bj.height):
+                uf.union(i, j)
+    lines = [[words[i] for i in idxs] for idxs in uf.groups().values()]
+    lines.sort(key=lambda ws: min(w.box.top for w in ws))
+    return lines
+
+
+@st.composite
+def boxes(draw, lo=0, hi=24, max_side=12):
+    left = draw(st.integers(lo, hi))
+    top = draw(st.integers(lo, hi))
+    width = draw(st.integers(0, max_side))
+    return box(left, top, left + width, top + draw(st.integers(0, max_side)))
+
+
+@st.composite
+def numbered_words(draw, max_size=40):
+    """Words with distinct texts, so equal lists mean the same words in the same order."""
+    bs = draw(st.lists(boxes(lo=-3, hi=27), max_size=max_size))
+    return [Word(box=b, text=f"w{i}") for i, b in enumerate(bs)]
+
+
+@st.composite
+def tiled_cells(draw):
+    xs = sorted(draw(st.sets(st.integers(0, 24), min_size=2, max_size=6)))
+    ys = sorted(draw(st.sets(st.integers(0, 24), min_size=2, max_size=6)))
+    return [
+        make_cell(box(xs[j], ys[i], xs[j + 1], ys[i + 1]), i, i, j, j)
+        for i in range(len(ys) - 1)
+        for j in range(len(xs) - 1)
+    ]
+
+
+# free boxes cover gaps, overlaps, nesting and zero-area cells
+free_cells = st.lists(boxes().map(lambda b: make_cell(b, 0, 0, 0, 0)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.one_of(tiled_cells(), free_cells), words=numbered_words())
+def test_assign_words_matches_per_cell_scan(cells, words):
+    assert assign_words_to_cells(cells, words) == assign_words_oracle(cells, words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=numbered_words())
+def test_reconstruct_lines_matches_pairwise(words):
+    assert reconstruct_lines(words) == reconstruct_lines_oracle(words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=numbered_words(), top=st.integers(-5, 30), height=st.integers(-2, 20))
+def test_word_index_bands_match_scans(words, top, height):
+    index = WordIndex(tuple(words))
+    bottom = top + height
+    assert index.centered(top, bottom) == [
+        w for w in words if top <= w.box.center[1] < bottom
+    ]
+    assert index.touching(top, bottom) == [
+        w for w in words if w.box.top <= bottom and w.box.bottom >= top
+    ]
 
 
 def test_page_layout_json_round_trip():

@@ -118,6 +118,49 @@ def test_two_tables_on_one_page_sorted_reading_order():
     assert got == want
 
 
+def _shifted(b, dy):
+    return box(b.left, b.top + dy, b.right, b.bottom + dy)
+
+
+def test_three_ruled_and_three_booktabs_tables_on_one_page_each_recovered_exactly():
+    # neighbours sit 40 px apart, inside the 50 px label search margin
+    rng = random.Random(10)
+    words, seps, want = [], [], []
+    dy = 0
+    for k in range(6):
+        gen = gen_bordered_page if k % 2 == 0 else gen_booktabs_page
+        block = gen(rng, "p", 1)
+        words += [
+            Word(box=_shifted(w.box, dy), text=w.text,
+                 line_id=None if w.line_id is None else w.line_id + 1000 * k)
+            for w in block.layout.words
+        ]
+        seps += [Separator(box=_shifted(s.box, dy), orientation=s.orientation)
+                 for s in block.layout.separators]
+        (table,) = block.gt.tables
+        want.append((table.source, _shifted(table.region, dy), table.n_rows, table.n_cols, {
+            (c.row_start, c.row_end, c.col_start, c.col_end): (_shifted(c.box, dy), c.content)
+            for c in table.cells
+        }))
+        dy += block.layout.page_height + 40
+    page = PageLayout(
+        page_width=max(w.box.right for w in words) + 10,
+        page_height=dy,
+        words=tuple(words),
+        separators=tuple(seps),
+    )
+    res = recognize_page(page, CFG)
+    got = [
+        (t.source, t.region, t.n_rows, t.n_cols, {
+            (c.row_start, c.row_end, c.col_start, c.col_end): (c.box, c.content)
+            for c in t.cells
+        })
+        for t in res.tables
+    ]
+    assert [g[0] for g in got] == [TableSource.SEPARATOR, TableSource.BOOKTABS] * 3
+    assert got == want
+
+
 def test_empty_page_is_fine():
     layout = PageLayout(page_width=100, page_height=100, words=(), separators=())
     res = recognize_page(layout, CFG)

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tabgrid.dsu import UnionFind
 from tabgrid.errors import DegenerateGrid
 from tabgrid.fixtures import gen_bordered_page
-from tabgrid.geometry import box
+from tabgrid.geometry import box, expand, intersects, union_box
 from tabgrid.model import (
     RecognizerConfig,
     Separator,
@@ -12,6 +15,8 @@ from tabgrid.model import (
     Word,
 )
 from tabgrid.separator import (
+    SeparatorCluster,
+    _sort_key,
     assign_table_label,
     estimate_grid,
     merge_separators,
@@ -44,9 +49,9 @@ def test_single_crossing_cluster():
     clusters = merge_separators(seps, expand_px=5)
     assert len(clusters) == 1
     c = clusters[0]
-    assert len(c.raw_members) == 2
-    assert len(c.intersections) == 1
-    assert c.intersections[0] == (51.0, 51.0)
+    assert sorted(c.raw_members, key=lambda s: s.orientation.value) == seps
+    # union of (10, 50, 90, 52) and (50, 10, 52, 90), grown by 5 px
+    assert c.hull == box(5, 5, 95, 95)
 
 
 def test_parallel_only_clusters_discarded():
@@ -60,14 +65,16 @@ def test_disjoint_groups_stay_separate():
     b = grid_seps([300, 360], [300, 340])
     clusters = merge_separators(a + b, expand_px=5)
     assert len(clusters) == 2
-    assert all(len(c.intersections) == 4 for c in clusters)
+    assert [set(c.raw_members) for c in clusters] == [set(a), set(b)]
+    assert [c.hull for c in clusters] == [box(-6, -6, 56, 46), box(294, 294, 366, 346)]
 
 
 def test_three_by_three_grid_intersections():
     seps = grid_seps([0, 40, 80, 120], [0, 30, 60, 90])
     clusters = merge_separators(seps, expand_px=5)
     assert len(clusters) == 1
-    assert len(clusters[0].intersections) == 16
+    assert set(clusters[0].raw_members) == set(seps)
+    assert clusters[0].hull == box(-6, -6, 126, 96)
     g = estimate_grid(clusters[0])
     assert list(g.col_borders) == [0, 40, 80, 120]
     assert list(g.row_borders) == [0, 30, 60, 90]
@@ -92,6 +99,48 @@ def test_merge_order_insensitive():
         rng.shuffle(shuffled)
         got = merge_separators(shuffled, expand_px=5)
         assert got == want
+
+
+def merge_separators_oracle(separators, expand_px):
+    """Union-find over every pair of grown boxes."""
+    raw = sorted(separators, key=_sort_key)
+    grown = [expand(s.box, expand_px) for s in raw]
+    uf = UnionFind(len(raw))
+    for i in range(len(raw)):
+        for j in range(i + 1, len(raw)):
+            if intersects(grown[i], grown[j]):
+                uf.union(i, j)
+    clusters = []
+    for indices in uf.groups().values():
+        if len({raw[i].orientation for i in indices}) < 2:
+            continue
+        clusters.append(
+            SeparatorCluster(
+                raw_members=tuple(raw[i] for i in indices),
+                hull=union_box([grown[i] for i in indices]),
+            )
+        )
+    clusters.sort(key=lambda c: (c.hull.top, c.hull.left, c.hull.bottom, c.hull.right))
+    return clusters
+
+
+@st.composite
+def rulings(draw):
+    x = draw(st.integers(0, 120))
+    y = draw(st.integers(0, 120))
+    length = draw(st.integers(0, 60))
+    thickness = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        b = box(x, y, x + max(length, thickness), y + thickness)
+        return Separator(box=b, orientation=SeparatorOrientation.HORIZONTAL)
+    b = box(x, y, x + thickness, y + max(length, thickness))
+    return Separator(box=b, orientation=SeparatorOrientation.VERTICAL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seps=st.lists(rulings(), max_size=30), expand_px=st.integers(0, 8))
+def test_merge_separators_matches_pairwise(seps, expand_px):
+    assert merge_separators(seps, expand_px) == merge_separators_oracle(seps, expand_px)
 
 
 def test_close_centers_cluster_to_one_border():
