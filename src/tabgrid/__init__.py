@@ -20,15 +20,7 @@ from .errors import (
     TabgridError,
 )
 from .geometry import BoundingBox, box, intersection_area, iou
-from .kernels import (
-    ENV_FLAG,
-    HAS_NUMBA,
-    hungarian_min,
-    interval_profile,
-    iou_matrix,
-    levenshtein_codes,
-    select_backend,
-)
+from .kernels import hungarian_min, interval_profile, iou_matrix, levenshtein_codes
 from .model import (
     Cell,
     PageLayout,
@@ -111,9 +103,6 @@ __all__ = [
     "intersection_area",
     "iou",
     # kernels
-    "ENV_FLAG",
-    "HAS_NUMBA",
-    "select_backend",
     "levenshtein_codes",
     "hungarian_min",
     "interval_profile",

@@ -15,9 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,23 +48,8 @@ from .model import (
     RecognizerConfig,
     load_recognizer_config,
     page_layout_from_dict,
-    recognized_table_from_dict,
 )
 from .pipeline import PageOrientation, recognize_page
-
-THREADS_ENV = "TABGRID_THREADS"
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "0").strip()
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
-
 
 def _sha256(path: str | Path | None) -> str | None:
     if path is None:
@@ -89,6 +72,16 @@ def _json_files(directory: Path) -> list[Path]:
     if not directory.is_dir():
         raise NotADirectoryError(f"not a directory: {directory}")
     return sorted(p for p in directory.iterdir() if p.suffix == ".json" and p.is_file())
+
+
+def _report_file_errors(errors: list[tuple[str, str]], crashed: list[str]) -> int:
+    """Print one sorted ``error: <file>: <msg>`` line per failed file.
+
+    Exit 1 if any file crashed unexpectedly, else 2 (invalid input).
+    """
+    for name, message in sorted(errors):
+        print(f"error: {name}: {message}", file=sys.stderr)
+    return 1 if crashed else 2
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +115,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
     errors: list[tuple[str, str]] = []
     crashed: list[str] = []
-
-    def work(path: Path) -> None:
+    for path in files:
         try:
             payload = _recognize_one(path, cfg, orientation)
             dump_json(out_dir / path.name, payload)
@@ -133,14 +125,6 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
             errors.append((path.name, f"{type(exc).__name__}: {exc}"))
             crashed.append(path.name)
 
-    n_threads = _thread_count()
-    if n_threads <= 1 or len(files) <= 1:
-        for path in files:
-            work(path)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(work, files))
-
     _write_manifest(
         out_dir,
         "recognize",
@@ -148,9 +132,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         args.config,
     )
     if errors:
-        for name, message in sorted(errors):
-            print(f"error: {name}: {message}", file=sys.stderr)
-        return 1 if crashed else 2
+        return _report_file_errors(errors, crashed)
     print(f"recognized {len(files)} page(s) -> {out_dir}")
     return 0
 
@@ -167,6 +149,7 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     errors: list[tuple[str, str]] = []
+    crashed: list[str] = []
     n_written = 0
     for path in files:
         if path.name == "run_manifest.json":
@@ -178,9 +161,8 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
                     f"table file name not of the form <id>_page<NR>.json: {path.name}"
                 )
             file_id, page_nr = parsed
-            payload = read_json(path)
-            for idx, tdict in enumerate(payload.get("tables", [])):
-                table = recognized_table_from_dict(tdict)
+            page = page_tables_from_dict(read_json(path))
+            for idx, table in enumerate(page.tables):
                 views, matching = match_meanings(table, meanings)
                 if not matching.pairs:
                     continue
@@ -193,6 +175,9 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
                 n_written += 1
         except (TabgridError, json.JSONDecodeError, OSError) as exc:
             errors.append((path.name, str(exc)))
+        except Exception as exc:  # one bad file never ends the run
+            errors.append((path.name, f"{type(exc).__name__}: {exc}"))
+            crashed.append(path.name)
 
     _write_manifest(
         out_dir,
@@ -201,9 +186,7 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
         args.rules,
     )
     if errors:
-        for name, message in sorted(errors):
-            print(f"error: {name}: {message}", file=sys.stderr)
-        return 2
+        return _report_file_errors(errors, crashed)
     print(f"wrote {n_written} tuple set(s) -> {out_dir}")
     return 0
 

@@ -1,149 +1,17 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, vectorized with numpy.
 
-Each kernel exists twice: a plain-loop version compiled with numba's
-@njit when available, and a vectorized pure-numpy fallback.  Both paths
-produce bit-identical results (ties in every argmin are resolved toward
-the lowest index in both), so switching backends never changes output.
-
-The backend is picked at import time from the TABGRID_NUMBA environment
-variable: "0"/"false" forces the numpy path, "1"/"true" demands numba,
-anything else means auto (numba when importable).  select_backend()
-switches at runtime; benchmarks and the equivalence tests rely on it.
+Edit distance, minimum-cost assignment, interval profiles and pairwise
+box IoU.  Each kernel normalizes its inputs to contiguous int64/float64
+arrays and is deterministic: every argmin tie goes to the lowest index.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAS_NUMBA = False
-
-ENV_FLAG = "TABGRID_NUMBA"
-
-
-# ---------------------------------------------------------------------------
-# loop implementations (numba-compatible; also run fine uncompiled)
-
-
-def _lev_loops(a: np.ndarray, b: np.ndarray) -> int:
-    na = a.shape[0]
-    nb = b.shape[0]
-    if na == 0:
-        return nb
-    if nb == 0:
-        return na
-    prev = np.arange(nb + 1, dtype=np.int64)
-    cur = np.zeros(nb + 1, dtype=np.int64)
-    for i in range(1, na + 1):
-        cur[0] = i
-        ai = a[i - 1]
-        for j in range(1, nb + 1):
-            m = prev[j - 1]
-            if ai != b[j - 1]:
-                m += 1
-            d = prev[j] + 1
-            if d < m:
-                m = d
-            e = cur[j - 1] + 1
-            if e < m:
-                m = e
-            cur[j] = m
-        prev, cur = cur, prev
-    return int(prev[nb])
-
-
-def _hungarian_loops(cost: np.ndarray) -> np.ndarray:
-    # Potential-based shortest augmenting path on a square matrix
-    # (minimization).  1-based arrays; column 0 is the virtual root.
-    n = cost.shape[0]
-    u = np.zeros(n + 1, dtype=np.float64)
-    v = np.zeros(n + 1, dtype=np.float64)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf, dtype=np.float64)
-        used = np.zeros(n + 1, dtype=np.bool_)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = np.inf
-            j1 = 0
-            for j in range(1, n + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while True:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-            if j0 == 0:
-                break
-    col_of_row = np.full(n, -1, dtype=np.int64)
-    for j in range(1, n + 1):
-        col_of_row[p[j] - 1] = j - 1
-    return col_of_row
-
-
-def _profile_loops(
-    starts: np.ndarray, ends: np.ndarray, weights: np.ndarray, length: int
-) -> np.ndarray:
-    out = np.zeros(length, dtype=np.int64)
-    for k in range(starts.shape[0]):
-        s = starts[k]
-        e = ends[k]
-        if s < 0:
-            s = 0
-        if e > length:
-            e = length
-        for t in range(s, e):
-            out[t] += weights[k]
-    return out
-
-
-def _iou_matrix_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    na = a.shape[0]
-    nb = b.shape[0]
-    out = np.zeros((na, nb), dtype=np.float64)
-    for i in range(na):
-        area_a = (a[i, 2] - a[i, 0]) * (a[i, 3] - a[i, 1])
-        for j in range(nb):
-            iw = min(a[i, 2], b[j, 2]) - max(a[i, 0], b[j, 0])
-            ih = min(a[i, 3], b[j, 3]) - max(a[i, 1], b[j, 1])
-            inter = iw * ih if (iw > 0 and ih > 0) else 0
-            area_b = (b[j, 2] - b[j, 0]) * (b[j, 3] - b[j, 1])
-            union = area_a + area_b - inter
-            if union > 0:
-                out[i, j] = inter / union
-    return out
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-
-
-def _lev_numpy(a: np.ndarray, b: np.ndarray) -> int:
+def levenshtein_codes(a: np.ndarray, b: np.ndarray) -> int:
+    """Edit distance between two int64 code-point arrays."""
     na = a.shape[0]
     nb = b.shape[0]
     if na == 0:
@@ -162,8 +30,20 @@ def _lev_numpy(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[nb])
 
 
-def _hungarian_numpy(cost: np.ndarray) -> np.ndarray:
+def hungarian_min(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost perfect assignment on a finite square float64 matrix.
+
+    Returns col_of_row.  Deterministic: every internal tie goes to the
+    lowest column index.
+    """
+    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+        raise ValueError("hungarian_min needs a square matrix")
     n = cost.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    cost = np.ascontiguousarray(cost, dtype=np.float64)
+    # Potential-based shortest augmenting path (minimization).  1-based
+    # arrays; column 0 is the virtual root.
     u = np.zeros(n + 1, dtype=np.float64)
     v = np.zeros(n + 1, dtype=np.float64)
     p = np.zeros(n + 1, dtype=np.int64)
@@ -205,9 +85,14 @@ def _hungarian_numpy(cost: np.ndarray) -> np.ndarray:
     return col_of_row
 
 
-def _profile_numpy(
+def interval_profile(
     starts: np.ndarray, ends: np.ndarray, weights: np.ndarray, length: int
 ) -> np.ndarray:
+    """Scatter-add weight over [start, end) per interval; int64 output."""
+    starts = np.ascontiguousarray(starts, dtype=np.int64)
+    ends = np.ascontiguousarray(ends, dtype=np.int64)
+    weights = np.ascontiguousarray(weights, dtype=np.int64)
+    length = int(length)
     diff = np.zeros(length + 1, dtype=np.int64)
     s = np.clip(starts, 0, length)
     e = np.clip(ends, 0, length)
@@ -217,7 +102,10 @@ def _profile_numpy(
     return np.cumsum(diff[:-1])
 
 
-def _iou_matrix_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pairwise IoU between two (n, 4) int64 box arrays (l, t, r, b)."""
+    a = np.ascontiguousarray(a, dtype=np.int64).reshape(-1, 4)
+    b = np.ascontiguousarray(b, dtype=np.int64).reshape(-1, 4)
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
     iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
@@ -229,107 +117,3 @@ def _iou_matrix_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros_like(union, dtype=np.float64)
     np.divide(inter, union, out=out, where=union > 0)
     return out
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-
-_NUMPY_BACKEND = {
-    "name": "numpy",
-    "levenshtein": _lev_numpy,
-    "hungarian": _hungarian_numpy,
-    "profile": _profile_numpy,
-    "iou_matrix": _iou_matrix_numpy,
-}
-
-_numba_backend_cache: dict | None = None
-
-
-def _numba_backend() -> dict:
-    global _numba_backend_cache
-    if _numba_backend_cache is None:
-        jit = njit(cache=True)
-        _numba_backend_cache = {
-            "name": "numba",
-            "levenshtein": jit(_lev_loops),
-            "hungarian": jit(_hungarian_loops),
-            "profile": jit(_profile_loops),
-            "iou_matrix": jit(_iou_matrix_loops),
-        }
-    return _numba_backend_cache
-
-
-def select_backend(mode: str = "auto") -> str:
-    """Activate a backend: "numba", "numpy", or "auto".  Returns the name."""
-    global _active
-    if mode == "numpy":
-        _active = _NUMPY_BACKEND
-    elif mode == "numba":
-        if not HAS_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        _active = _numba_backend()
-    elif mode == "auto":
-        _active = _numba_backend() if HAS_NUMBA else _NUMPY_BACKEND
-    else:
-        raise ValueError(f"unknown backend mode: {mode!r}")
-    return _active["name"]
-
-
-def _env_mode() -> str:
-    raw = os.environ.get(ENV_FLAG, "").strip().lower()
-    if raw in ("0", "false", "off", "no"):
-        return "numpy"
-    if raw in ("1", "true", "on", "yes"):
-        return "numba"
-    return "auto"
-
-
-_active = _NUMPY_BACKEND
-select_backend(_env_mode())
-
-
-def backend_name() -> str:
-    return _active["name"]
-
-
-# ---------------------------------------------------------------------------
-# public entry points
-
-
-def levenshtein_codes(a: np.ndarray, b: np.ndarray) -> int:
-    """Edit distance between two int64 code-point arrays."""
-    return int(_active["levenshtein"](a, b))
-
-
-def hungarian_min(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost perfect assignment on a finite square float64 matrix.
-
-    Returns col_of_row.  Deterministic: every internal tie goes to the
-    lowest column index.
-    """
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
-        raise ValueError("hungarian_min needs a square matrix")
-    n = cost.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    return _active["hungarian"](np.ascontiguousarray(cost, dtype=np.float64))
-
-
-def interval_profile(
-    starts: np.ndarray, ends: np.ndarray, weights: np.ndarray, length: int
-) -> np.ndarray:
-    """Scatter-add weight over [start, end) per interval; int64 output."""
-    return _active["profile"](
-        np.ascontiguousarray(starts, dtype=np.int64),
-        np.ascontiguousarray(ends, dtype=np.int64),
-        np.ascontiguousarray(weights, dtype=np.int64),
-        int(length),
-    )
-
-
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (n, 4) int64 box arrays (l, t, r, b)."""
-    return _active["iou_matrix"](
-        np.ascontiguousarray(a, dtype=np.int64).reshape(-1, 4),
-        np.ascontiguousarray(b, dtype=np.int64).reshape(-1, 4),
-    )

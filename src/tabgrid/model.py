@@ -221,14 +221,11 @@ class RecognizedTable:
 
 def grid_is_tiled(table: RecognizedTable) -> bool:
     """True iff the cells' index spans cover the grid exactly once."""
-    seen = [[0] * table.n_cols for _ in range(table.n_rows)]
-    for c in table.cells:
-        if c.row_end >= table.n_rows or c.col_end >= table.n_cols:
-            return False
-        for r in range(c.row_start, c.row_end + 1):
-            for j in range(c.col_start, c.col_end + 1):
-                seen[r][j] += 1
-    return all(v == 1 for row in seen for v in row)
+    try:
+        cell_grid(table)
+    except ValueError:
+        return False
+    return True
 
 
 def cell_grid(table: RecognizedTable) -> list[list[Cell]]:
@@ -423,7 +420,7 @@ def recognized_table_from_dict(d: dict) -> RecognizedTable:
             )
             for i, c in enumerate(d["cells"])
         )
-        return RecognizedTable(
+        table = RecognizedTable(
             region=region,
             n_rows=int(d["n_rows"]),
             n_cols=int(d["n_cols"]),
@@ -432,6 +429,8 @@ def recognized_table_from_dict(d: dict) -> RecognizedTable:
             source=TableSource(d.get("source", "separator")),
             header_row_count=int(d.get("header_row_count", 0)),
         )
+        cell_grid(table)  # cells must tile the grid
+        return table
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, LayoutError):
             raise

@@ -1,25 +1,7 @@
 import random
 from collections import Counter
 
-import pytest
-
-from tabgrid import kernels
 from tabgrid.evaluate import adjacency_relations
-
-
-@pytest.fixture(params=["numpy", "numba"] if kernels.HAS_NUMBA else ["numpy"])
-def backend(request):
-    """Run the decorated test once per available kernel backend."""
-    kernels.select_backend(request.param)
-    yield request.param
-    kernels.select_backend("auto")
-
-
-@pytest.fixture(autouse=True)
-def _default_backend():
-    """Keep tests order-independent: reset any backend override."""
-    yield
-    kernels.select_backend("auto")
 
 
 def relation_counts(table) -> Counter:

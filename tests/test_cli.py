@@ -100,15 +100,13 @@ def test_eval_recognition_report_file(tmp_path, capsys):
 # determinism
 
 
-def test_recognize_reruns_byte_identical_except_manifest(tmp_path, monkeypatch, capsys):
+def test_recognize_reruns_byte_identical_except_manifest(tmp_path, capsys):
     corpus = _make_corpus(tmp_path)
     layouts = corpus / "layouts"
     config = corpus / "recognizer_config.json"
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
 
-    monkeypatch.setenv("TABGRID_THREADS", "4")
     assert main(["recognize", str(layouts), str(out1), "--config", str(config)]) == 0
-    monkeypatch.setenv("TABGRID_THREADS", "1")  # serial path
     assert main(["recognize", str(layouts), str(out2), "--config", str(config)]) == 0
     capsys.readouterr()
 
@@ -190,7 +188,6 @@ def test_page_crash_is_reported_and_run_completes(tmp_path, monkeypatch, capsys)
         return real(layout, *args, **kwargs)
 
     monkeypatch.setattr(cli, "recognize_page", flaky)
-    monkeypatch.setenv("TABGRID_THREADS", "3")
     out = tmp_path / "out"
     capsys.readouterr()
     assert main(["recognize", str(corpus / "layouts"), str(out)]) == 1
@@ -249,6 +246,88 @@ def test_interpret_validates_rules_before_writing(tmp_path, capsys):
     assert "meanings[0]" in err
     assert "meanings[1]" in err
     assert not out.exists()  # fail-fast: nothing written
+
+
+def _recognized(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path)
+    pred = tmp_path / "pred"
+    assert main([
+        "recognize", str(corpus / "layouts"), str(pred),
+        "--config", str(corpus / "recognizer_config.json"),
+    ]) == 0
+    capsys.readouterr()
+    return corpus, pred
+
+
+def _break_tiling(page_path):
+    """Push one cell's row span past the table's last row."""
+    page = json.loads(page_path.read_text())
+    table = page["tables"][0]
+    table["cells"][0]["row_end"] = table["n_rows"]
+    dump_json(page_path, page)
+
+
+def _tuple_files(directory):
+    return {
+        p.name: p.read_bytes() for p in directory.glob("*.json") if p.name != "run_manifest.json"
+    }
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [[1, 2], {"file_id": "zz", "page_nr": 1, "tables": 5}, None],
+    ids=["array", "tables-not-a-list", "non-tiling"],
+)
+def test_interpret_reports_bad_tables_file_and_keeps_the_rest(tmp_path, capsys, payload):
+    corpus, pred = _recognized(tmp_path, capsys)
+    rules = str(corpus / "rules.json")
+    clean = tmp_path / "clean"
+    assert main(["interpret", str(pred), rules, str(clean)]) == 0
+    capsys.readouterr()
+
+    bad = pred / "zz_page01.json"
+    if payload is None:
+        bad.write_bytes(sorted(pred.glob("ri*_page*.json"))[0].read_bytes())
+        _break_tiling(bad)
+    else:
+        dump_json(bad, payload)
+    out = tmp_path / "tuples"
+    assert main(["interpret", str(pred), rules, str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: zz_page01.json: ") and err.count("\n") == 1
+    assert (out / "run_manifest.json").is_file()
+    assert _tuple_files(out) == _tuple_files(clean)
+    assert len(_tuple_files(out)) == 3
+
+
+def test_interpret_crash_is_reported_and_run_completes(tmp_path, monkeypatch, capsys):
+    corpus, pred = _recognized(tmp_path, capsys)
+    first = sorted(pred.glob("ri*_page*.json"))[0]
+    bad_id = json.loads(first.read_text())["file_id"]
+    real = cli.tuples_from_matching
+
+    def flaky(table, meanings, views, matching, file_id, *args):
+        if file_id == bad_id:
+            raise RuntimeError("boom")
+        return real(table, meanings, views, matching, file_id, *args)
+
+    monkeypatch.setattr(cli, "tuples_from_matching", flaky)
+    out = tmp_path / "tuples"
+    assert main(["interpret", str(pred), str(corpus / "rules.json"), str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {first.name}: RuntimeError: boom\n"
+    assert len(_tuple_files(out)) == 2
+    assert (out / "run_manifest.json").is_file()
+
+
+@pytest.mark.parametrize("mode", ["recognition", "cells"])
+def test_eval_rejects_non_tiling_table(tmp_path, capsys, mode):
+    corpus, pred = _recognized(tmp_path, capsys)
+    broken = sorted(pred.glob("*_page*.json"))[0]
+    _break_tiling(broken)
+    rc = main(["eval", mode, str(corpus / "recognition_gt"), str(pred)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cell span outside grid" in err
 
 
 def test_eval_strict_flags_missing_prediction(tmp_path, capsys):

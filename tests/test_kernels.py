@@ -1,5 +1,4 @@
 import itertools
-import os
 import random
 
 import numpy as np
@@ -63,7 +62,7 @@ def _codes(rng, n, alphabet=4):
     return np.array([rng.randrange(alphabet) for _ in range(n)], dtype=np.int64)
 
 
-def test_levenshtein_known_values(backend):
+def test_levenshtein_known_values():
     cases = [
         ("kitten", "sitting", 3),
         ("", "", 0),
@@ -79,7 +78,7 @@ def test_levenshtein_known_values(backend):
         assert ref_levenshtein(a, b) == want  # oracle agrees with the published values
 
 
-def test_levenshtein_random_vs_reference(backend):
+def test_levenshtein_random_vs_reference():
     rng = random.Random(42)
     for _ in range(150):
         a = _codes(rng, rng.randrange(0, 13))
@@ -87,7 +86,7 @@ def test_levenshtein_random_vs_reference(backend):
         assert kernels.levenshtein_codes(a, b) == ref_levenshtein(list(a), list(b))
 
 
-def test_hungarian_matches_bruteforce(backend):
+def test_hungarian_matches_bruteforce():
     rng = np.random.default_rng(7)
     for _ in range(120):
         n = int(rng.integers(1, 7))
@@ -98,25 +97,25 @@ def test_hungarian_matches_bruteforce(backend):
         assert got == pytest.approx(ref_min_assignment_cost(cost), abs=1e-9)
 
 
-def test_hungarian_empty_and_one(backend):
+def test_hungarian_empty_and_one():
     assert kernels.hungarian_min(np.zeros((0, 0))).shape == (0,)
     assert kernels.hungarian_min(np.array([[3.5]])).tolist() == [0]
 
 
-def test_hungarian_rejects_non_square(backend):
+def test_hungarian_rejects_non_square():
     with pytest.raises(ValueError):
         kernels.hungarian_min(np.zeros((2, 3)))
 
 
-def test_hungarian_deterministic_on_ties(backend):
+def test_hungarian_deterministic_on_ties():
     # constant matrix: every permutation is optimal; first-minimum scanning
-    # must give the identity on both backends
+    # must give the identity
     for n in (1, 2, 3, 5, 8):
         cost = np.full((n, n), 2.5)
         assert kernels.hungarian_min(cost).tolist() == list(range(n))
 
 
-def test_profile_reference(backend):
+def test_profile_reference():
     rng = np.random.default_rng(3)
     for _ in range(100):
         n = int(rng.integers(0, 15))
@@ -128,7 +127,7 @@ def test_profile_reference(backend):
         assert got.tolist() == ref_profile(starts.tolist(), ends.tolist(), weights.tolist(), length)
 
 
-def test_iou_matrix_reference(backend):
+def test_iou_matrix_reference():
     rng = np.random.default_rng(5)
     for _ in range(50):
         def boxes(k):
@@ -142,39 +141,3 @@ def test_iou_matrix_reference(backend):
         for i in range(len(a)):
             for j in range(len(b)):
                 assert got[i, j] == pytest.approx(ref_iou(a[i], b[j]), abs=1e-12)
-
-
-@pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba unavailable")
-def test_backends_bit_identical():
-    rng = np.random.default_rng(11)
-    for _ in range(60):
-        n = int(rng.integers(1, 8))
-        cost = rng.random((n, n))
-        kernels.select_backend("numba")
-        h1 = kernels.hungarian_min(cost)
-        a = rng.integers(0, 4, int(rng.integers(0, 12)))
-        b = rng.integers(0, 4, int(rng.integers(0, 12)))
-        l1 = kernels.levenshtein_codes(a, b)
-        kernels.select_backend("numpy")
-        h2 = kernels.hungarian_min(cost)
-        l2 = kernels.levenshtein_codes(a, b)
-        assert np.array_equal(h1, h2)
-        assert l1 == l2
-
-
-def test_env_flag_selection(monkeypatch):
-    monkeypatch.setenv(kernels.ENV_FLAG, "0")
-    assert kernels._env_mode() == "numpy"
-    monkeypatch.setenv(kernels.ENV_FLAG, "off")
-    assert kernels._env_mode() == "numpy"
-    monkeypatch.setenv(kernels.ENV_FLAG, "1")
-    assert kernels._env_mode() == "numba"
-    monkeypatch.setenv(kernels.ENV_FLAG, "auto")
-    assert kernels._env_mode() == "auto"
-    monkeypatch.delenv(kernels.ENV_FLAG)
-    assert kernels._env_mode() == "auto"
-
-
-def test_select_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.select_backend("cuda")

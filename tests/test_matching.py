@@ -81,7 +81,7 @@ def test_validation():
         WeightedBipartiteGraph(n_left=-1, n_right=0, edges=())
 
 
-def test_matches_bruteforce_on_random_graphs(backend):
+def test_matches_bruteforce_on_random_graphs():
     rng = random.Random(77)
     for _ in range(150):
         nl = rng.randint(0, 5)
