@@ -64,7 +64,6 @@ from .interpret import (
 )
 from .evaluate import (
     Direction,
-    EvalConfig,
     PRF,
     adjacency_relations,
     cell_f1_at_iou,
@@ -153,7 +152,6 @@ __all__ = [
     "load_meanings",
     # evaluation
     "Direction",
-    "EvalConfig",
     "PRF",
     "adjacency_relations",
     "match_tables",

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dsu import UnionFind
 from .errors import DegenerateGrid, EmptyBody, InsufficientContext
 from .geometry import BoundingBox, contains_point, union_box
@@ -67,7 +65,7 @@ class HeaderLevels:
 class Profile:
     axis: str  # "y": values indexed by row, "x": indexed by column
     origin: int
-    values: np.ndarray
+    values: list[int]
 
 
 @dataclass(frozen=True)
@@ -176,12 +174,7 @@ def _profile(words, region: BoundingBox, axis: str) -> Profile:
             ends.append(r - region.left)
             weights.append(bt - t)
     length = region.height if axis == "y" else region.width
-    values = interval_profile(
-        np.asarray(starts, dtype=np.int64),
-        np.asarray(ends, dtype=np.int64),
-        np.asarray(weights, dtype=np.int64),
-        length,
-    )
+    values = interval_profile(starts, ends, weights, length)
     origin = region.top if axis == "y" else region.left
     return Profile(axis=axis, origin=origin, values=values)
 
@@ -196,7 +189,7 @@ def vertical_profile(words: list[Word] | tuple[Word, ...], region: BoundingBox) 
     return _profile(words, region, "x")
 
 
-def _interior_zero_runs(values: np.ndarray) -> list[tuple[int, int]]:
+def _interior_zero_runs(values: list[int]) -> list[tuple[int, int]]:
     """Maximal zero runs not touching either end of the profile."""
     runs = []
     n = len(values)
@@ -216,7 +209,7 @@ def _interior_zero_runs(values: np.ndarray) -> list[tuple[int, int]]:
 
 def segment_rows(profile: Profile) -> list[int]:
     """Row borders at the midpoints of interior zero gaps (absolute y)."""
-    if not profile.values.any():
+    if not any(profile.values):
         raise EmptyBody("projection profile is entirely zero")
     return [profile.origin + (s + e) // 2 for s, e in _interior_zero_runs(profile.values)]
 
@@ -228,7 +221,7 @@ def segment_columns(
 ) -> list[int]:
     """Column borders at centers of interior zero gaps longer than d_column."""
     profile = vertical_profile(projection_words, region)
-    if not profile.values.any():
+    if not any(profile.values):
         raise EmptyBody("column projection profile is entirely zero")
     return [
         profile.origin + (s + e) // 2

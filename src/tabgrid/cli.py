@@ -23,17 +23,16 @@ from . import __version__
 from .corpusio import (
     PageTables,
     dump_json,
-    format_tuple_name,
     page_tables_from_dict,
     page_tables_to_dict,
     parse_layout_name,
     parse_tuple_name,
     read_json,
     read_tuple_set,
+    write_tuple_set,
 )
-from .errors import TabgridError
+from .errors import ConfigError, TabgridError
 from .evaluate import (
-    EvalConfig,
     PRF,
     cell_f1_at_iou,
     corpus_average,
@@ -43,7 +42,7 @@ from .evaluate import (
     wavg_f1,
 )
 from .fixtures import build_corpus
-from .interpret import load_meanings, match_meanings, tuple_set_to_dict, tuples_from_matching
+from .interpret import load_meanings, match_meanings, tuples_from_matching
 from .model import (
     RecognizerConfig,
     load_recognizer_config,
@@ -166,11 +165,9 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
                 views, matching = match_meanings(table, meanings)
                 if not matching.pairs:
                     continue
-                ts = tuples_from_matching(
-                    table, meanings, views, matching, file_id, page_nr, idx
-                )
-                dump_json(
-                    out_dir / format_tuple_name(file_id, page_nr, idx), tuple_set_to_dict(ts)
+                write_tuple_set(
+                    out_dir,
+                    tuples_from_matching(table, meanings, views, matching, file_id, page_nr, idx),
                 )
                 n_written += 1
         except (TabgridError, json.JSONDecodeError, OSError) as exc:
@@ -225,7 +222,6 @@ def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str, int]:
         lines += [f"missing ground truth for {fid}_page{nr:02d}" for fid, nr in missing_gt]
         raise TabgridError("; ".join(lines))
 
-    cfg = EvalConfig(iou_min=args.iou_min)
     gt_docs: dict[str, dict[int, list]] = {}
     pred_docs: dict[str, dict[int, list]] = {}
     for (fid, nr), page in gt_pages.items():
@@ -235,7 +231,9 @@ def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str, int]:
 
     per_doc: dict[str, PRF] = {}
     for fid in sorted(set(gt_docs) | set(pred_docs)):
-        per_doc[fid] = recognition_score(gt_docs.get(fid, {}), pred_docs.get(fid, {}), cfg)
+        per_doc[fid] = recognition_score(
+            gt_docs.get(fid, {}), pred_docs.get(fid, {}), args.iou_min
+        )
     corpus = corpus_average(per_doc.values())
 
     lines = []
@@ -272,7 +270,22 @@ def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str, int]:
     return report, "\n".join(lines), 0
 
 
+def _parse_cell_thresholds(text: str) -> tuple[float, ...]:
+    try:
+        thresholds = tuple(float(t) for t in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--cell-thresholds: not a comma-separated number list: {text!r}"
+        ) from None
+    if not all(0.0 < t <= 1.0 for t in thresholds):
+        raise ConfigError(f"--cell-thresholds: every threshold must be in (0, 1]: {text!r}")
+    if len(set(thresholds)) != len(thresholds):
+        raise ConfigError(f"--cell-thresholds: thresholds must be distinct: {text!r}")
+    return thresholds
+
+
 def _eval_cells(args: argparse.Namespace) -> tuple[dict, str, int]:
+    thresholds = _parse_cell_thresholds(args.cell_thresholds)
     gt_pages = _load_page_tables_dir(Path(args.gt_dir))
     pred_pages = _load_page_tables_dir(Path(args.pred_dir))
     if args.strict:
@@ -281,15 +294,13 @@ def _eval_cells(args: argparse.Namespace) -> tuple[dict, str, int]:
             raise TabgridError(
                 "; ".join(f"unpaired page {fid}_page{nr:02d}" for fid, nr in missing)
             )
-    thresholds = tuple(float(t) for t in args.cell_thresholds.split(","))
     counts = {t: [0, 0, 0] for t in thresholds}  # tp, fp, fn pooled corpus-wide
     for key in sorted(set(gt_pages) | set(pred_pages)):
         gt = _gt_tables(gt_pages[key]) if key in gt_pages else []
         pred = list(pred_pages[key].tables) if key in pred_pages else []
         match = match_tables(gt, pred, iou_min=args.iou_min)
         for i, j in match.pairs:
-            for t in thresholds:
-                prf = cell_f1_at_iou(gt[i], pred[j], t)
+            for t, prf in cell_f1_at_iou(gt[i], pred[j], thresholds).items():
                 counts[t][0] += prf.tp
                 counts[t][1] += prf.fp
                 counts[t][2] += prf.fn
@@ -366,6 +377,8 @@ def _eval_interpretation(args: argparse.Namespace) -> tuple[dict, str, int]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if not 0.0 < args.iou_min <= 1.0:
+        raise ConfigError(f"--iou-min must be in (0, 1], got {args.iou_min}")
     if args.mode == "recognition":
         report, text, rc = _eval_recognition(args)
     elif args.mode == "cells":

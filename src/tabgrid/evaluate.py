@@ -16,11 +16,9 @@ import enum
 from collections import Counter
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DuplicateKey, EmptyCorpus
 from .interpret import TupleSet
-from .kernels import iou_matrix
+from .kernels import Box, iou_matrix
 from .matching import WeightedBipartiteGraph, max_weight_matching
 from .model import RecognizedTable, cell_grid
 
@@ -35,7 +33,6 @@ class AdjacencyRelation:
     from_content: str
     to_content: str
     direction: Direction
-    from_key: tuple[int, int]  # (row_start, col_start) of the origin cell
 
     @property
     def triple(self) -> tuple[str, str, str]:
@@ -71,12 +68,6 @@ class MacroPRF:
     f1: float
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    iou_min: float = 0.5
-    cell_iou_thresholds: tuple[float, ...] = (0.6, 0.7, 0.8, 0.9)
-
-
 def _blank(content: str) -> bool:
     return not content.strip()
 
@@ -100,11 +91,7 @@ def adjacency_relations(table: RecognizedTable) -> list[AdjacencyRelation]:
             if right is not None:
                 break
         if right is not None:
-            relations.append(
-                AdjacencyRelation(
-                    c.content, right.content, Direction.RIGHT, (c.row_start, c.col_start)
-                )
-            )
+            relations.append(AdjacencyRelation(c.content, right.content, Direction.RIGHT))
         down = None
         for r in range(c.row_end + 1, table.n_rows):
             for j in range(c.col_start, c.col_end + 1):
@@ -115,11 +102,7 @@ def adjacency_relations(table: RecognizedTable) -> list[AdjacencyRelation]:
             if down is not None:
                 break
         if down is not None:
-            relations.append(
-                AdjacencyRelation(
-                    c.content, down.content, Direction.DOWN, (c.row_start, c.col_start)
-                )
-            )
+            relations.append(AdjacencyRelation(c.content, down.content, Direction.DOWN))
     return relations
 
 
@@ -131,35 +114,39 @@ class TableMatch:
 
 
 def _greedy_iou_pairs(
-    gt_boxes: np.ndarray, pred_boxes: np.ndarray, threshold: float
-) -> list[tuple[int, int]]:
+    gt_boxes: list[Box], pred_boxes: list[Box], thresholds: tuple[float, ...]
+) -> list[list[tuple[int, int]]]:
+    """One greedy one-to-one pairing per threshold, by descending IoU (ties
+    by index), all taken from a single IoU matrix."""
     matrix = iou_matrix(gt_boxes, pred_boxes)
-    candidates = [
-        (-matrix[i, j], i, j)
-        for i in range(matrix.shape[0])
-        for j in range(matrix.shape[1])
-        if matrix[i, j] >= threshold
-    ]
-    candidates.sort()
-    used_gt: set[int] = set()
-    used_pred: set[int] = set()
-    pairs = []
-    for _, i, j in candidates:
-        if i in used_gt or j in used_pred:
-            continue
-        used_gt.add(i)
-        used_pred.add(j)
-        pairs.append((i, j))
-    return pairs
+    floor = min(thresholds)
+    candidates = sorted(
+        (-x, i, j) for i, row in enumerate(matrix) for j, x in enumerate(row) if x >= floor
+    )
+    out = []
+    for threshold in thresholds:
+        used_gt: set[int] = set()
+        used_pred: set[int] = set()
+        pairs = []
+        for neg_iou, i, j in candidates:
+            if -neg_iou < threshold:
+                break
+            if i in used_gt or j in used_pred:
+                continue
+            used_gt.add(i)
+            used_pred.add(j)
+            pairs.append((i, j))
+        out.append(pairs)
+    return out
 
 
 def match_tables(
     gt: list[RecognizedTable], pred: list[RecognizedTable], iou_min: float
 ) -> TableMatch:
     """Greedy one-to-one region matching by descending IoU (ties by index)."""
-    gt_boxes = np.array([t.region.as_tuple() for t in gt], dtype=np.int64).reshape(-1, 4)
-    pred_boxes = np.array([t.region.as_tuple() for t in pred], dtype=np.int64).reshape(-1, 4)
-    pairs = _greedy_iou_pairs(gt_boxes, pred_boxes, iou_min)
+    [pairs] = _greedy_iou_pairs(
+        [t.region.as_tuple() for t in gt], [t.region.as_tuple() for t in pred], (iou_min,)
+    )
     used_gt = {i for i, _ in pairs}
     used_pred = {j for _, j in pairs}
     return TableMatch(
@@ -181,7 +168,7 @@ def _as_page_map(doc: PageTableMap | list[RecognizedTable]) -> PageTableMap:
 def recognition_score(
     gt_doc: PageTableMap | list[RecognizedTable],
     pred_doc: PageTableMap | list[RecognizedTable],
-    cfg: EvalConfig = EvalConfig(),
+    iou_min: float = 0.5,
 ) -> PRF:
     """Adjacency-relation PRF for one document (tables aligned per page)."""
     gt_pages = _as_page_map(gt_doc)
@@ -190,7 +177,7 @@ def recognition_score(
     for page in sorted(set(gt_pages) | set(pred_pages)):
         gt_tables = gt_pages.get(page, [])
         pred_tables = pred_pages.get(page, [])
-        match = match_tables(gt_tables, pred_tables, cfg.iou_min)
+        match = match_tables(gt_tables, pred_tables, iou_min)
         for gi, pi in match.pairs:
             gt_rels = Counter(r.triple for r in adjacency_relations(gt_tables[gi]))
             pred_rels = Counter(r.triple for r in adjacency_relations(pred_tables[pi]))
@@ -217,14 +204,19 @@ def corpus_average(per_document: list[PRF]) -> MacroPRF:
 
 
 def cell_f1_at_iou(
-    gt_table: RecognizedTable, pred_table: RecognizedTable, threshold: float
-) -> PRF:
-    """Greedy one-to-one cell box matching at the given IoU threshold."""
-    gt_boxes = np.array([c.box.as_tuple() for c in gt_table.cells], dtype=np.int64)
-    pred_boxes = np.array([c.box.as_tuple() for c in pred_table.cells], dtype=np.int64)
-    pairs = _greedy_iou_pairs(gt_boxes.reshape(-1, 4), pred_boxes.reshape(-1, 4), threshold)
-    tp = len(pairs)
-    return PRF(tp=tp, fp=len(pred_table.cells) - tp, fn=len(gt_table.cells) - tp)
+    gt_table: RecognizedTable, pred_table: RecognizedTable, thresholds: tuple[float, ...]
+) -> dict[float, PRF]:
+    """Greedy one-to-one cell box matching at each IoU threshold."""
+    all_pairs = _greedy_iou_pairs(
+        [c.box.as_tuple() for c in gt_table.cells],
+        [c.box.as_tuple() for c in pred_table.cells],
+        thresholds,
+    )
+    n_gt, n_pred = len(gt_table.cells), len(pred_table.cells)
+    return {
+        t: PRF(tp=len(pairs), fp=n_pred - len(pairs), fn=n_gt - len(pairs))
+        for t, pairs in zip(thresholds, all_pairs)
+    }
 
 
 def wavg_f1(f1_by_threshold: dict[float, float]) -> float:

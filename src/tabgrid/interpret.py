@@ -19,8 +19,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigError, InvalidPattern
 from .kernels import levenshtein_codes
 from .matching import Matching, WeightedBipartiteGraph, max_weight_matching
@@ -102,9 +100,7 @@ class TupleSet:
 
 def levenshtein(a: str, b: str) -> int:
     """Unit-cost edit distance over Unicode code points."""
-    ca = np.fromiter(map(ord, a), dtype=np.int64, count=len(a))
-    cb = np.fromiter(map(ord, b), dtype=np.int64, count=len(b))
-    return levenshtein_codes(ca, cb)
+    return levenshtein_codes(a, b)
 
 
 def _normalize(s: str) -> str:

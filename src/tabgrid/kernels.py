@@ -1,119 +1,117 @@
-"""Hot numeric kernels, vectorized with numpy.
+"""Hot numeric kernels in plain Python.
 
 Edit distance, minimum-cost assignment, interval profiles and pairwise
-box IoU.  Each kernel normalizes its inputs to contiguous int64/float64
-arrays and is deterministic: every argmin tie goes to the lowest index.
+box IoU.  The pipeline calls them on small inputs (strings of a few
+dozen characters, matrices of a few rows, one table's cells), where
+plain loops over lists beat array libraries' per-call overhead.  Each
+kernel is deterministic: every argmin tie goes to the lowest index.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
+from collections.abc import Sequence
+from itertools import accumulate
+
+Box = Sequence[int]  # (left, top, right, bottom)
 
 
-def levenshtein_codes(a: np.ndarray, b: np.ndarray) -> int:
-    """Edit distance between two int64 code-point arrays."""
-    na = a.shape[0]
-    nb = b.shape[0]
-    if na == 0:
-        return nb
-    if nb == 0:
-        return na
-    idx = np.arange(nb + 1, dtype=np.int64)
-    prev = idx.copy()
-    for i in range(1, na + 1):
-        sub = prev[:-1] + (b != a[i - 1])
-        cur = np.minimum(sub, prev[1:] + 1)
-        cur = np.concatenate((np.array([i], dtype=np.int64), cur))
-        # insertion chain: cur[j] = j + min_{k<=j}(cur[k] - k)
-        cur = np.minimum.accumulate(cur - idx) + idx
+def levenshtein_codes(a: Sequence, b: Sequence) -> int:
+    """Unit-cost edit distance between two sequences (strings, code lists)."""
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b):
+            cur.append(min(prev[j] + (x != y), prev[j + 1] + 1, cur[j] + 1))
         prev = cur
-    return int(prev[nb])
+    return prev[-1]
 
 
-def hungarian_min(cost: np.ndarray) -> np.ndarray:
-    """Minimum-cost perfect assignment on a finite square float64 matrix.
+def hungarian_min(cost: Sequence[Sequence[float]]) -> list[int]:
+    """Minimum-cost perfect assignment on a finite square matrix (rows of floats).
 
     Returns col_of_row.  Deterministic: every internal tie goes to the
     lowest column index.
     """
-    if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
+    n = len(cost)
+    if any(len(row) != n for row in cost):
         raise ValueError("hungarian_min needs a square matrix")
-    n = cost.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
     # Potential-based shortest augmenting path (minimization).  1-based
-    # arrays; column 0 is the virtual root.
-    u = np.zeros(n + 1, dtype=np.float64)
-    v = np.zeros(n + 1, dtype=np.float64)
-    p = np.zeros(n + 1, dtype=np.int64)
-    way = np.zeros(n + 1, dtype=np.int64)
-    cur_full = np.empty(n + 1, dtype=np.float64)
+    # lists; column 0 is the virtual root.
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
     for i in range(1, n + 1):
         p[0] = i
         j0 = 0
-        minv = np.full(n + 1, np.inf, dtype=np.float64)
-        used = np.zeros(n + 1, dtype=np.bool_)
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
-            free = ~used
-            free[0] = False
-            cur_full[0] = np.inf
-            cur_full[1:] = cost[i0 - 1] - u[i0] - v[1:]
-            improve = free & (cur_full < minv)
-            minv = np.where(improve, cur_full, minv)
-            way = np.where(improve, j0, way)
-            masked = np.where(free, minv, np.inf)
-            j1 = int(np.argmin(masked))
-            delta = masked[j1]
-            # used columns hold distinct rows, so fancy += is safe
-            u[p[used]] += delta
-            v[used] -= delta
-            minv[~used] -= delta
+            row = cost[i0 - 1]
+            ui0 = u[i0]
+            delta = math.inf
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - ui0 - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:  # strict: the lowest free column wins ties
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
-        while True:
-            j1 = int(way[j0])
+        while j0:
+            j1 = way[j0]
             p[j0] = p[j1]
             j0 = j1
-            if j0 == 0:
-                break
-    col_of_row = np.full(n, -1, dtype=np.int64)
-    col_of_row[p[1:] - 1] = np.arange(n, dtype=np.int64)
+    col_of_row = [-1] * n
+    for j in range(1, n + 1):
+        col_of_row[p[j] - 1] = j - 1
     return col_of_row
 
 
 def interval_profile(
-    starts: np.ndarray, ends: np.ndarray, weights: np.ndarray, length: int
-) -> np.ndarray:
-    """Scatter-add weight over [start, end) per interval; int64 output."""
-    starts = np.ascontiguousarray(starts, dtype=np.int64)
-    ends = np.ascontiguousarray(ends, dtype=np.int64)
-    weights = np.ascontiguousarray(weights, dtype=np.int64)
-    length = int(length)
-    diff = np.zeros(length + 1, dtype=np.int64)
-    s = np.clip(starts, 0, length)
-    e = np.clip(ends, 0, length)
-    valid = e > s
-    np.add.at(diff, s[valid], weights[valid])
-    np.add.at(diff, e[valid], -weights[valid])
-    return np.cumsum(diff[:-1])
+    starts: Sequence[int], ends: Sequence[int], weights: Sequence[int], length: int
+) -> list[int]:
+    """Sum of weight over [start, end) per interval, clipped to [0, length)."""
+    diff = [0] * (length + 1)
+    for s, e, w in zip(starts, ends, weights):
+        s = min(max(s, 0), length)
+        e = min(max(e, 0), length)
+        if e > s:
+            diff[s] += w
+            diff[e] -= w
+    return list(accumulate(diff[:length]))
 
 
-def iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise IoU between two (n, 4) int64 box arrays (l, t, r, b)."""
-    a = np.ascontiguousarray(a, dtype=np.int64).reshape(-1, 4)
-    b = np.ascontiguousarray(b, dtype=np.int64).reshape(-1, 4)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[0]), dtype=np.float64)
-    iw = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    ih = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
-    inter = np.where((iw > 0) & (ih > 0), iw * ih, 0)
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    out = np.zeros_like(union, dtype=np.float64)
-    np.divide(inter, union, out=out, where=union > 0)
+def iou_matrix(a: Sequence[Box], b: Sequence[Box]) -> list[list[float]]:
+    """Pairwise IoU between two lists of (l, t, r, b) boxes; rows follow a."""
+    areas_b = [(r - l) * (bt - t) for l, t, r, bt in b]
+    out = []
+    for al, at, ar, ab in a:
+        area_a = (ar - al) * (ab - at)
+        row = []
+        for (bl, bt, br, bb), area_b in zip(b, areas_b):
+            iw = (ar if ar < br else br) - (al if al > bl else bl)
+            ih = (ab if ab < bb else bb) - (at if at > bt else bt)
+            if iw > 0 and ih > 0:
+                # both boxes then have positive area, so the union does too
+                inter = iw * ih
+                row.append(inter / (area_a + area_b - inter))
+            else:
+                row.append(0.0)
+        out.append(row)
     return out

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernels import hungarian_min
 
 
@@ -50,16 +48,16 @@ def max_weight_matching(g: WeightedBipartiteGraph) -> Matching:
 
     n = max(g.n_left, g.n_right)
     weight = {}
-    cost = np.zeros((n, n), dtype=np.float64)
+    cost = [[0.0] * n for _ in range(n)]
     for li, ri, w in g.edges:
-        cost[li, ri] = -w
+        cost[li][ri] = -w
         weight[(li, ri)] = w
 
     col_of_row = hungarian_min(cost)
     pairs = []
     total = 0.0
     for li in range(g.n_left):
-        ri = int(col_of_row[li])
+        ri = col_of_row[li]
         if ri < g.n_right and (li, ri) in weight:
             pairs.append((li, ri))
             total += weight[(li, ri)]

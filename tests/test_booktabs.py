@@ -136,9 +136,9 @@ def test_profiles_clip_to_region():
     # its in-region extent
     region = box(10, 10, 50, 30)
     p = horizontal_profile([word(0, 0, 100, 100)], region)
-    assert p.values.tolist() == [40] * 20
+    assert p.values == [40] * 20
     v = vertical_profile([word(0, 0, 100, 100)], region)
-    assert v.values.tolist() == [20] * 40
+    assert v.values == [20] * 40
 
 
 def test_segment_rows_midpoints():

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tabgrid
 from tabgrid import __version__, cli
 from tabgrid.cli import main
 from tabgrid.corpusio import dump_json
@@ -360,6 +365,55 @@ def test_eval_interpretation_strict_flags_unpaired_sets(tmp_path, capsys):
     rc = main(["eval", "interpretation", str(gt_dir), str(pred_dir), "--strict"])
     assert rc == 2
     assert "unpaired tuple set d_page01_table0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cells", "--cell-thresholds", "0.5,x"],
+        ["cells", "--cell-thresholds", ""],
+        ["cells", "--cell-thresholds", "0"],
+        ["cells", "--cell-thresholds", "0.5,-0.5"],
+        ["cells", "--cell-thresholds", "0.9,1.5"],
+        ["cells", "--cell-thresholds", "nan"],
+        ["cells", "--cell-thresholds", "0.7,0.7"],
+        ["cells", "--iou-min", "0"],
+        ["recognition", "--iou-min", "1.5"],
+    ],
+    ids=[
+        "not-a-number", "empty", "zero", "negative", "above-one", "nan", "repeated",
+        "iou-min-zero", "iou-min-above-one",
+    ],
+)
+def test_eval_rejects_bad_iou_arguments(tmp_path, capsys, argv):
+    mode, *flags = argv
+    rc = main(["eval", mode, str(tmp_path), str(tmp_path), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
+IMPORT_CHECK = """
+import sys
+before = set(sys.modules)
+import tabgrid.cli
+loaded = {name.split(".")[0] for name in set(sys.modules) - before}
+print(sorted(loaded - set(sys.stdlib_module_names) - {"tabgrid"}))
+"""
+
+
+def test_cli_import_loads_only_the_standard_library():
+    src = str(Path(tabgrid.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHECK],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_eval_cells_custom_thresholds(tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 from tabgrid.errors import DuplicateKey, EmptyCorpus
 from tabgrid.evaluate import (
     Direction,
-    EvalConfig,
     PRF,
     adjacency_relations,
     cell_f1_at_iou,
@@ -237,8 +236,9 @@ def test_recognition_score_accepts_bare_lists():
 
 def test_cell_f1_exact_match():
     t = _grid_table([["a", "b"], ["c", "d"]])
-    for thr in (0.6, 0.9):
-        prf = cell_f1_at_iou(t, t, thr)
+    by_thr = cell_f1_at_iou(t, t, (0.6, 0.9))
+    assert set(by_thr) == {0.6, 0.9}
+    for prf in by_thr.values():
         assert (prf.tp, prf.fp, prf.fn) == (4, 0, 0)
 
 
@@ -251,10 +251,18 @@ def test_cell_f1_threshold_sensitivity():
         labeled=True, source=TableSource.SEPARATOR, header_row_count=0,
     )
     high = 98 / 102
-    prf = cell_f1_at_iou(gt, pred, high - 1e-9)
-    assert prf.tp == 1
-    prf = cell_f1_at_iou(gt, pred, high + 1e-9)
+    by_thr = cell_f1_at_iou(gt, pred, (high - 1e-9, high + 1e-9))
+    assert by_thr[high - 1e-9].tp == 1
+    prf = by_thr[high + 1e-9]
     assert (prf.tp, prf.fp, prf.fn) == (0, 1, 1)
+
+
+def test_cell_f1_threshold_is_inclusive():
+    gt = _grid_table([["a"]], cw=100, rh=10)  # box (0,0,100,10)
+    pred = _grid_table([["a"]], cw=50, rh=10)  # box (0,0,50,10): IoU exactly 0.5
+    by_thr = cell_f1_at_iou(gt, pred, (0.5, 0.6))
+    assert by_thr[0.5].tp == 1
+    assert by_thr[0.6].tp == 0
 
 
 def test_wavg_f1_weights_by_threshold():

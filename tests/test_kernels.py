@@ -1,7 +1,6 @@
 import itertools
 import random
 
-import numpy as np
 import pytest
 
 from tabgrid import kernels
@@ -26,12 +25,12 @@ def ref_levenshtein(a, b) -> int:
     return d[n][m]
 
 
-def ref_min_assignment_cost(cost: np.ndarray) -> float:
+def ref_min_assignment_cost(cost: list[list[float]]) -> float:
     """Exhaustive minimum over all permutations (n <= 7)."""
-    n = cost.shape[0]
+    n = len(cost)
     best = None
     for perm in itertools.permutations(range(n)):
-        total = sum(cost[i, perm[i]] for i in range(n))
+        total = sum(cost[i][perm[i]] for i in range(n))
         if best is None or total < best:
             best = total
     return best
@@ -59,7 +58,7 @@ def ref_iou(a, b):
 
 
 def _codes(rng, n, alphabet=4):
-    return np.array([rng.randrange(alphabet) for _ in range(n)], dtype=np.int64)
+    return [rng.randrange(alphabet) for _ in range(n)]
 
 
 def test_levenshtein_known_values():
@@ -72,9 +71,8 @@ def test_levenshtein_known_values():
         ("flaw", "lawn", 2),
     ]
     for a, b, want in cases:
-        ca = np.array([ord(c) for c in a], dtype=np.int64)
-        cb = np.array([ord(c) for c in b], dtype=np.int64)
-        assert kernels.levenshtein_codes(ca, cb) == want
+        assert kernels.levenshtein_codes(a, b) == want
+        assert kernels.levenshtein_codes([ord(c) for c in a], [ord(c) for c in b]) == want
         assert ref_levenshtein(a, b) == want  # oracle agrees with the published values
 
 
@@ -83,61 +81,66 @@ def test_levenshtein_random_vs_reference():
     for _ in range(150):
         a = _codes(rng, rng.randrange(0, 13))
         b = _codes(rng, rng.randrange(0, 13))
-        assert kernels.levenshtein_codes(a, b) == ref_levenshtein(list(a), list(b))
+        assert kernels.levenshtein_codes(a, b) == ref_levenshtein(a, b)
 
 
 def test_hungarian_matches_bruteforce():
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(120):
-        n = int(rng.integers(1, 7))
-        cost = np.round(rng.random((n, n)) * 10, 3)
+        n = rng.randrange(1, 7)
+        cost = [[round(rng.random() * 10, 3) for _ in range(n)] for _ in range(n)]
         col_of_row = kernels.hungarian_min(cost)
-        assert sorted(col_of_row.tolist()) == list(range(n))  # a permutation
-        got = float(cost[np.arange(n), col_of_row].sum())
+        assert sorted(col_of_row) == list(range(n))  # a permutation
+        got = sum(cost[i][col_of_row[i]] for i in range(n))
         assert got == pytest.approx(ref_min_assignment_cost(cost), abs=1e-9)
 
 
 def test_hungarian_empty_and_one():
-    assert kernels.hungarian_min(np.zeros((0, 0))).shape == (0,)
-    assert kernels.hungarian_min(np.array([[3.5]])).tolist() == [0]
+    assert kernels.hungarian_min([]) == []
+    assert kernels.hungarian_min([[3.5]]) == [0]
 
 
 def test_hungarian_rejects_non_square():
     with pytest.raises(ValueError):
-        kernels.hungarian_min(np.zeros((2, 3)))
+        kernels.hungarian_min([[0.0] * 3 for _ in range(2)])
 
 
 def test_hungarian_deterministic_on_ties():
     # constant matrix: every permutation is optimal; first-minimum scanning
     # must give the identity
     for n in (1, 2, 3, 5, 8):
-        cost = np.full((n, n), 2.5)
-        assert kernels.hungarian_min(cost).tolist() == list(range(n))
+        cost = [[2.5] * n for _ in range(n)]
+        assert kernels.hungarian_min(cost) == list(range(n))
 
 
 def test_profile_reference():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for _ in range(100):
-        n = int(rng.integers(0, 15))
-        starts = rng.integers(-5, 50, n)
-        ends = starts + rng.integers(0, 20, n)
-        weights = rng.integers(0, 9, n)
-        length = int(rng.integers(1, 60))
+        n = rng.randrange(0, 15)
+        starts = [rng.randrange(-5, 50) for _ in range(n)]
+        ends = [s + rng.randrange(0, 20) for s in starts]
+        weights = [rng.randrange(0, 9) for _ in range(n)]
+        length = rng.randrange(1, 60)
         got = kernels.interval_profile(starts, ends, weights, length)
-        assert got.tolist() == ref_profile(starts.tolist(), ends.tolist(), weights.tolist(), length)
+        assert got == ref_profile(starts, ends, weights, length)
 
 
 def test_iou_matrix_reference():
-    rng = np.random.default_rng(5)
+    rng = random.Random(5)
     for _ in range(50):
         def boxes(k):
-            lt = rng.integers(0, 60, (k, 2))
-            wh = rng.integers(0, 30, (k, 2))
-            return np.concatenate([lt, lt + wh], axis=1).astype(np.int64)
+            out = []
+            for _ in range(k):
+                left, top = rng.randrange(0, 60), rng.randrange(0, 60)
+                w, h = rng.randrange(0, 30), rng.randrange(0, 30)
+                out.append((left, top, left + w, top + h))
+            return out
 
-        a, b = boxes(int(rng.integers(0, 6))), boxes(int(rng.integers(0, 6)))
+        a, b = boxes(rng.randrange(0, 6)), boxes(rng.randrange(0, 6))
         got = kernels.iou_matrix(a, b)
-        assert got.shape == (len(a), len(b))
+        assert len(got) == len(a) and all(len(row) == len(b) for row in got)
         for i in range(len(a)):
             for j in range(len(b)):
-                assert got[i, j] == pytest.approx(ref_iou(a[i], b[j]), abs=1e-12)
+                assert got[i][j] == pytest.approx(ref_iou(a[i], b[j]), abs=1e-12)
+    # zero-area boxes that share an edge have no union
+    assert kernels.iou_matrix([(5, 0, 5, 10)], [(5, 0, 5, 10), (0, 0, 5, 10)]) == [[0.0, 0.0]]
