@@ -63,7 +63,6 @@ class HeaderLevels:
 
 @dataclass(frozen=True, eq=False)
 class Profile:
-    axis: str  # "y": values indexed by row, "x": indexed by column
     origin: int
     values: list[int]
 
@@ -176,7 +175,7 @@ def _profile(words, region: BoundingBox, axis: str) -> Profile:
     length = region.height if axis == "y" else region.width
     values = interval_profile(starts, ends, weights, length)
     origin = region.top if axis == "y" else region.left
-    return Profile(axis=axis, origin=origin, values=values)
+    return Profile(origin=origin, values=values)
 
 
 def horizontal_profile(words: list[Word] | tuple[Word, ...], region: BoundingBox) -> Profile:

@@ -31,7 +31,7 @@ from .corpusio import (
     read_tuple_set,
     write_tuple_set,
 )
-from .errors import ConfigError, TabgridError
+from .errors import ConfigError, DuplicateKey, TabgridError
 from .evaluate import (
     PRF,
     cell_f1_at_iou,
@@ -49,6 +49,9 @@ from .model import (
     page_layout_from_dict,
 )
 from .pipeline import PageOrientation, recognize_page
+
+_INPUT_ERRORS = (TabgridError, json.JSONDecodeError, OSError)
+
 
 def _sha256(path: str | Path | None) -> str | None:
     if path is None:
@@ -68,40 +71,46 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, config_path=None)
 
 
 def _json_files(directory: Path) -> list[Path]:
+    """The directory's ``*.json`` files, sorted; every reader skips the run manifest."""
     if not directory.is_dir():
         raise NotADirectoryError(f"not a directory: {directory}")
-    return sorted(p for p in directory.iterdir() if p.suffix == ".json" and p.is_file())
+    return sorted(
+        p
+        for p in directory.iterdir()
+        if p.suffix == ".json" and p.is_file() and p.name != "run_manifest.json"
+    )
 
 
-def _report_file_errors(errors: list[tuple[str, str]], crashed: list[str]) -> int:
-    """Print one sorted ``error: <file>: <msg>`` line per failed file.
+def _run_per_file(files: list[Path], work) -> int:
+    """Call ``work(path)`` for every file; one bad file never ends the run.
 
-    Exit 1 if any file crashed unexpectedly, else 2 (invalid input).
+    Prints one sorted ``error: <file>: <msg>`` line per failed file and
+    returns 0, 2 if any file is invalid input, or 1 if any file crashed.
     """
+    errors: list[tuple[str, str]] = []
+    crashed = False
+    for path in files:
+        try:
+            work(path)
+        except _INPUT_ERRORS as exc:
+            errors.append((path.name, str(exc)))
+        except Exception as exc:
+            errors.append((path.name, f"{type(exc).__name__}: {exc}"))
+            crashed = True
     for name, message in sorted(errors):
         print(f"error: {name}: {message}", file=sys.stderr)
-    return 1 if crashed else 2
+    return 1 if crashed else 2 if errors else 0
+
+
+def _page_name(path: Path, kind: str) -> tuple[str, int]:
+    parsed = parse_layout_name(path.name)
+    if parsed is None:
+        raise TabgridError(f"{kind} file name not of the form <id>_page<NR>.json: {path.name}")
+    return parsed
 
 
 # ---------------------------------------------------------------------------
 # recognize
-
-
-def _recognize_one(path: Path, cfg: RecognizerConfig, orientation: PageOrientation) -> dict:
-    parsed = parse_layout_name(path.name)
-    if parsed is None:
-        raise TabgridError(f"layout file name not of the form <id>_page<NR>.json: {path.name}")
-    file_id, page_nr = parsed
-    layout = page_layout_from_dict(read_json(path))
-    result = recognize_page(layout, cfg, orientation)
-    page = PageTables(
-        file_id=file_id,
-        page_nr=page_nr,
-        tables=list(result.tables),
-        orientation=orientation.value,
-        diagnostics=list(result.diagnostics),
-    )
-    return page_tables_to_dict(page)
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
@@ -112,28 +121,31 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     files = _json_files(layout_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    errors: list[tuple[str, str]] = []
-    crashed: list[str] = []
-    for path in files:
-        try:
-            payload = _recognize_one(path, cfg, orientation)
-            dump_json(out_dir / path.name, payload)
-        except (TabgridError, json.JSONDecodeError, OSError) as exc:
-            errors.append((path.name, str(exc)))
-        except Exception as exc:  # one bad page never ends the run
-            errors.append((path.name, f"{type(exc).__name__}: {exc}"))
-            crashed.append(path.name)
+    def recognize_file(path: Path) -> None:
+        file_id, page_nr = _page_name(path, "layout")
+        result = recognize_page(page_layout_from_dict(read_json(path)), cfg, orientation)
+        payload = page_tables_to_dict(
+            PageTables(
+                file_id=file_id,
+                page_nr=page_nr,
+                tables=list(result.tables),
+                orientation=orientation.value,
+                diagnostics=list(result.diagnostics),
+            )
+        )
+        del result  # free the tables before serializing, the command's memory peak
+        dump_json(out_dir / path.name, payload)
 
+    rc = _run_per_file(files, recognize_file)
     _write_manifest(
         out_dir,
         "recognize",
         {"layout_dir": layout_dir, "out_dir": out_dir, "orientation": args.orientation},
         args.config,
     )
-    if errors:
-        return _report_file_errors(errors, crashed)
-    print(f"recognized {len(files)} page(s) -> {out_dir}")
-    return 0
+    if rc == 0:
+        print(f"recognized {len(files)} page(s) -> {out_dir}")
+    return rc
 
 
 # ---------------------------------------------------------------------------
@@ -146,65 +158,76 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
     meanings = load_meanings(args.rules)  # validated before any table is read
     files = _json_files(tables_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
 
-    errors: list[tuple[str, str]] = []
-    crashed: list[str] = []
-    n_written = 0
-    for path in files:
-        if path.name == "run_manifest.json":
-            continue
-        try:
-            parsed = parse_layout_name(path.name)
-            if parsed is None:
-                raise TabgridError(
-                    f"table file name not of the form <id>_page<NR>.json: {path.name}"
-                )
-            file_id, page_nr = parsed
-            page = page_tables_from_dict(read_json(path))
-            for idx, table in enumerate(page.tables):
-                views, matching = match_meanings(table, meanings)
-                if not matching.pairs:
-                    continue
-                write_tuple_set(
-                    out_dir,
-                    tuples_from_matching(table, meanings, views, matching, file_id, page_nr, idx),
-                )
-                n_written += 1
-        except (TabgridError, json.JSONDecodeError, OSError) as exc:
-            errors.append((path.name, str(exc)))
-        except Exception as exc:  # one bad file never ends the run
-            errors.append((path.name, f"{type(exc).__name__}: {exc}"))
-            crashed.append(path.name)
+    def interpret_file(path: Path) -> None:
+        file_id, page_nr = _page_name(path, "table")
+        page = page_tables_from_dict(read_json(path))
+        for idx, table in enumerate(page.tables):
+            views, matching = match_meanings(table, meanings)
+            if matching.pairs:
+                ts = tuples_from_matching(table, meanings, views, matching, file_id, page_nr, idx)
+                written.append(write_tuple_set(out_dir, ts))
 
+    rc = _run_per_file(files, interpret_file)
     _write_manifest(
         out_dir,
         "interpret",
         {"tables_dir": tables_dir, "out_dir": out_dir, "rules": args.rules},
         args.rules,
     )
-    if errors:
-        return _report_file_errors(errors, crashed)
-    print(f"wrote {n_written} tuple set(s) -> {out_dir}")
-    return 0
+    if rc == 0:
+        print(f"wrote {len(written)} tuple set(s) -> {out_dir}")
+    return rc
 
 
 # ---------------------------------------------------------------------------
 # eval
 
 
-def _load_page_tables_dir(directory: Path) -> dict[tuple[str, int], PageTables]:
-    pages: dict[tuple[str, int], PageTables] = {}
+def _key_name(key: tuple) -> str:
+    """``<id>_pageNN`` for a page key, ``<id>_pageNN_tableI`` for a tuple-set key."""
+    file_id, page_nr, *table_idx = key
+    return f"{file_id}_page{page_nr:02d}" + "".join(f"_table{i}" for i in table_idx)
+
+
+def _load_eval_dir(directory: Path, tuple_sets: bool) -> dict:
+    """Page tables keyed by ``(file_id, page_nr)`` or, with ``tuple_sets``,
+    tuple sets keyed by ``(file_id, page_nr, table_idx)``, as the files say.
+    Two files with the same key are invalid input."""
+    loaded: dict = {}
+    names: dict[tuple, str] = {}
     for path in _json_files(directory):
-        if path.name == "run_manifest.json":
-            continue
-        parsed = parse_layout_name(path.name)
-        if parsed is None:
-            raise TabgridError(
-                f"table file name not of the form <id>_page<NR>.json: {path.name}"
+        if tuple_sets:
+            if parse_tuple_name(path.name) is None:
+                raise TabgridError(
+                    f"tuple file name not of the form <id>_page<NR>_table<IDX>.json: {path.name}"
+                )
+            item = read_tuple_set(path)
+            key = (item.file_id, item.page_nr, item.table_idx)
+        else:
+            _page_name(path, "table")  # only checked: the key is what the file holds
+            item = page_tables_from_dict(read_json(path))
+            key = (item.file_id, item.page_nr)
+        if key in names:
+            raise DuplicateKey(
+                f"{directory}: {names[key]} and {path.name} both hold {_key_name(key)}"
             )
-        page = page_tables_from_dict(read_json(path))
-        pages[(page.file_id, page.page_nr)] = page
-    return pages
+        loaded[key] = item
+        names[key] = path.name
+    return loaded
+
+
+def _load_eval_dirs(args: argparse.Namespace, tuple_sets: bool = False) -> tuple[dict, dict]:
+    """Ground truth and predictions; with ``--strict``, every key must be on both sides."""
+    gt = _load_eval_dir(Path(args.gt_dir), tuple_sets)
+    pred = _load_eval_dir(Path(args.pred_dir), tuple_sets)
+    if args.strict:
+        lines = [f"missing prediction for {_key_name(k)}" for k in sorted(gt.keys() - pred)]
+        lines += [f"missing ground truth for {_key_name(k)}" for k in sorted(pred.keys() - gt)]
+        if lines:
+            raise TabgridError("; ".join(lines))
+    return gt, pred
 
 
 def _gt_tables(page: PageTables) -> list:
@@ -212,16 +235,8 @@ def _gt_tables(page: PageTables) -> list:
     return [t for t, missed in zip(page.tables, page.expected_missed) if not missed]
 
 
-def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str, int]:
-    gt_pages = _load_page_tables_dir(Path(args.gt_dir))
-    pred_pages = _load_page_tables_dir(Path(args.pred_dir))
-    missing_pred = sorted(set(gt_pages) - set(pred_pages))
-    missing_gt = sorted(set(pred_pages) - set(gt_pages))
-    if args.strict and (missing_pred or missing_gt):
-        lines = [f"missing prediction for {fid}_page{nr:02d}" for fid, nr in missing_pred]
-        lines += [f"missing ground truth for {fid}_page{nr:02d}" for fid, nr in missing_gt]
-        raise TabgridError("; ".join(lines))
-
+def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str]:
+    gt_pages, pred_pages = _load_eval_dirs(args)
     gt_docs: dict[str, dict[int, list]] = {}
     pred_docs: dict[str, dict[int, list]] = {}
     for (fid, nr), page in gt_pages.items():
@@ -267,7 +282,7 @@ def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str, int]:
             "documents": len(per_doc),
         },
     }
-    return report, "\n".join(lines), 0
+    return report, "\n".join(lines)
 
 
 def _parse_cell_thresholds(text: str) -> tuple[float, ...]:
@@ -284,16 +299,9 @@ def _parse_cell_thresholds(text: str) -> tuple[float, ...]:
     return thresholds
 
 
-def _eval_cells(args: argparse.Namespace) -> tuple[dict, str, int]:
+def _eval_cells(args: argparse.Namespace) -> tuple[dict, str]:
     thresholds = _parse_cell_thresholds(args.cell_thresholds)
-    gt_pages = _load_page_tables_dir(Path(args.gt_dir))
-    pred_pages = _load_page_tables_dir(Path(args.pred_dir))
-    if args.strict:
-        missing = sorted(set(gt_pages) ^ set(pred_pages))
-        if missing:
-            raise TabgridError(
-                "; ".join(f"unpaired page {fid}_page{nr:02d}" for fid, nr in missing)
-            )
+    gt_pages, pred_pages = _load_eval_dirs(args)
     counts = {t: [0, 0, 0] for t in thresholds}  # tp, fp, fn pooled corpus-wide
     for key in sorted(set(gt_pages) | set(pred_pages)):
         gt = _gt_tables(gt_pages[key]) if key in gt_pages else []
@@ -332,34 +340,12 @@ def _eval_cells(args: argparse.Namespace) -> tuple[dict, str, int]:
         },
         "wavg_f1": wavg,
     }
-    return report, "\n".join(lines), 0
+    return report, "\n".join(lines)
 
 
-def _load_tuple_sets(directory: Path) -> list:
-    sets = []
-    for path in _json_files(directory):
-        if path.name == "run_manifest.json":
-            continue
-        if parse_tuple_name(path.name) is None:
-            raise TabgridError(
-                f"tuple file name not of the form <id>_page<NR>_table<IDX>.json: {path.name}"
-            )
-        sets.append(read_tuple_set(path))
-    return sets
-
-
-def _eval_interpretation(args: argparse.Namespace) -> tuple[dict, str, int]:
-    gt_sets = _load_tuple_sets(Path(args.gt_dir))
-    pred_sets = _load_tuple_sets(Path(args.pred_dir))
-    if args.strict:
-        gt_keys = {(int(s.page_nr), s.file_id, s.table_idx) for s in gt_sets}
-        pred_keys = {(int(s.page_nr), s.file_id, s.table_idx) for s in pred_sets}
-        missing = sorted(gt_keys ^ pred_keys)
-        if missing:
-            raise TabgridError(
-                "; ".join(f"unpaired tuple set {fid}_page{nr:02d}_table{idx}" for nr, fid, idx in missing)
-            )
-    prf = interpretation_score(gt_sets, pred_sets)
+def _eval_interpretation(args: argparse.Namespace) -> tuple[dict, str]:
+    gt_sets, pred_sets = _load_eval_dirs(args, tuple_sets=True)
+    prf = interpretation_score(list(gt_sets.values()), list(pred_sets.values()))
     text = (
         f"interpretation: P={prf.precision:.4f} R={prf.recall:.4f} F1={prf.f1:.4f}"
         f" (tp={prf.tp} fp={prf.fp} fn={prf.fn})"
@@ -373,22 +359,22 @@ def _eval_interpretation(args: argparse.Namespace) -> tuple[dict, str, int]:
         "recall": prf.recall,
         "f1": prf.f1,
     }
-    return report, text, 0
+    return report, text
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     if not 0.0 < args.iou_min <= 1.0:
         raise ConfigError(f"--iou-min must be in (0, 1], got {args.iou_min}")
     if args.mode == "recognition":
-        report, text, rc = _eval_recognition(args)
+        report, text = _eval_recognition(args)
     elif args.mode == "cells":
-        report, text, rc = _eval_cells(args)
+        report, text = _eval_cells(args)
     else:
-        report, text, rc = _eval_interpretation(args)
+        report, text = _eval_interpretation(args)
     print(text)
     if args.out:
         dump_json(Path(args.out), report)
-    return rc
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +449,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (TabgridError, json.JSONDecodeError, OSError) as exc:
+    except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive

@@ -78,29 +78,21 @@ def recognize_page(
     accepted: list[RecognizedTable] = []
     diagnostics: list[str] = []
 
-    sep_tables, sep_diag = recognize_separator_tables(layout, cfg)
-    diagnostics.extend(sep_diag)
-    for t in sep_tables:
-        clash = next((a for a in accepted if overlaps(t.region, a.region)), None)
-        if clash is None:
-            accepted.append(t)
-        else:
-            diagnostics.append(
-                f"separator table at {t.region.as_tuple()} dropped: overlaps "
-                f"accepted table at {clash.region.as_tuple()}"
-            )
-
-    book_tables, book_diag = recognize_booktabs_tables(layout, cfg)
-    diagnostics.extend(book_diag)
-    for t in book_tables:
-        clash = next((a for a in accepted if overlaps(t.region, a.region)), None)
-        if clash is None:
-            accepted.append(t)
-        else:
-            diagnostics.append(
-                f"booktabs candidate at {t.region.as_tuple()} dropped: overlaps "
-                f"accepted table at {clash.region.as_tuple()}"
-            )
+    for label, recognize in (
+        ("separator table", recognize_separator_tables),
+        ("booktabs candidate", recognize_booktabs_tables),
+    ):
+        tables, found = recognize(layout, cfg)
+        diagnostics.extend(found)
+        for t in tables:
+            clash = next((a for a in accepted if overlaps(t.region, a.region)), None)
+            if clash is None:
+                accepted.append(t)
+            else:
+                diagnostics.append(
+                    f"{label} at {t.region.as_tuple()} dropped: overlaps "
+                    f"accepted table at {clash.region.as_tuple()}"
+                )
 
     accepted.sort(key=lambda t: (t.region.top, t.region.left, t.region.bottom, t.region.right))
     return PageResult(tables=tuple(accepted), diagnostics=tuple(diagnostics))

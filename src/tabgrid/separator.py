@@ -54,7 +54,6 @@ class SeparatorCluster:
 class RoughGrid:
     row_borders: tuple[int, ...]
     col_borders: tuple[int, ...]
-    cells: tuple[tuple[BoundingBox, ...], ...]
 
 
 def _sort_key(s: Separator) -> tuple:
@@ -159,14 +158,7 @@ def estimate_grid(cluster: SeparatorCluster) -> RoughGrid:
             f"cluster at {cluster.hull.as_tuple()} has {len(row_borders)} row "
             f"and {len(col_borders)} column borders"
         )
-    cells = tuple(
-        tuple(
-            BoundingBox(col_borders[j], row_borders[i], col_borders[j + 1], row_borders[i + 1])
-            for j in range(len(col_borders) - 1)
-        )
-        for i in range(len(row_borders) - 1)
-    )
-    return RoughGrid(tuple(row_borders), tuple(col_borders), cells)
+    return RoughGrid(tuple(row_borders), tuple(col_borders))
 
 
 def _strip_hits_separator(

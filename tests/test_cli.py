@@ -201,6 +201,20 @@ def test_page_crash_is_reported_and_run_completes(tmp_path, monkeypatch, capsys)
     assert written == sorted([layouts[0].name, layouts[2].name, "run_manifest.json"])
 
 
+def test_recognize_skips_run_manifest_in_layout_dir(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path)
+    layouts = corpus / "layouts"
+    names = sorted(p.name for p in layouts.glob("*.json"))
+    (layouts / "run_manifest.json").write_bytes((corpus / "run_manifest.json").read_bytes())
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["recognize", str(layouts), str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "recognized 9 page(s)" in captured.out
+    assert sorted(p.name for p in out.glob("*.json")) == sorted(names + ["run_manifest.json"])
+    assert json.loads((out / "run_manifest.json").read_text())["command"] == "recognize"
+
+
 def test_unparseable_layout_json_is_exit_2(tmp_path, capsys):
     layouts = tmp_path / "layouts"
     layouts.mkdir()
@@ -364,7 +378,64 @@ def test_eval_interpretation_strict_flags_unpaired_sets(tmp_path, capsys):
     dump_json(gt_dir / "d_page01_table0.json", ts)
     rc = main(["eval", "interpretation", str(gt_dir), str(pred_dir), "--strict"])
     assert rc == 2
-    assert "unpaired tuple set d_page01_table0" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: missing prediction for d_page01_table0\n"
+
+
+def _tuple_set(directory, name, file_id, page_nr, table_idx):
+    directory.mkdir(exist_ok=True)
+    dump_json(directory / name, {
+        "file_id": file_id, "page_nr": page_nr, "table_idx": table_idx,
+        "tuples": [{"row": 0, "values": {"A": "1"}}],
+    })
+
+
+@pytest.mark.parametrize("mode", ["recognition", "cells", "interpretation"])
+def test_eval_strict_names_missing_files_in_one_wording(tmp_path, capsys, mode):
+    if mode == "interpretation":
+        gt, pred = tmp_path / "gt", tmp_path / "pred"
+        for directory, file_id, page_nr, table_idx in [
+            (gt, "d", 1, 0), (gt, "d", 1, 1),
+            (pred, "d", 1, 0), (pred, "e", 2, 0), (pred, "e", 1, 3),
+        ]:
+            name = f"{file_id}_page{page_nr:02d}_table{table_idx}.json"
+            _tuple_set(directory, name, file_id, page_nr, table_idx)
+        expected = [
+            "missing prediction for d_page01_table1",
+            "missing ground truth for e_page01_table3",
+            "missing ground truth for e_page02_table0",
+        ]
+    else:
+        corpus, pred = _recognized(tmp_path, capsys)
+        gt = corpus / "recognition_gt"
+        removed = sorted(pred.glob("rb*_page01.json"))[0]
+        page = json.loads(removed.read_text())
+        removed.unlink()
+        page["file_id"] = "zz"
+        dump_json(pred / "zz_page01.json", page)
+        expected = [f"missing prediction for {removed.stem}", "missing ground truth for zz_page01"]
+    rc = main(["eval", mode, str(gt), str(pred), "--strict"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: " + "; ".join(expected) + "\n"
+
+
+@pytest.mark.parametrize("mode", ["recognition", "cells", "interpretation"])
+def test_eval_rejects_two_files_with_one_key(tmp_path, capsys, mode):
+    if mode == "interpretation":
+        pred = tmp_path / "pred"
+        gt = pred
+        _tuple_set(pred, "d_page01_table0.json", "d", 1, 0)
+        first, second = "d_page01_table0.json", "d_1_0.json"
+    else:
+        corpus, pred = _recognized(tmp_path, capsys)
+        gt = corpus / "recognition_gt"
+        first = sorted(p.name for p in pred.glob("rb*_page01.json"))[0]
+        second = first.replace("_page01", "_page1")
+    (pred / second).write_bytes((pred / first).read_bytes())
+    rc = main(["eval", mode, str(gt), str(pred)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert first in err and second in err
 
 
 @pytest.mark.parametrize(

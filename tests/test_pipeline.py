@@ -10,6 +10,7 @@ from tabgrid.model import (
     TableSource,
     Word,
 )
+from tabgrid import pipeline
 from tabgrid.pipeline import (
     PageOrientation,
     recognize_page,
@@ -84,6 +85,33 @@ def test_separator_table_suppresses_overlapping_booktabs_candidate():
     assert len(res.tables) == 1
     assert res.tables[0].source is TableSource.SEPARATOR
     assert any("dropped" in d and "overlap" in d for d in res.diagnostics)
+
+
+class _Region:
+    """Stands in for a recognized table: the accept loop reads only the region."""
+
+    def __init__(self, *region):
+        self.region = box(*region)
+
+
+def test_overlap_drops_follow_each_recognizers_own_diagnostics(monkeypatch):
+    sep, sep_clash = _Region(0, 0, 10, 10), _Region(5, 5, 15, 15)
+    book, book_clash = _Region(20, 20, 30, 30), _Region(8, 8, 12, 12)
+    monkeypatch.setattr(
+        pipeline, "recognize_separator_tables", lambda layout, cfg: ([sep, sep_clash], ["s"])
+    )
+    monkeypatch.setattr(
+        pipeline, "recognize_booktabs_tables", lambda layout, cfg: ([book_clash, book], ["b"])
+    )
+    layout = PageLayout(page_width=100, page_height=100, words=(), separators=())
+    res = recognize_page(layout, CFG)
+    assert res.tables == (sep, book)
+    assert res.diagnostics == (
+        "s",
+        "separator table at (5, 5, 15, 15) dropped: overlaps accepted table at (0, 0, 10, 10)",
+        "b",
+        "booktabs candidate at (8, 8, 12, 12) dropped: overlaps accepted table at (0, 0, 10, 10)",
+    )
 
 
 def test_two_tables_on_one_page_sorted_reading_order():
