@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -81,25 +82,87 @@ def _json_files(directory: Path) -> list[Path]:
     )
 
 
-def _run_per_file(files: list[Path], work) -> int:
+# A pool costs about 25 ms to import concurrent.futures and multiprocessing
+# plus 10-20 ms to start and stop its workers.  A one-table page takes about
+# 2.5 ms, so two workers win that back from about 40 files on: each worker
+# needs about 20 files to pay for itself.
+MIN_FILES_PER_WORKER = 20
+
+
+def _cores() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _attempt(work, path: Path) -> tuple[str, str | None, bool, object]:
+    """``(name, message, crashed, value)`` of ``work(path)``; never raises."""
+    try:
+        return path.name, None, False, work(path)
+    except _INPUT_ERRORS as exc:
+        return path.name, str(exc), False, None
+    except Exception as exc:
+        return path.name, f"{type(exc).__name__}: {exc}", True, None
+
+
+_worker_work = None  # the per-file function of this pool worker
+
+
+def _init_worker(work) -> None:
+    global _worker_work
+    _worker_work = work
+
+
+def _attempt_in_worker(path: Path) -> tuple[str, str | None, bool, object]:
+    return _attempt(_worker_work, path)
+
+
+def _attempt_in_pool(files: list[Path], work, workers: int) -> list[tuple]:
+    """``_attempt`` over ``files`` in ``workers`` forked processes, in file order.
+
+    ``work`` reaches the workers through fork, so it need not pickle.  If a
+    worker dies, every file without a result is reported as crashed.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    results: list[tuple] = []
+    chunksize = -(-len(files) // (4 * workers))  # a few chunks per worker even out page costs
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(work,),
+    ) as pool:
+        try:
+            for result in pool.map(_attempt_in_worker, files, chunksize=chunksize):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            lost = f"{type(exc).__name__}: {exc}"
+            results += [(p.name, lost, True, None) for p in files[len(results):]]
+    return results
+
+
+def _run_per_file(files: list[Path], work, max_workers: int) -> tuple[int, list]:
     """Call ``work(path)`` for every file; one bad file never ends the run.
 
-    Prints one sorted ``error: <file>: <msg>`` line per failed file and
-    returns 0, 2 if any file is invalid input, or 1 if any file crashed.
+    Runs in up to ``max_workers`` processes, but in this one unless every
+    worker gets ``MIN_FILES_PER_WORKER`` files.  Prints one sorted
+    ``error: <file>: <msg>`` line per failed file and returns the exit
+    code (0, 2 if any file is invalid input, 1 if any file crashed) and
+    the values ``work`` returned, in file order.
     """
-    errors: list[tuple[str, str]] = []
-    crashed = False
-    for path in files:
-        try:
-            work(path)
-        except _INPUT_ERRORS as exc:
-            errors.append((path.name, str(exc)))
-        except Exception as exc:
-            errors.append((path.name, f"{type(exc).__name__}: {exc}"))
-            crashed = True
-    for name, message in sorted(errors):
+    workers = min(max_workers, len(files) // MIN_FILES_PER_WORKER)
+    if workers > 1:
+        results = _attempt_in_pool(files, work, workers)
+    else:
+        results = [_attempt(work, path) for path in files]
+    errors = sorted((name, message) for name, message, _, _ in results if message is not None)
+    for name, message in errors:
         print(f"error: {name}: {message}", file=sys.stderr)
-    return 1 if crashed else 2 if errors else 0
+    crashed = any(crash for _, _, crash, _ in results)
+    values = [value for _, message, _, value in results if message is None]
+    return (1 if crashed else 2 if errors else 0), values
 
 
 def _page_name(path: Path, kind: str) -> tuple[str, int]:
@@ -107,6 +170,34 @@ def _page_name(path: Path, kind: str) -> tuple[str, int]:
     if parsed is None:
         raise TabgridError(f"{kind} file name not of the form <id>_page<NR>.json: {path.name}")
     return parsed
+
+
+def _check_name(path: Path, named: tuple, held: tuple) -> None:
+    if named != held:
+        raise TabgridError(
+            f"file name does not match its content: {path.name} holds {_key_name(held)}"
+        )
+
+
+def _check_unique_page_names(directory: Path, files: list[Path]) -> None:
+    """Two ``<id>_page<NR>`` names for one page would write the same outputs."""
+    names: dict[tuple, str] = {}
+    for path in files:
+        key = parse_layout_name(path.name)
+        if key in names:
+            raise DuplicateKey(
+                f"{directory}: {names[key]} and {path.name} both name {_key_name(key)}"
+            )
+        if key is not None:
+            names[key] = path.name
+
+
+def _read_page_tables(path: Path) -> PageTables:
+    """A page tables file whose ``<id>_page<NR>`` name is the page it holds."""
+    named = _page_name(path, "table")
+    page = page_tables_from_dict(read_json(path))
+    _check_name(path, named, (page.file_id, page.page_nr))
+    return page
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +227,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
         del result  # free the tables before serializing, the command's memory peak
         dump_json(out_dir / path.name, payload)
 
-    rc = _run_per_file(files, recognize_file)
+    rc, _ = _run_per_file(files, recognize_file, args.max_workers)
     _write_manifest(
         out_dir,
         "recognize",
@@ -157,19 +248,23 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     meanings = load_meanings(args.rules)  # validated before any table is read
     files = _json_files(tables_dir)
+    _check_unique_page_names(tables_dir, files)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
-    def interpret_file(path: Path) -> None:
-        file_id, page_nr = _page_name(path, "table")
-        page = page_tables_from_dict(read_json(path))
+    def interpret_file(path: Path) -> int:
+        page = _read_page_tables(path)
+        written = 0
         for idx, table in enumerate(page.tables):
             views, matching = match_meanings(table, meanings)
             if matching.pairs:
-                ts = tuples_from_matching(table, meanings, views, matching, file_id, page_nr, idx)
-                written.append(write_tuple_set(out_dir, ts))
+                ts = tuples_from_matching(
+                    table, meanings, views, matching, page.file_id, page.page_nr, idx
+                )
+                write_tuple_set(out_dir, ts)
+                written += 1
+        return written
 
-    rc = _run_per_file(files, interpret_file)
+    rc, written = _run_per_file(files, interpret_file, args.max_workers)
     _write_manifest(
         out_dir,
         "interpret",
@@ -177,7 +272,7 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
         args.rules,
     )
     if rc == 0:
-        print(f"wrote {len(written)} tuple set(s) -> {out_dir}")
+        print(f"wrote {sum(written)} tuple set(s) -> {out_dir}")
     return rc
 
 
@@ -194,20 +289,22 @@ def _key_name(key: tuple) -> str:
 def _load_eval_dir(directory: Path, tuple_sets: bool) -> dict:
     """Page tables keyed by ``(file_id, page_nr)`` or, with ``tuple_sets``,
     tuple sets keyed by ``(file_id, page_nr, table_idx)``, as the files say.
-    Two files with the same key are invalid input."""
+    A file whose name disagrees with its key, or two files with the same
+    key, are invalid input."""
     loaded: dict = {}
     names: dict[tuple, str] = {}
     for path in _json_files(directory):
         if tuple_sets:
-            if parse_tuple_name(path.name) is None:
+            named = parse_tuple_name(path.name)
+            if named is None:
                 raise TabgridError(
                     f"tuple file name not of the form <id>_page<NR>_table<IDX>.json: {path.name}"
                 )
             item = read_tuple_set(path)
             key = (item.file_id, item.page_nr, item.table_idx)
+            _check_name(path, named, key)
         else:
-            _page_name(path, "table")  # only checked: the key is what the file holds
-            item = page_tables_from_dict(read_json(path))
+            item = _read_page_tables(path)
             key = (item.file_id, item.page_nr)
         if key in names:
             raise DuplicateKey(
@@ -447,6 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Run as a program, recognize and interpret fork one worker per core; a
+    # host that calls main(argv) may hold threads, which fork does not copy.
+    args.max_workers = _cores() if argv is None else 1
     try:
         return args.func(args)
     except _INPUT_ERRORS as exc:

@@ -52,7 +52,6 @@ from .model import (
 from .pipeline import transpose_layout, transpose_table
 
 WORD_HEIGHT = 16
-RULE_THICKNESS = 2  # rulings are drawn 1 px either side of the border line
 
 _CONSONANTS = "bcdgklmnprsvz"
 _VOWELS = "aeiou"

@@ -343,14 +343,19 @@ def page_layout_from_dict(d: dict) -> PageLayout:
         where = f"separators[{i}]"
         if not isinstance(s, dict):
             raise LayoutError(f"{where}: must be an object")
-        b = clamp(_box_from_json(s.get("box"), where), width, height)
+        raw = _box_from_json(s.get("box"), where)
         kind = s.get("orientation")
         if kind not in ("h", "v"):
             raise LayoutError(f"{where}: orientation must be 'h' or 'v'")
+        orientation = SeparatorOrientation(kind)
         try:
-            separators.append(Separator(box=b, orientation=SeparatorOrientation(kind)))
+            separators.append(Separator(box=clamp(raw, width, height), orientation=orientation))
         except ValueError as exc:
-            raise LayoutError(f"{where}: {exc}") from exc
+            try:
+                Separator(box=raw, orientation=orientation)
+            except ValueError:
+                raise LayoutError(f"{where}: {exc}") from exc
+            # right-shaped as given, clipped at the page edge to a stub: dropped
 
     regions = tuple(
         clamp(_box_from_json(r, f"non_text_regions[{i}]"), width, height)

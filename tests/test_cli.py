@@ -224,6 +224,22 @@ def test_unparseable_layout_json_is_exit_2(tmp_path, capsys):
     assert "doc_page01.json" in capsys.readouterr().err
 
 
+def test_recognize_drops_ruling_clipped_at_page_edge(tmp_path, capsys):
+    layouts = tmp_path / "layouts"
+    layouts.mkdir()
+    dump_json(layouts / "doc_page01.json", {
+        "page_width": 100,
+        "page_height": 100,
+        "words": [{"box": [10, 10, 30, 20], "text": "x"}],
+        "separators": [{"box": [99, 50, 300, 53], "orientation": "h"}],
+    })
+    out = tmp_path / "out"
+    assert main(["recognize", str(layouts), str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "recognized 1 page(s)" in captured.out
+    assert json.loads((out / "doc_page01.json").read_text())["tables"] == []
+
+
 def test_bad_recognizer_config_is_exit_2(tmp_path, capsys):
     layouts = tmp_path / "layouts"
     layouts.mkdir()
@@ -438,6 +454,47 @@ def test_eval_rejects_two_files_with_one_key(tmp_path, capsys, mode):
     assert first in err and second in err
 
 
+@pytest.mark.parametrize("mode", ["interpret", "recognition", "cells", "interpretation"])
+def test_file_named_for_another_page_is_rejected(tmp_path, capsys, mode):
+    corpus, pred = _recognized(tmp_path, capsys)
+    rules = str(corpus / "rules.json")
+    if mode == "interpretation":
+        gt = corpus / "interpretation_gt"
+        pred = tmp_path / "tuples"
+        assert main(["interpret", str(tmp_path / "pred"), rules, str(pred)]) == 0
+        capsys.readouterr()
+        source = sorted(pred.glob("ri*_page01_table0.json"))[0]
+        copy, held = pred / "zz_page01_table0.json", source.stem
+    else:
+        gt = corpus / "recognition_gt"
+        source = sorted(pred.glob("ri*_page01.json"))[0]
+        copy, held = pred / "zz_page01.json", source.stem
+    copy.write_bytes(source.read_bytes())
+    message = f"file name does not match its content: {copy.name} holds {held}\n"
+    if mode == "interpret":
+        out = tmp_path / "out"
+        assert main(["interpret", str(pred), rules, str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {copy.name}: {message}"
+        assert len(_tuple_files(out)) == 3 and (out / "run_manifest.json").is_file()
+        return
+    rc = main(["eval", mode, str(gt), str(pred)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}"
+
+
+def test_interpret_rejects_two_names_for_one_page(tmp_path, capsys):
+    corpus, pred = _recognized(tmp_path, capsys)
+    source = sorted(pred.glob("ri*_page01.json"))[0]
+    copy = pred / source.name.replace("_page01", "_page1")
+    copy.write_bytes(source.read_bytes())
+    out = tmp_path / "out"
+    assert main(["interpret", str(pred), str(corpus / "rules.json"), str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {pred}: {source.name} and {copy.name} both name {source.stem}\n"
+    )
+    assert not out.exists()  # rejected before any file is written
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -468,6 +525,8 @@ IMPORT_CHECK = """
 import sys
 before = set(sys.modules)
 import tabgrid.cli
+# the process pool is imported only when a command starts one
+assert not {"multiprocessing", "concurrent.futures"} & set(sys.modules)
 loaded = {name.split(".")[0] for name in set(sys.modules) - before}
 print(sorted(loaded - set(sys.stdlib_module_names) - {"tabgrid"}))
 """
@@ -502,3 +561,172 @@ def test_eval_cells_custom_thresholds(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "IoU>=0.5:" in out and "IoU>=0.95:" in out
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+MIN = cli.MIN_FILES_PER_WORKER
+
+
+def _pool_corpus(tmp_path):
+    """A generated corpus of 3 * MIN_FILES_PER_WORKER pages, enough for two workers."""
+    spec_path = tmp_path / "spec.json"
+    dump_json(spec_path, {"seed": 5, "random": {
+        "bordered": {"count": MIN}, "booktabs": {"count": MIN}, "interpretation": {"count": MIN},
+    }})
+    corpus = tmp_path / "corpus"
+    assert main(["gen-fixtures", str(spec_path), str(corpus)]) == 0
+    return corpus
+
+
+def _outputs(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "run_manifest.json"}
+
+
+def test_worker_processes_give_the_serial_outputs_and_errors(tmp_path, monkeypatch, capsys):
+    import concurrent.futures
+
+    corpus = _pool_corpus(tmp_path)
+    layouts = corpus / "layouts"
+    (layouts / "broken_page01.json").write_text("{not json")
+    victim = sorted(layouts.glob("rb*_page01.json"))[3]
+    victim_layout = page_layout_from_dict(json.loads(victim.read_text()))
+    real = cli.recognize_page
+
+    def flaky(layout, *args, **kwargs):
+        if layout == victim_layout:
+            raise RuntimeError("boom")
+        return real(layout, *args, **kwargs)
+
+    asked = []
+
+    class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    def run(argv, program):
+        if not program:
+            return main(argv)
+        monkeypatch.setattr(sys, "argv", ["tabgrid", *argv])
+        return main()
+
+    monkeypatch.setattr(cli, "recognize_page", flaky)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    rules = str(corpus / "rules.json")
+    runs = {}
+    for program in (False, True):  # main(argv) runs serially, the program in 2 workers
+        pred, tuples = tmp_path / f"pred{program}", tmp_path / f"tuples{program}"
+        capsys.readouterr()
+        rc_rec = run(["recognize", str(layouts), str(pred)], program)
+        rec = capsys.readouterr()
+        (pred / "zz_page01.json").write_bytes(sorted(pred.glob("ri*.json"))[0].read_bytes())
+        rc_int = run(["interpret", str(pred), rules, str(tuples)], program)
+        runs[program] = (rc_rec, rec, rc_int, capsys.readouterr(), _outputs(pred), _outputs(tuples))
+    assert asked == [2, 2]
+    assert runs[False] == runs[True]
+    rc_rec, rec, rc_int, inter, pred_files, tuple_files = runs[True]
+    errors = rec.err.splitlines()
+    assert rc_rec == 1 and len(errors) == 2
+    assert errors[0].startswith("error: broken_page01.json: Expecting property name")
+    assert errors[1] == f"error: {victim.name}: RuntimeError: boom"
+    assert len(pred_files) == 3 * MIN  # the recognized pages and the copy
+    assert rc_int == 2 and inter.err.startswith("error: zz_page01.json: file name does not")
+    assert len(tuple_files) == MIN
+
+
+KILLED_WORKER = """
+import os, sys
+from tabgrid import cli
+
+real = cli.recognize_page
+
+def dying(layout, *args, **kwargs):
+    if layout.page_width == 999:
+        os._exit(3)
+    return real(layout, *args, **kwargs)
+
+cli.recognize_page = dying
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(cli.main())  # run as a program: one worker per core
+"""
+
+
+def test_killed_worker_reports_unfinished_files(tmp_path, capsys):
+    corpus = _pool_corpus(tmp_path)
+    layouts = corpus / "layouts"
+    dump_json(layouts / "victim_page01.json", {"page_width": 999, "page_height": 999})
+    names = sorted(p.name for p in layouts.glob("*.json"))
+    out = tmp_path / "out"
+    src = str(Path(tabgrid.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", KILLED_WORKER, "recognize", str(layouts), str(out)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stderr.splitlines()
+    lost = [line.split(": ")[1] for line in lines]
+    assert lost == names[len(names) - len(lost):] and "victim_page01.json" in lost
+    assert all(": BrokenProcessPool: " in line for line in lines)
+    written = _outputs(out)
+    assert set(written) | set(lost) == set(names)
+    assert (out / "run_manifest.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "program, files, cores, asked",
+    [
+        (True, 3 * MIN, 1_000_000, [3]),
+        (True, 3 * MIN, 2, [2]),
+        (True, 2 * MIN - 1, 4, []),
+        (False, 3 * MIN, 4, []),  # cli.main(argv) stays in its own process
+    ],
+    ids=["bound-by-files", "bound-by-cores", "too-few-files", "main-argv"],
+)
+def test_pool_size_is_bounded_by_cores_and_files(
+    tmp_path, monkeypatch, capsys, program, files, cores, asked
+):
+    import concurrent.futures
+
+    layouts = tmp_path / "layouts"
+    layouts.mkdir()
+    for i in range(files):
+        dump_json(layouts / f"p{i:03d}_page01.json", {"page_width": 100, "page_height": 100})
+    started = []
+
+    class InProcessExecutor:
+        """Records the pool it is asked for and runs the work here."""
+
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "_worker_work", None)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cores))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+    out = tmp_path / "out"
+    argv = ["recognize", str(layouts), str(out)]
+    if program:
+        monkeypatch.setattr(sys, "argv", ["tabgrid", *argv])
+        assert main() == 0
+    else:
+        assert main(argv) == 0
+    assert started == asked
+    assert f"recognized {files} page(s)" in capsys.readouterr().out
+    assert len(_outputs(out)) == files
+

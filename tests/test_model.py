@@ -265,6 +265,28 @@ def test_page_layout_rejects_bad_orientation():
         page_layout_from_dict(d)
 
 
+def test_page_layout_drops_rulings_clipped_to_the_wrong_shape():
+    d = {
+        "page_width": 100,
+        "page_height": 100,
+        "words": [],
+        "separators": [
+            {"box": [99, 50, 300, 53], "orientation": "h"},  # clips to 1 x 3
+            {"box": [0, 20, 100, 22], "orientation": "h"},
+            {"box": [50, 99, 53, 400], "orientation": "v"},  # clips to 3 x 1
+            {"box": [10, 90, 12, 400], "orientation": "v"},  # clips to 2 x 10, kept
+            {"box": [10, -100, 50, 5], "orientation": "h"},  # 40 x 105, clips to 40 x 5, kept
+        ],
+    }
+    layout = page_layout_from_dict(d)
+    assert [s.box.as_tuple() for s in layout.separators] == [
+        (0, 20, 100, 22), (10, 90, 12, 100), (10, 0, 50, 5)
+    ]
+    d["separators"].append({"box": [99, 50, 100, 53], "orientation": "h"})  # wrong as given
+    with pytest.raises(LayoutError, match=r"separators\[5\]: horizontal separator taller"):
+        page_layout_from_dict(d)
+
+
 def test_page_layout_rejects_garbage():
     with pytest.raises(LayoutError):
         page_layout_from_dict({"page_width": -1, "page_height": 10,
