@@ -17,6 +17,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,11 +35,9 @@ from .corpusio import (
 )
 from .errors import ConfigError, DuplicateKey, TabgridError
 from .evaluate import (
-    PRF,
-    cell_f1_at_iou,
+    cell_score,
     corpus_average,
     interpretation_score,
-    match_tables,
     recognition_score,
     wavg_f1,
 )
@@ -172,6 +171,12 @@ def _page_name(path: Path, kind: str) -> tuple[str, int]:
     return parsed
 
 
+def _key_name(key: tuple) -> str:
+    """``<id>_pageNN`` for a page key, ``<id>_pageNN_tableI`` for a tuple-set key."""
+    file_id, page_nr, *table_idx = key
+    return f"{file_id}_page{page_nr:02d}" + "".join(f"_table{i}" for i in table_idx)
+
+
 def _check_name(path: Path, named: tuple, held: tuple) -> None:
     if named != held:
         raise TabgridError(
@@ -179,11 +184,16 @@ def _check_name(path: Path, named: tuple, held: tuple) -> None:
         )
 
 
-def _check_unique_page_names(directory: Path, files: list[Path]) -> None:
-    """Two ``<id>_page<NR>`` names for one page would write the same outputs."""
+def _check_unique_names(directory: Path, files: list[Path], parse_name) -> None:
+    """Two files whose names give one key would be written, or scored, as one.
+
+    Every reader checks that a file's name gives the key it holds, so keys
+    from names are keys from contents; names of no known form are left to
+    those readers.
+    """
     names: dict[tuple, str] = {}
     for path in files:
-        key = parse_layout_name(path.name)
+        key = parse_name(path.name)
         if key in names:
             raise DuplicateKey(
                 f"{directory}: {names[key]} and {path.name} both name {_key_name(key)}"
@@ -248,7 +258,7 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     meanings = load_meanings(args.rules)  # validated before any table is read
     files = _json_files(tables_dir)
-    _check_unique_page_names(tables_dir, files)
+    _check_unique_names(tables_dir, files, parse_layout_name)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def interpret_file(path: Path) -> int:
@@ -280,20 +290,15 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
 # eval
 
 
-def _key_name(key: tuple) -> str:
-    """``<id>_pageNN`` for a page key, ``<id>_pageNN_tableI`` for a tuple-set key."""
-    file_id, page_nr, *table_idx = key
-    return f"{file_id}_page{page_nr:02d}" + "".join(f"_table{i}" for i in table_idx)
-
-
 def _load_eval_dir(directory: Path, tuple_sets: bool) -> dict:
     """Page tables keyed by ``(file_id, page_nr)`` or, with ``tuple_sets``,
     tuple sets keyed by ``(file_id, page_nr, table_idx)``, as the files say.
     A file whose name disagrees with its key, or two files with the same
     key, are invalid input."""
+    files = _json_files(directory)
+    _check_unique_names(directory, files, parse_tuple_name if tuple_sets else parse_layout_name)
     loaded: dict = {}
-    names: dict[tuple, str] = {}
-    for path in _json_files(directory):
+    for path in files:
         if tuple_sets:
             named = parse_tuple_name(path.name)
             if named is None:
@@ -306,12 +311,7 @@ def _load_eval_dir(directory: Path, tuple_sets: bool) -> dict:
         else:
             item = _read_page_tables(path)
             key = (item.file_id, item.page_nr)
-        if key in names:
-            raise DuplicateKey(
-                f"{directory}: {names[key]} and {path.name} both hold {_key_name(key)}"
-            )
         loaded[key] = item
-        names[key] = path.name
     return loaded
 
 
@@ -340,20 +340,13 @@ def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str]:
         gt_docs.setdefault(fid, {})[nr] = _gt_tables(page)
     for (fid, nr), page in pred_pages.items():
         pred_docs.setdefault(fid, {})[nr] = list(page.tables)
-
-    per_doc: dict[str, PRF] = {}
-    for fid in sorted(set(gt_docs) | set(pred_docs)):
-        per_doc[fid] = recognition_score(
-            gt_docs.get(fid, {}), pred_docs.get(fid, {}), args.iou_min
-        )
+    per_doc = {
+        fid: recognition_score(gt_docs.get(fid, {}), pred_docs.get(fid, {}), args.iou_min)
+        for fid in sorted(set(gt_docs) | set(pred_docs))
+    }
     corpus = corpus_average(per_doc.values())
 
-    lines = []
-    for fid, prf in per_doc.items():
-        lines.append(
-            f"document {fid}: P={prf.precision:.4f} R={prf.recall:.4f} F1={prf.f1:.4f}"
-            f" (tp={prf.tp} fp={prf.fp} fn={prf.fn})"
-        )
+    lines = [f"document {fid}: {prf}" for fid, prf in per_doc.items()]
     lines.append(
         f"corpus ({len(per_doc)} documents): P={corpus.precision:.4f}"
         f" R={corpus.recall:.4f} F1={corpus.f1:.4f}"
@@ -361,23 +354,8 @@ def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str]:
     report = {
         "mode": "recognition",
         "iou_min": args.iou_min,
-        "documents": {
-            fid: {
-                "tp": prf.tp,
-                "fp": prf.fp,
-                "fn": prf.fn,
-                "precision": prf.precision,
-                "recall": prf.recall,
-                "f1": prf.f1,
-            }
-            for fid, prf in per_doc.items()
-        },
-        "corpus": {
-            "precision": corpus.precision,
-            "recall": corpus.recall,
-            "f1": corpus.f1,
-            "documents": len(per_doc),
-        },
+        "documents": {fid: prf.fields() for fid, prf in per_doc.items()},
+        "corpus": {**asdict(corpus), "documents": len(per_doc)},
     }
     return report, "\n".join(lines)
 
@@ -399,42 +377,19 @@ def _parse_cell_thresholds(text: str) -> tuple[float, ...]:
 def _eval_cells(args: argparse.Namespace) -> tuple[dict, str]:
     thresholds = _parse_cell_thresholds(args.cell_thresholds)
     gt_pages, pred_pages = _load_eval_dirs(args)
-    counts = {t: [0, 0, 0] for t in thresholds}  # tp, fp, fn pooled corpus-wide
-    for key in sorted(set(gt_pages) | set(pred_pages)):
-        gt = _gt_tables(gt_pages[key]) if key in gt_pages else []
-        pred = list(pred_pages[key].tables) if key in pred_pages else []
-        match = match_tables(gt, pred, iou_min=args.iou_min)
-        for i, j in match.pairs:
-            for t, prf in cell_f1_at_iou(gt[i], pred[j], thresholds).items():
-                counts[t][0] += prf.tp
-                counts[t][1] += prf.fp
-                counts[t][2] += prf.fn
-        for i in match.unmatched_gt:
-            for t in thresholds:
-                counts[t][2] += len(gt[i].cells)
-        for j in match.unmatched_pred:
-            for t in thresholds:
-                counts[t][1] += len(pred[j].cells)
-
-    f1_by_t = {}
-    lines = []
-    for t in thresholds:
-        tp, fp, fn = counts[t]
-        prf = PRF(tp=tp, fp=fp, fn=fn)
-        f1_by_t[t] = prf.f1
-        lines.append(
-            f"IoU>={t:g}: P={prf.precision:.4f} R={prf.recall:.4f} F1={prf.f1:.4f}"
-            f" (tp={tp} fp={fp} fn={fn})"
-        )
-    wavg = wavg_f1(f1_by_t)
+    by_t = cell_score(
+        {key: _gt_tables(page) for key, page in gt_pages.items()},
+        {key: list(page.tables) for key, page in pred_pages.items()},
+        args.iou_min,
+        thresholds,
+    )
+    wavg = wavg_f1({t: prf.f1 for t, prf in by_t.items()})
+    lines = [f"IoU>={t:g}: {prf}" for t, prf in by_t.items()]
     lines.append(f"WAvg-F1={wavg:.4f}")
     report = {
         "mode": "cells",
         "iou_min": args.iou_min,
-        "thresholds": {
-            str(t): {"tp": counts[t][0], "fp": counts[t][1], "fn": counts[t][2], "f1": f1_by_t[t]}
-            for t in thresholds
-        },
+        "thresholds": {str(t): {**asdict(prf), "f1": prf.f1} for t, prf in by_t.items()},
         "wavg_f1": wavg,
     }
     return report, "\n".join(lines)
@@ -443,20 +398,7 @@ def _eval_cells(args: argparse.Namespace) -> tuple[dict, str]:
 def _eval_interpretation(args: argparse.Namespace) -> tuple[dict, str]:
     gt_sets, pred_sets = _load_eval_dirs(args, tuple_sets=True)
     prf = interpretation_score(list(gt_sets.values()), list(pred_sets.values()))
-    text = (
-        f"interpretation: P={prf.precision:.4f} R={prf.recall:.4f} F1={prf.f1:.4f}"
-        f" (tp={prf.tp} fp={prf.fp} fn={prf.fn})"
-    )
-    report = {
-        "mode": "interpretation",
-        "tp": prf.tp,
-        "fp": prf.fp,
-        "fn": prf.fn,
-        "precision": prf.precision,
-        "recall": prf.recall,
-        "f1": prf.f1,
-    }
-    return report, text
+    return {"mode": "interpretation", **prf.fields()}, f"interpretation: {prf}"
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

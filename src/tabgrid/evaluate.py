@@ -5,16 +5,17 @@ non-blank cell relates to its nearest non-blank right and down
 neighbors, relations compare as (content, content, direction) multisets
 within greedily IoU-matched tables, and corpora macro-average
 per-document precision/recall/F1. Cell-level scoring matches cell boxes
-at several IoU thresholds and weights the resulting F1 values by
-threshold.  Interpretation output compares extracted tuples exactly
-(whitespace-trimmed) inside per-page matched tuple sets, micro-pooled.
+at several IoU thresholds, pools the counts over the corpus and weights
+the resulting F1 values by threshold.  Interpretation output compares
+extracted tuples exactly (whitespace-trimmed) inside per-page matched
+tuple sets, micro-pooled.  Every pooled score is a sum of ``PRF`` counts.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DuplicateKey, EmptyCorpus
 from .interpret import TupleSet
@@ -41,9 +42,15 @@ class AdjacencyRelation:
 
 @dataclass(frozen=True)
 class PRF:
-    tp: int
-    fp: int
-    fn: int
+    """True positive, false positive and false negative counts; pooling
+    scores is adding them."""
+
+    tp: int = 0
+    fp: int = 0
+    fn: int = 0
+
+    def __add__(self, other: PRF) -> PRF:
+        return PRF(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
     @property
     def precision(self) -> float:
@@ -59,6 +66,16 @@ class PRF:
     def f1(self) -> float:
         p, r = self.precision, self.recall
         return 0.0 if p + r == 0 else 2 * p * r / (p + r)
+
+    def fields(self) -> dict[str, float]:
+        """The counts and the three ratios, as a report writes them."""
+        return {**asdict(self), "precision": self.precision, "recall": self.recall, "f1": self.f1}
+
+    def __str__(self) -> str:
+        return (
+            f"P={self.precision:.4f} R={self.recall:.4f} F1={self.f1:.4f}"
+            f" (tp={self.tp} fp={self.fp} fn={self.fn})"
+        )
 
 
 @dataclass(frozen=True)
@@ -76,7 +93,8 @@ def adjacency_relations(table: RecognizedTable) -> list[AdjacencyRelation]:
     """Right/down relations from every non-blank cell to its nearest
     non-blank neighbor, skipping blank cells in between."""
     grid = cell_grid(table)
-    cells = sorted(set(table.cells), key=lambda c: (c.row_start, c.col_start))
+    # cell_grid rejects overlaps, so no two cells share a top-left corner
+    cells = sorted(table.cells, key=lambda c: (c.row_start, c.col_start))
     relations = []
     for c in cells:
         if _blank(c.content):
@@ -165,30 +183,67 @@ def _as_page_map(doc: PageTableMap | list[RecognizedTable]) -> PageTableMap:
     return {0: list(doc)}
 
 
+def _paired_tables(gt_pages: dict, pred_pages: dict, iou_min: float):
+    """For every page key on either side: the ``(gt, pred)`` table pairs
+    that ``match_tables`` makes, then the unpaired ground-truth tables
+    (misses) and the unpaired predicted tables (spurious)."""
+    for page in sorted(set(gt_pages) | set(pred_pages)):
+        gt, pred = gt_pages.get(page, []), pred_pages.get(page, [])
+        match = match_tables(gt, pred, iou_min)
+        yield (
+            [(gt[i], pred[j]) for i, j in match.pairs],
+            [gt[i] for i in match.unmatched_gt],
+            [pred[j] for j in match.unmatched_pred],
+        )
+
+
+def _multiset_prf(gt: Counter, pred: Counter) -> PRF:
+    """Each item matches at most one equal item on the other side."""
+    tp = sum((gt & pred).values())
+    return PRF(tp=tp, fp=sum(pred.values()) - tp, fn=sum(gt.values()) - tp)
+
+
 def recognition_score(
     gt_doc: PageTableMap | list[RecognizedTable],
     pred_doc: PageTableMap | list[RecognizedTable],
     iou_min: float = 0.5,
 ) -> PRF:
     """Adjacency-relation PRF for one document (tables aligned per page)."""
-    gt_pages = _as_page_map(gt_doc)
-    pred_pages = _as_page_map(pred_doc)
-    tp = fp = fn = 0
-    for page in sorted(set(gt_pages) | set(pred_pages)):
-        gt_tables = gt_pages.get(page, [])
-        pred_tables = pred_pages.get(page, [])
-        match = match_tables(gt_tables, pred_tables, iou_min)
-        for gi, pi in match.pairs:
-            gt_rels = Counter(r.triple for r in adjacency_relations(gt_tables[gi]))
-            pred_rels = Counter(r.triple for r in adjacency_relations(pred_tables[pi]))
-            tp += sum((gt_rels & pred_rels).values())
-            fp += sum((pred_rels - gt_rels).values())
-            fn += sum((gt_rels - pred_rels).values())
-        for gi in match.unmatched_gt:
-            fn += len(adjacency_relations(gt_tables[gi]))
-        for pi in match.unmatched_pred:
-            fp += len(adjacency_relations(pred_tables[pi]))
-    return PRF(tp=tp, fp=fp, fn=fn)
+    total = PRF()
+    for pairs, missed, spurious in _paired_tables(
+        _as_page_map(gt_doc), _as_page_map(pred_doc), iou_min
+    ):
+        for gt, pred in pairs:
+            total += _multiset_prf(
+                Counter(r.triple for r in adjacency_relations(gt)),
+                Counter(r.triple for r in adjacency_relations(pred)),
+            )
+        total += PRF(
+            fp=sum(len(adjacency_relations(t)) for t in spurious),
+            fn=sum(len(adjacency_relations(t)) for t in missed),
+        )
+    return total
+
+
+def cell_score(
+    gt_pages: dict[tuple[str, int], list[RecognizedTable]],
+    pred_pages: dict[tuple[str, int], list[RecognizedTable]],
+    iou_min: float,
+    thresholds: tuple[float, ...],
+) -> dict[float, PRF]:
+    """Cell-box PRF per IoU threshold, pooled over every page.  Tables pair
+    per page as in ``recognition_score``; the cells of an unpaired table
+    count as misses (or spurious cells) at every threshold."""
+    totals = dict.fromkeys(thresholds, PRF())
+    unpaired = PRF()
+    for pairs, missed, spurious in _paired_tables(gt_pages, pred_pages, iou_min):
+        unpaired += PRF(
+            fp=sum(len(t.cells) for t in spurious), fn=sum(len(t.cells) for t in missed)
+        )
+        for gt, pred in pairs:
+            for t, prf in cell_f1_at_iou(gt, pred, thresholds).items():
+                totals[t] += prf
+    return {t: prf + unpaired for t, prf in totals.items()}
 
 
 def corpus_average(per_document: list[PRF]) -> MacroPRF:
@@ -233,10 +288,10 @@ def _canon(values: dict[str, str]) -> tuple[tuple[str, str], ...]:
 
 def tuple_set_f1(gt: TupleSet, pred: TupleSet) -> PRF:
     """Exact tuple matching (values trimmed), each tuple used at most once."""
-    gt_counts = Counter(_canon(t.values) for t in gt.tuples)
-    pred_counts = Counter(_canon(t.values) for t in pred.tuples)
-    tp = sum((gt_counts & pred_counts).values())
-    return PRF(tp=tp, fp=len(pred.tuples) - tp, fn=len(gt.tuples) - tp)
+    return _multiset_prf(
+        Counter(_canon(t.values) for t in gt.tuples),
+        Counter(_canon(t.values) for t in pred.tuples),
+    )
 
 
 def _check_unique_keys(sets: list[TupleSet], side: str) -> None:
@@ -260,28 +315,21 @@ def interpretation_score(gt_sets: list[TupleSet], pred_sets: list[TupleSet]) -> 
     for ts in pred_sets:
         by_page_pred.setdefault((ts.file_id, ts.page_nr), []).append(ts)
 
-    tp = fp = fn = 0
+    total = PRF()
     for page in sorted(set(by_page_gt) | set(by_page_pred)):
         gts = sorted(by_page_gt.get(page, []), key=lambda ts: ts.table_idx)
         preds = sorted(by_page_pred.get(page, []), key=lambda ts: ts.table_idx)
-        edges = tuple(
-            (gi, pi, tuple_set_f1(g, p).f1)
-            for gi, g in enumerate(gts)
-            for pi, p in enumerate(preds)
-        )
+        scores = {
+            (gi, pi): tuple_set_f1(g, p) for gi, g in enumerate(gts) for pi, p in enumerate(preds)
+        }
+        edges = tuple((gi, pi, prf.f1) for (gi, pi), prf in scores.items())
         graph = WeightedBipartiteGraph(n_left=len(gts), n_right=len(preds), edges=edges)
         matching = max_weight_matching(graph)
         matched_gt = {gi for gi, _ in matching.pairs}
         matched_pred = {pi for _, pi in matching.pairs}
-        for gi, pi in matching.pairs:
-            counts = tuple_set_f1(gts[gi], preds[pi])
-            tp += counts.tp
-            fp += counts.fp
-            fn += counts.fn
-        for gi, g in enumerate(gts):
-            if gi not in matched_gt:
-                fn += len(g.tuples)
-        for pi, p in enumerate(preds):
-            if pi not in matched_pred:
-                fp += len(p.tuples)
-    return PRF(tp=tp, fp=fp, fn=fn)
+        total += sum((scores[pair] for pair in matching.pairs), PRF())
+        total += PRF(
+            fp=sum(len(p.tuples) for pi, p in enumerate(preds) if pi not in matched_pred),
+            fn=sum(len(g.tuples) for gi, g in enumerate(gts) if gi not in matched_gt),
+        )
+    return total

@@ -101,6 +101,43 @@ def test_eval_recognition_report_file(tmp_path, capsys):
     assert len(report["documents"]) == 9
 
 
+REPORT_FIELDS = {"tp", "fp", "fn", "precision", "recall", "f1"}
+
+
+def test_eval_reports_and_text_keep_their_shape(tmp_path, capsys):
+    corpus, pred = _recognized(tmp_path, capsys)
+    tuples = tmp_path / "tuples"
+    assert main(["interpret", str(pred), str(corpus / "rules.json"), str(tuples)]) == 0
+    reports, texts = {}, {}
+    for mode, gt, predicted in [
+        ("recognition", corpus / "recognition_gt", pred),
+        ("cells", corpus / "recognition_gt", pred),
+        ("interpretation", corpus / "interpretation_gt", tuples),
+    ]:
+        capsys.readouterr()
+        out = tmp_path / f"{mode}.json"
+        assert main(["eval", mode, str(gt), str(predicted), "--out", str(out)]) == 0
+        texts[mode] = capsys.readouterr().out.splitlines()
+        reports[mode] = json.loads(out.read_text())
+    perfect = "P=1.0000 R=1.0000 F1=1.0000 (tp={tp} fp=0 fn=0)"
+
+    rec = reports["recognition"]
+    assert set(rec) == {"mode", "iou_min", "documents", "corpus"}
+    assert all(set(doc) == REPORT_FIELDS for doc in rec["documents"].values())
+    assert set(rec["corpus"]) == {"precision", "recall", "f1", "documents"}
+    assert texts["recognition"][:-1] == [
+        f"document {fid}: " + perfect.format(tp=doc["tp"]) for fid, doc in rec["documents"].items()
+    ]
+    cells = reports["cells"]["thresholds"]
+    assert all(set(counts) == {"tp", "fp", "fn", "f1"} for counts in cells.values())
+    assert texts["cells"][:-1] == [
+        f"IoU>={t}: " + perfect.format(tp=counts["tp"]) for t, counts in cells.items()
+    ]
+    interp = reports["interpretation"]
+    assert set(interp) == {"mode"} | REPORT_FIELDS
+    assert texts["interpretation"] == ["interpretation: " + perfect.format(tp=interp["tp"])]
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -495,6 +532,52 @@ def test_interpret_rejects_two_names_for_one_page(tmp_path, capsys):
     assert not out.exists()  # rejected before any file is written
 
 
+def test_eval_names_both_files_of_one_key(tmp_path, capsys):
+    corpus, pred = _recognized(tmp_path, capsys)
+    source = sorted(pred.glob("ri*_page01.json"))[0]
+    copy = pred / source.name.replace("_page01", "_page1")
+    copy.write_bytes(source.read_bytes())
+    assert main(["eval", "recognition", str(corpus / "recognition_gt"), str(pred)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {pred}: {source.name} and {copy.name} both name {source.stem}\n"
+    )
+
+
+LAYOUT_FORM = "file name not of the form <id>_page<NR>.json: notes.json"
+
+
+@pytest.mark.parametrize("command", ["recognize", "interpret"])
+def test_per_file_commands_report_a_file_name_of_no_known_form(tmp_path, capsys, command):
+    corpus, pred = _recognized(tmp_path, capsys)
+    out = tmp_path / "out"
+    if command == "recognize":
+        inputs, kind, outputs = corpus / "layouts", "layout", 9
+        argv = ["recognize", str(inputs), str(out)]
+    else:
+        inputs, kind, outputs = pred, "table", 3
+        argv = ["interpret", str(inputs), str(corpus / "rules.json"), str(out)]
+    (inputs / "notes.json").write_text("{}")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: notes.json: {kind} {LAYOUT_FORM}\n"
+    assert len(_tuple_files(out)) == outputs and (out / "run_manifest.json").is_file()
+
+
+@pytest.mark.parametrize("mode", ["recognition", "cells", "interpretation"])
+def test_eval_rejects_a_file_name_of_no_known_form(tmp_path, capsys, mode):
+    corpus, pred = _recognized(tmp_path, capsys)
+    if mode == "interpretation":
+        gt, tuples = corpus / "interpretation_gt", tmp_path / "tuples"
+        assert main(["interpret", str(pred), str(corpus / "rules.json"), str(tuples)]) == 0
+        pred = tuples
+        capsys.readouterr()
+        message = "tuple file name not of the form <id>_page<NR>_table<IDX>.json: notes.json"
+    else:
+        gt, message = corpus / "recognition_gt", f"table {LAYOUT_FORM}"
+    (pred / "notes.json").write_text("{}")
+    assert main(["eval", mode, str(gt), str(pred)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -521,6 +604,19 @@ def test_eval_rejects_bad_iou_arguments(tmp_path, capsys, argv):
     assert err.startswith("error: --") and err.count("\n") == 1
 
 
+def _python(script, *args, timeout=60):
+    """Run ``script`` in a new interpreter that imports this checkout's tabgrid."""
+    src = str(Path(tabgrid.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+
+
 IMPORT_CHECK = """
 import sys
 before = set(sys.modules)
@@ -533,17 +629,22 @@ print(sorted(loaded - set(sys.stdlib_module_names) - {"tabgrid"}))
 
 
 def test_cli_import_loads_only_the_standard_library():
-    src = str(Path(tabgrid.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_CHECK],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _python(IMPORT_CHECK)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+PACKAGE_IMPORT_CHECK = """
+import sys
+import tabgrid
+print(sorted(name for name in sys.modules if name.split(".")[0] == "tabgrid"))
+"""
+
+
+def test_package_import_loads_no_submodule():
+    proc = _python(PACKAGE_IMPORT_CHECK)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['tabgrid']"
 
 
 def test_eval_cells_custom_thresholds(tmp_path, capsys):
@@ -660,15 +761,7 @@ def test_killed_worker_reports_unfinished_files(tmp_path, capsys):
     dump_json(layouts / "victim_page01.json", {"page_width": 999, "page_height": 999})
     names = sorted(p.name for p in layouts.glob("*.json"))
     out = tmp_path / "out"
-    src = str(Path(tabgrid.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", KILLED_WORKER, "recognize", str(layouts), str(out)],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _python(KILLED_WORKER, "recognize", str(layouts), str(out), timeout=120)
     assert proc.returncode == 1, proc.stderr
     lines = proc.stderr.splitlines()
     lost = [line.split(": ")[1] for line in lines]

@@ -9,6 +9,7 @@ from tabgrid.evaluate import (
     PRF,
     adjacency_relations,
     cell_f1_at_iou,
+    cell_score,
     corpus_average,
     interpretation_score,
     match_tables,
@@ -133,6 +134,22 @@ def test_prf_zero_denominators():
     # only false negatives: perfect precision, zero recall
     assert PRF(0, 0, 5).precision == 1.0
     assert PRF(0, 0, 5).f1 == 0.0
+
+
+def test_prf_counts_default_to_zero_and_add():
+    assert PRF() == PRF(0, 0, 0)
+    assert PRF(tp=1, fp=2) + PRF(fp=1, fn=4) == PRF(tp=1, fp=3, fn=4)
+    assert sum([PRF(tp=1), PRF(fn=2), PRF(tp=3, fp=1)], PRF()) == PRF(tp=4, fp=1, fn=2)
+
+
+def test_prf_fields_and_text():
+    prf = PRF(tp=69, fp=4, fn=45)
+    assert prf.fields() == {
+        "tp": 69, "fp": 4, "fn": 45,
+        "precision": prf.precision, "recall": prf.recall, "f1": prf.f1,
+    }
+    assert str(prf) == "P=0.9452 R=0.6053 F1=0.7380 (tp=69 fp=4 fn=45)"
+    assert str(PRF()) == "P=1.0000 R=1.0000 F1=1.0000 (tp=0 fp=0 fn=0)"
 
 
 def test_corpus_average_is_macro():
@@ -263,6 +280,23 @@ def test_cell_f1_threshold_is_inclusive():
     by_thr = cell_f1_at_iou(gt, pred, (0.5, 0.6))
     assert by_thr[0.5].tp == 1
     assert by_thr[0.6].tp == 0
+
+
+def test_cell_score_pools_pages_and_counts_unpaired_cells_at_every_threshold():
+    t = _grid_table([["a", "b"], ["c", "d"]])
+    shifted = _grid_table([["a", "b"], ["c", "d"]], origin=(6, 0))  # cell IoU 44/56
+    spurious = _grid_table([["x"]], origin=(400, 0))
+    gt = {("d", 1): [t], ("d", 2): [t], ("e", 1): [t]}
+    pred = {("d", 1): [t, spurious], ("d", 2): [shifted], ("f", 1): [t]}
+    by_thr = cell_score(gt, pred, 0.5, (0.6, 0.9))
+    assert list(by_thr) == [0.6, 0.9]
+    # d1: 4 hits and 1 spurious cell; d2: 4 hits at 0.6 only; e1 missed; f1 spurious
+    assert by_thr[0.6] == PRF(tp=8, fp=1 + 4, fn=4)
+    assert by_thr[0.9] == PRF(tp=4, fp=1 + 4 + 4, fn=4 + 4)
+
+
+def test_cell_score_without_pages_is_empty_counts():
+    assert cell_score({}, {}, 0.5, (0.6, 0.7)) == {0.6: PRF(), 0.7: PRF()}
 
 
 def test_wavg_f1_weights_by_threshold():
