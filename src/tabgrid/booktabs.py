@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dsu import UnionFind
 from .errors import DegenerateGrid, EmptyBody, InsufficientContext
 from .geometry import BoundingBox, contains_point, union_box
 from .kernels import interval_profile
@@ -23,11 +22,10 @@ from .model import (
     SeparatorOrientation,
     TableSource,
     Word,
-    WordIndex,
     assign_words_to_cells,
     make_cell,
 )
-from .separator import assign_table_label, label_candidates
+from .separator import column_runs, has_table_label
 
 # Rules whose y-centers land this close together form one header level.
 LEVEL_CLUSTER_TOL = 3.0
@@ -39,7 +37,6 @@ class RuleTriple:
     middle: Separator
     bottom: Separator
     inner_rules: tuple[Separator, ...]
-    labeled: bool
 
     @property
     def extent(self) -> BoundingBox:
@@ -50,15 +47,6 @@ class RuleTriple:
 class HeaderLevel:
     band: tuple[int, int]  # (top, bottom) hull of the level's rule boxes
     rules: tuple[Separator, ...]
-
-
-@dataclass(frozen=True)
-class HeaderLevels:
-    levels: tuple[HeaderLevel, ...]
-
-    @property
-    def header_row_count(self) -> int:
-        return len(self.levels) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,17 +67,12 @@ def _aligned(a: Separator, b: Separator) -> bool:
     return abs(a.box.left - b.box.left) <= tol and abs(a.box.right - b.box.right) <= tol
 
 
-def find_rule_triples(
-    horizontals: list[Separator] | tuple[Separator, ...],
-    cfg: RecognizerConfig,
-    words: WordIndex | None = None,
-) -> list[RuleTriple]:
+def find_rule_triples(horizontals: list[Separator] | tuple[Separator, ...]) -> list[RuleTriple]:
     """Greedy top-down scan for aligned (top, middle, bottom) rule triples.
 
     Left/right edges must agree within max(5 px, 2 % of rule width).
     Rules strictly between top and middle that overlap the triple's
-    x-extent become its inner (grouping) rules.  A triple is labeled
-    only when ``words`` (the page's word index) holds a label for it.
+    x-extent become its inner (grouping) rules.
     """
     rules = sorted(horizontals, key=lambda s: (s.box.top, s.box.left, s.box.right))
     used = [False] * len(rules)
@@ -125,16 +108,11 @@ def find_rule_triples(
                 inner.append(r)
                 used[ii] = True
         inner.sort(key=lambda s: (s.box.top, s.box.left))
-        labeled = words is not None and assign_table_label(
-            extent, label_candidates(words, extent, cfg), cfg
-        )
-        triples.append(
-            RuleTriple(top=a, middle=b, bottom=c, inner_rules=tuple(inner), labeled=labeled)
-        )
+        triples.append(RuleTriple(top=a, middle=b, bottom=c, inner_rules=tuple(inner)))
     return triples
 
 
-def group_inner_rules(triple: RuleTriple) -> HeaderLevels:
+def group_inner_rules(triple: RuleTriple) -> tuple[HeaderLevel, ...]:
     """Cluster inner rules into levels: y-centers within 3 px share one."""
     rules = sorted(triple.inner_rules, key=lambda s: (s.box.center[1], s.box.left))
     levels: list[list[Separator]] = []
@@ -143,14 +121,12 @@ def group_inner_rules(triple: RuleTriple) -> HeaderLevels:
             levels[-1].append(r)
         else:
             levels.append([r])
-    return HeaderLevels(
-        levels=tuple(
-            HeaderLevel(
-                band=(min(r.box.top for r in lv), max(r.box.bottom for r in lv)),
-                rules=tuple(sorted(lv, key=lambda s: (s.box.left, s.box.top))),
-            )
-            for lv in levels
+    return tuple(
+        HeaderLevel(
+            band=(min(r.box.top for r in lv), max(r.box.bottom for r in lv)),
+            rules=tuple(sorted(lv, key=lambda s: (s.box.left, s.box.top))),
         )
+        for lv in levels
     )
 
 
@@ -251,19 +227,18 @@ def compute_column_threshold(
 
 def build_booktabs_grid(
     triple: RuleTriple,
-    levels: HeaderLevels,
+    levels: tuple[HeaderLevel, ...],
     row_borders: list[int],
     col_borders: list[int],
+    labeled: bool,
     words: list[Word] | tuple[Word, ...] = (),
 ) -> RecognizedTable:
     """Assemble the grid: header rows between top and middle rules (one
     per level plus the lowest), body rows from row_borders, and merged
-    header cells wherever a grouping rule spans several columns."""
+    header cells joining the columns each grouping rule covers."""
     extent = triple.extent
-    region = BoundingBox(
-        extent.left, triple.top.box.top, extent.right, triple.bottom.box.bottom
-    )
-    level_centers = [(band[0] + band[1]) // 2 for band in (lv.band for lv in levels.levels)]
+    region = BoundingBox(extent.left, triple.top.box.top, extent.right, triple.bottom.box.bottom)
+    level_centers = [(lv.band[0] + lv.band[1]) // 2 for lv in levels]
     mid_y = int(triple.middle.box.center[1] + 0.5)
     ys = [region.top, *level_centers, mid_y, *sorted(row_borders), region.bottom]
     xs = [region.left, *sorted(col_borders), region.right]
@@ -271,35 +246,18 @@ def build_booktabs_grid(
         raise DegenerateGrid(f"non-increasing borders for triple at {extent.as_tuple()}")
 
     n_rows, n_cols = len(ys) - 1, len(xs) - 1
-    n_header = levels.header_row_count
-
-    # per header level, merge the column range each grouping rule covers
     cells: list[Cell] = []
     for r in range(n_rows):
-        if r < len(levels.levels):
-            uf = UnionFind(n_cols)
-            for rule in levels.levels[r].rules:
-                covered = [
-                    j
-                    for j in range(n_cols)
-                    if min(rule.box.right, xs[j + 1]) - max(rule.box.left, xs[j]) > 0
-                ]
-                for a, b in zip(covered, covered[1:]):
-                    uf.union(a, b)
-            j = 0
-            while j < n_cols:
-                k = j
-                while k + 1 < n_cols and uf.find(k + 1) == uf.find(j):
-                    k += 1
-                cells.append(
-                    make_cell(BoundingBox(xs[j], ys[r], xs[k + 1], ys[r + 1]), r, r, j, k)
-                )
-                j = k + 1
-        else:
-            for j in range(n_cols):
-                cells.append(
-                    make_cell(BoundingBox(xs[j], ys[r], xs[j + 1], ys[r + 1]), r, r, j, j)
-                )
+        # a grouping rule joins the two columns beside each border it crosses
+        joined = {
+            j
+            for rule in (levels[r].rules if r < len(levels) else ())
+            for j in range(n_cols - 1)
+            if rule.box.left < xs[j + 1] < rule.box.right
+        }
+        for cs, ce in column_runs(n_cols, joined):
+            box = BoundingBox(xs[cs], ys[r], xs[ce + 1], ys[r + 1])
+            cells.append(make_cell(box, r, r, cs, ce))
 
     cells = assign_words_to_cells(cells, words)
     return RecognizedTable(
@@ -307,9 +265,9 @@ def build_booktabs_grid(
         n_rows=n_rows,
         n_cols=n_cols,
         cells=tuple(cells),
-        labeled=triple.labeled,
+        labeled=labeled,
         source=TableSource.BOOKTABS,
-        header_row_count=n_header,
+        header_row_count=len(levels) + 1,
     )
 
 
@@ -322,9 +280,10 @@ def recognize_booktabs_tables(
     index = layout.word_index
     tables: list[RecognizedTable] = []
     diagnostics: list[str] = []
-    for triple in find_rule_triples(horizontals, cfg, index):
+    for triple in find_rule_triples(horizontals):
         extent = triple.extent
-        if cfg.require_labels_booktabs and not triple.labeled:
+        labeled = has_table_label(index, extent, cfg)
+        if cfg.require_labels_booktabs and not labeled:
             diagnostics.append(
                 f"booktabs candidate at {extent.as_tuple()} dropped: no table label"
             )
@@ -344,9 +303,7 @@ def recognize_booktabs_tables(
         try:
             body_words = index.touching(body_region.top, body_region.bottom)
             body_borders = segment_rows(horizontal_profile(body_words, body_region))
-            lowest_band_top = (
-                levels.levels[-1].band[1] if levels.levels else triple.top.box.bottom
-            )
+            lowest_band_top = levels[-1].band[1] if levels else triple.top.box.bottom
             if lowest_band_top > triple.middle.box.top:
                 raise DegenerateGrid(
                     "no room for a header row between the inner rules and the middle rule"
@@ -369,7 +326,7 @@ def recognize_booktabs_tables(
             col_borders = segment_columns(projection_words, region, threshold.d_column)
             # the grid tiles region, so its words are exactly table_words
             table = build_booktabs_grid(
-                triple, levels, body_borders, col_borders, table_words
+                triple, levels, body_borders, col_borders, labeled, table_words
             )
         except (EmptyBody, InsufficientContext, DegenerateGrid) as exc:
             diagnostics.append(f"booktabs candidate at {extent.as_tuple()} dropped: {exc}")

@@ -13,7 +13,6 @@ tuple sets, micro-pooled.  Every pooled score is a sum of ``PRF`` counts.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -22,22 +21,6 @@ from .interpret import TupleSet
 from .kernels import Box, iou_matrix
 from .matching import WeightedBipartiteGraph, max_weight_matching
 from .model import RecognizedTable, cell_grid
-
-
-class Direction(enum.Enum):
-    RIGHT = "right"
-    DOWN = "down"
-
-
-@dataclass(frozen=True)
-class AdjacencyRelation:
-    from_content: str
-    to_content: str
-    direction: Direction
-
-    @property
-    def triple(self) -> tuple[str, str, str]:
-        return (self.from_content, self.to_content, self.direction.value)
 
 
 @dataclass(frozen=True)
@@ -89,9 +72,10 @@ def _blank(content: str) -> bool:
     return not content.strip()
 
 
-def adjacency_relations(table: RecognizedTable) -> list[AdjacencyRelation]:
-    """Right/down relations from every non-blank cell to its nearest
-    non-blank neighbor, skipping blank cells in between."""
+def adjacency_relations(table: RecognizedTable) -> list[tuple[str, str, str]]:
+    """``(from_content, to_content, "right" | "down")`` relations from every
+    non-blank cell to its nearest non-blank neighbor, skipping blank cells
+    in between."""
     grid = cell_grid(table)
     # cell_grid rejects overlaps, so no two cells share a top-left corner
     cells = sorted(table.cells, key=lambda c: (c.row_start, c.col_start))
@@ -109,7 +93,7 @@ def adjacency_relations(table: RecognizedTable) -> list[AdjacencyRelation]:
             if right is not None:
                 break
         if right is not None:
-            relations.append(AdjacencyRelation(c.content, right.content, Direction.RIGHT))
+            relations.append((c.content, right.content, "right"))
         down = None
         for r in range(c.row_end + 1, table.n_rows):
             for j in range(c.col_start, c.col_end + 1):
@@ -120,7 +104,7 @@ def adjacency_relations(table: RecognizedTable) -> list[AdjacencyRelation]:
             if down is not None:
                 break
         if down is not None:
-            relations.append(AdjacencyRelation(c.content, down.content, Direction.DOWN))
+            relations.append((c.content, down.content, "down"))
     return relations
 
 
@@ -215,8 +199,7 @@ def recognition_score(
     ):
         for gt, pred in pairs:
             total += _multiset_prf(
-                Counter(r.triple for r in adjacency_relations(gt)),
-                Counter(r.triple for r in adjacency_relations(pred)),
+                Counter(adjacency_relations(gt)), Counter(adjacency_relations(pred))
             )
         total += PRF(
             fp=sum(len(adjacency_relations(t)) for t in spurious),

@@ -2,10 +2,10 @@
 
 Every page carries its own recognition ground truth derived from the
 same placement arithmetic the generator used, so a correct recognizer
-recovers each grid exactly.  Geometry keeps safety margins (single
-ruling piece per grid border, one grouping rule per header level, text
-well inside cells) so rulings jittered by a couple of pixels still
-resolve to the same grid.
+recovers each grid exactly.  Geometry keeps safety margins (text well
+inside cells; in random tables also a single ruling piece per grid border
+and one grouping rule per header level) so rulings jittered by a couple
+of pixels still resolve to the same grid.
 
 Randomized corpora additionally write an interpretation rules config
 and per-table tuple ground truth for tables generated in
@@ -52,6 +52,8 @@ from .model import (
 from .pipeline import transpose_layout, transpose_table
 
 WORD_HEIGHT = 16
+# share of blank cells in a bordered table outside interpretation mode
+BLANK_RATE = 0.1
 
 _CONSONANTS = "bcdgklmnprsvz"
 _VOWELS = "aeiou"
@@ -155,17 +157,18 @@ def _random_merges(rng: random.Random, rows: int, cols: int, count: int) -> list
 def _merge_spans(
     rows: int, cols: int, merges: list[MergeSpec]
 ) -> list[tuple[int, int, int, int]]:
-    """Cell index spans (rs, re, cs, ce) after applying the merges."""
+    """Cell index spans (rs, re, cs, ce) after applying the merges; two
+    merges that share a cell are a ConfigError."""
     owner: dict[tuple[int, int], tuple[int, int, int, int]] = {}
     for m in merges:
         if m.direction == "right":
             span = (m.row, m.row, m.col, m.col + 1)
-            owner[(m.row, m.col)] = span
-            owner[(m.row, m.col + 1)] = span
         else:
             span = (m.row, m.row + 1, m.col, m.col)
-            owner[(m.row, m.col)] = span
-            owner[(m.row + 1, m.col)] = span
+        for cell in ((span[0], span[2]), (span[1], span[3])):
+            if cell in owner:
+                raise ConfigError(f"merge {m} shares cell {cell} with another merge")
+            owner[cell] = span
     spans = []
     for i in range(rows):
         for j in range(cols):
@@ -175,6 +178,21 @@ def _merge_spans(
     return spans
 
 
+def _ruling_pieces(borders: list[int], cut: set[int]) -> list[tuple[int, int]]:
+    """The (start, end) pieces of a ruling that runs from ``borders[0]`` to
+    ``borders[-1]`` with the bands in ``cut`` removed; band i runs from
+    ``borders[i]`` to ``borders[i + 1]``."""
+    pieces: list[tuple[int, int]] = []
+    for i in range(len(borders) - 1):
+        if i in cut:
+            continue
+        if i > 0 and i - 1 not in cut:  # band i continues the piece of band i - 1
+            pieces[-1] = (pieces[-1][0], borders[i + 1])
+        else:
+            pieces.append((borders[i], borders[i + 1]))
+    return pieces
+
+
 def gen_bordered_page(
     rng: random.Random,
     file_id: str,
@@ -182,29 +200,38 @@ def gen_bordered_page(
     rows: int | None = None,
     cols: int | None = None,
     merges: list[MergeSpec] | None = None,
-    n_merges: int | None = None,
     labeled: bool = True,
-    blank_rate: float = 0.1,
     columns_mode: str | None = None,
 ) -> FixturePage:
     rows = rows if rows is not None else rng.randint(2, 8)
     cols = cols if cols is not None else rng.randint(2, 8)
     if columns_mode == "interpretation":
         cols = max(cols, 3)
-        blank_rate = 0.0
     if merges is None:
         if columns_mode == "interpretation":
             # merged cells would orphan the per-column titles and values
             # the tuple ground truth is built from
             merges = []
         else:
-            want = n_merges if n_merges is not None else rng.randint(0, 2)
-            merges = _random_merges(rng, rows, cols, want)
+            merges = _random_merges(rng, rows, cols, rng.randint(0, 2))
     for m in merges:
         if m.direction == "right" and not (0 <= m.row < rows and 0 <= m.col < cols - 1):
             raise ConfigError(f"merge {m} outside a {rows}x{cols} grid")
         if m.direction == "down" and not (0 <= m.row < rows - 1 and 0 <= m.col < cols):
             raise ConfigError(f"merge {m} outside a {rows}x{cols} grid")
+    spans = _merge_spans(rows, cols, merges)
+    # the bands each merge cuts out of the border it spans
+    cut_v: dict[int, set[int]] = {}
+    cut_h: dict[int, set[int]] = {}
+    for m in merges:
+        if m.direction == "right":
+            cut_v.setdefault(m.col + 1, set()).add(m.row)
+        else:
+            cut_h.setdefault(m.row + 1, set()).add(m.col)
+    if any(len(cut) == rows for cut in cut_v.values()) or any(
+        len(cut) == cols for cut in cut_h.values()
+    ):
+        raise ConfigError("merges remove a whole grid border, which the page then lacks")
 
     col_w = [rng.randint(78, 128) for _ in range(cols)]
     row_h = [rng.randint(34, 46) for _ in range(rows)]
@@ -217,29 +244,12 @@ def gen_bordered_page(
     for h in row_h:
         rb.append(rb[-1] + h)
 
-    # interior bands a merge removed from a border's ruling
-    removed_v: dict[int, int] = {m.col + 1: m.row for m in merges if m.direction == "right"}
-    removed_h: dict[int, int] = {m.row + 1: m.col for m in merges if m.direction == "down"}
-
     separators: list[Separator] = []
     for j, x in enumerate(cb):
-        band = removed_v.get(j)
-        if band is None:
-            separators.append(_v_rule(x, rb[0], rb[-1]))
-        elif band == 0:
-            separators.append(_v_rule(x, rb[1], rb[-1]))
-        else:  # bottom band by construction of _random_merges
-            separators.append(_v_rule(x, rb[0], rb[band]))
+        separators += [_v_rule(x, y0, y1) for y0, y1 in _ruling_pieces(rb, cut_v.get(j, set()))]
     for i, y in enumerate(rb):
-        band = removed_h.get(i)
-        if band is None:
-            separators.append(_h_rule(cb[0], y, cb[-1]))
-        elif band == 0:
-            separators.append(_h_rule(cb[1], y, cb[-1]))
-        else:
-            separators.append(_h_rule(cb[0], y, cb[band]))
+        separators += [_h_rule(x0, y, x1) for x0, x1 in _ruling_pieces(cb, cut_h.get(i, set()))]
 
-    spans = _merge_spans(rows, cols, merges)
     meanings_layout = _interpretation_columns(rng, cols) if columns_mode == "interpretation" else None
 
     words: list[Word] = []
@@ -247,7 +257,7 @@ def gen_bordered_page(
     line_base = 100
     for rs, re_, cs, ce in spans:
         box = BoundingBox(cb[cs], rb[rs], cb[ce + 1], rb[re_ + 1])
-        blank = rng.random() < blank_rate and meanings_layout is None
+        blank = rng.random() < BLANK_RATE and meanings_layout is None
         cell_words: list[Word] = []
         if not blank:
             if meanings_layout is None:
@@ -313,7 +323,6 @@ def gen_booktabs_page(
     cols: int | None = None,
     cmidrule_levels: list[list[tuple[int, int]]] | None = None,
     labeled: bool = True,
-    gamma: float = 2.0,
     columns_mode: str | None = None,
 ) -> FixturePage:
     rows = rows if rows is not None else rng.randint(2, 8)
@@ -334,6 +343,12 @@ def gen_booktabs_page(
                 raise ConfigError(f"cmidrule ({a}, {b}) outside {cols} columns")
             if a == 0 and b == cols - 1:
                 raise ConfigError("a grouping rule must not span every column")
+        ranges = sorted(level)
+        for (a0, b0), (a1, b1) in zip(ranges, ranges[1:]):
+            if a1 <= b0:
+                raise ConfigError(
+                    f"cmidrules ({a0}, {b0}) and ({a1}, {b1}) overlap in one level"
+                )
 
     meanings_layout = _interpretation_columns(rng, cols) if columns_mode == "interpretation" else None
 
@@ -685,12 +700,8 @@ def generate_pages(spec: dict) -> list[FixturePage]:
     return pages
 
 
-def corpus_recognizer_config(gamma: float = 2.0) -> RecognizerConfig:
-    return RecognizerConfig(
-        gamma=gamma,
-        require_labels_separator=True,
-        require_labels_booktabs=True,
-    )
+def corpus_recognizer_config() -> RecognizerConfig:
+    return RecognizerConfig(require_labels_separator=True, require_labels_booktabs=True)
 
 
 def build_corpus(spec: dict, out_dir: str | Path) -> dict:
@@ -698,6 +709,7 @@ def build_corpus(spec: dict, out_dir: str | Path) -> dict:
 
     Returns a summary manifest (file counts per artifact kind).
     """
+    pages = generate_pages(spec)
     out = Path(out_dir)
     layouts_dir = out / "layouts"
     rec_dir = out / "recognition_gt"
@@ -705,7 +717,6 @@ def build_corpus(spec: dict, out_dir: str | Path) -> dict:
     for d in (layouts_dir, rec_dir, tup_dir):
         d.mkdir(parents=True, exist_ok=True)
 
-    pages = generate_pages(spec)
     n_tuple_sets = 0
     for page in pages:
         name = format_layout_name(page.file_id, page.page_nr)

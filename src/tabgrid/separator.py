@@ -3,8 +3,10 @@
 Ruling lines are expanded by a few pixels so almost-touching lines
 count as crossing, then merged into clusters; clusters containing both
 orientations become table candidates.  A rough grid comes from the
-distinct border coordinates, and neighboring rough cells merge wherever
-no ruling separates them (raster scan, then the same top-down).
+distinct border coordinates.  In each row, rough cells with no vertical
+ruling between them join into runs of columns, and a run's cell extends
+down through every row below that has the same run and no horizontal
+ruling above it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .dsu import UnionFind
 from .errors import DegenerateGrid
-from .geometry import BoundingBox, expand, intersects, union_box
+from .geometry import BoundingBox, expand, union_box
 from .model import (
     Cell,
     PageLayout,
@@ -100,39 +102,18 @@ def merge_separators(
     return clusters
 
 
-def assign_table_label(
-    candidate_hull: BoundingBox,
-    words: list[Word] | tuple[Word, ...],
-    cfg: RecognizerConfig,
-) -> bool:
-    """True iff a word near the hull's top or bottom edge starts with a keyword."""
+def has_table_label(words: WordIndex, hull: BoundingBox, cfg: RecognizerConfig) -> bool:
+    """True iff a word that starts with a label keyword (case-insensitive)
+    meets the band ``label_search_margin_px`` above the hull's top edge or
+    below its bottom edge, each band widened by the margin left and right."""
     m = cfg.label_search_margin_px
-    above = BoundingBox(
-        candidate_hull.left - m, candidate_hull.top - m, candidate_hull.right + m, candidate_hull.top
-    )
-    below = BoundingBox(
-        candidate_hull.left - m,
-        candidate_hull.bottom,
-        candidate_hull.right + m,
-        candidate_hull.bottom + m,
-    )
-    keywords = [k.lower() for k in cfg.label_keywords]
-    for w in words:
-        if not (intersects(w.box, above) or intersects(w.box, below)):
-            continue
-        text = w.text.lower()
-        if any(text.startswith(k) for k in keywords):
-            return True
-    return False
-
-
-def label_candidates(
-    words: WordIndex, candidate_hull: BoundingBox, cfg: RecognizerConfig
-) -> list[Word]:
-    """The page's words that can meet either band assign_table_label searches."""
-    m = cfg.label_search_margin_px
-    return words.touching(candidate_hull.top - m, candidate_hull.top) + words.touching(
-        candidate_hull.bottom, candidate_hull.bottom + m
+    keywords = tuple(k.lower() for k in cfg.label_keywords)
+    near = words.touching(hull.top - m, hull.top) + words.touching(hull.bottom, hull.bottom + m)
+    return any(
+        hull.left - m <= w.box.right
+        and w.box.left <= hull.right + m
+        and w.text.lower().startswith(keywords)
+        for w in near
     )
 
 
@@ -162,13 +143,31 @@ def estimate_grid(cluster: SeparatorCluster) -> RoughGrid:
 
 
 def _strip_hits_separator(
-    l: float, t: float, r: float, b: float, separators: list[Separator]
+    separators: list[Separator], l: float, r: float, t: float, b: float
 ) -> bool:
     for s in separators:
         sb = s.box
         if sb.left < r and l < sb.right and sb.top < b and t < sb.bottom:
             return True
     return False
+
+
+def _middle(a: int, b: int) -> tuple[float, float]:
+    """The middle PROBE_SPAN_FRACTION of [a, b], along which a probe strip runs."""
+    inset = (b - a) * (1.0 - PROBE_SPAN_FRACTION) / 2.0
+    return a + inset, b - inset
+
+
+def column_runs(n_cols: int, joined: set[int]) -> list[tuple[int, int]]:
+    """Maximal runs ``(first, last)`` of the columns ``0 .. n_cols - 1``;
+    column ``j + 1`` continues the run of column ``j`` iff ``j`` is in ``joined``."""
+    runs = []
+    first = 0
+    for j in range(n_cols):
+        if j + 1 == n_cols or j not in joined:
+            runs.append((first, j))
+            first = j + 1
+    return runs
 
 
 def refine_grid(
@@ -178,73 +177,48 @@ def refine_grid(
 ) -> RecognizedTable:
     """Merge rough cells not separated by a ruling into final cells.
 
-    Left-to-right first, then top-down; a top-down merge additionally
-    requires equal column spans, which keeps every cell rectangular.
+    Each row splits into runs of columns with no vertical ruling between
+    them; a cell then extends downward while the next row has the same
+    run and no horizontal ruling crosses the run between the two rows,
+    which keeps every cell rectangular.
     """
     rb, cb = grid.row_borders, grid.col_borders
     n_rows, n_cols = len(rb) - 1, len(cb) - 1
-    verticals = cluster.verticals
-    horizontals = cluster.horizontals
+    verticals, horizontals = cluster.verticals, cluster.horizontals
+    half = PROBE_HALF_WIDTH
 
-    uf = UnionFind(n_rows * n_cols)
-    pos = lambda i, j: i * n_cols + j
-
+    runs = []
     for i in range(n_rows):
-        y0, y1 = rb[i], rb[i + 1]
-        inset = (y1 - y0) * (1.0 - PROBE_SPAN_FRACTION) / 2.0
-        st, sb_ = y0 + inset, y1 - inset
-        for j in range(n_cols - 1):
-            x = cb[j + 1]
+        t, b = _middle(rb[i], rb[i + 1])
+        joined = {
+            j
+            for j in range(n_cols - 1)
+            if not _strip_hits_separator(verticals, cb[j + 1] - half, cb[j + 1] + half, t, b)
+        }
+        runs.append(column_runs(n_cols, joined))
+    # joins_below[i]: the runs of row i whose cell continues into row i + 1
+    joins_below = [
+        {
+            (cs, ce)
+            for cs, ce in set(runs[i]) & set(runs[i + 1])
             if not _strip_hits_separator(
-                x - PROBE_HALF_WIDTH, st, x + PROBE_HALF_WIDTH, sb_, verticals
-            ):
-                uf.union(pos(i, j), pos(i, j + 1))
-
-    # runs per row as produced by the horizontal pass
-    def row_runs(i: int) -> list[tuple[int, int]]:
-        runs = []
-        j = 0
-        while j < n_cols:
-            k = j
-            while k + 1 < n_cols and uf.find(pos(i, k + 1)) == uf.find(pos(i, j)):
-                k += 1
-            runs.append((j, k))
-            j = k + 1
-        return runs
-
-    runs_by_row = [row_runs(i) for i in range(n_rows)]
-    for i in range(n_rows - 1):
-        below = {run[0]: run for run in runs_by_row[i + 1]}
-        for cs, ce in runs_by_row[i]:
-            if below.get(cs) != (cs, ce):
-                continue  # unequal column spans never merge
-            x0, x1 = cb[cs], cb[ce + 1]
-            inset = (x1 - x0) * (1.0 - PROBE_SPAN_FRACTION) / 2.0
-            y = rb[i + 1]
-            if not _strip_hits_separator(
-                x0 + inset, y - PROBE_HALF_WIDTH, x1 - inset, y + PROBE_HALF_WIDTH, horizontals
-            ):
-                uf.union(pos(i, cs), pos(i + 1, cs))
-
-    spans: dict[int, list[int]] = {}
-    for i in range(n_rows):
-        for j in range(n_cols):
-            root = uf.find(pos(i, j))
-            if root not in spans:
-                spans[root] = [i, i, j, j, 0]
-            s = spans[root]
-            s[0], s[1] = min(s[0], i), max(s[1], i)
-            s[2], s[3] = min(s[2], j), max(s[3], j)
-            s[4] += 1
+                horizontals, *_middle(cb[cs], cb[ce + 1]), rb[i + 1] - half, rb[i + 1] + half
+            )
+        }
+        for i in range(n_rows - 1)
+    ] + [set()]
 
     cells: list[Cell] = []
-    for rs, re_, cs, ce, count in spans.values():
-        if count != (re_ - rs + 1) * (ce - cs + 1):  # merged cells stay rectangular
-            raise AssertionError("non-rectangular merge")
-        cells.append(
-            make_cell(BoundingBox(cb[cs], rb[rs], cb[ce + 1], rb[re_ + 1]), rs, re_, cs, ce)
-        )
-    cells.sort(key=lambda c: (c.row_start, c.col_start))
+    for i in range(n_rows):
+        for cs, ce in runs[i]:
+            if i and (cs, ce) in joins_below[i - 1]:
+                continue  # the cell starting above already covers this run
+            re_ = i
+            while (cs, ce) in joins_below[re_]:
+                re_ += 1
+            cells.append(
+                make_cell(BoundingBox(cb[cs], rb[i], cb[ce + 1], rb[re_ + 1]), i, re_, cs, ce)
+            )
     cells = assign_words_to_cells(cells, words)
 
     return RecognizedTable(
@@ -265,9 +239,7 @@ def recognize_separator_tables(
     tables: list[RecognizedTable] = []
     diagnostics: list[str] = []
     for cluster in merge_separators(list(layout.separators), cfg.separator_expand_px):
-        labeled = assign_table_label(
-            cluster.hull, label_candidates(index, cluster.hull, cfg), cfg
-        )
+        labeled = has_table_label(index, cluster.hull, cfg)
         if cfg.require_labels_separator and not labeled:
             diagnostics.append(
                 f"separator candidate at {cluster.hull.as_tuple()} dropped: no table label"

@@ -5,7 +5,7 @@ from tabgrid.evaluate import adjacency_relations
 
 
 def relation_counts(table) -> Counter:
-    return Counter(r.triple for r in adjacency_relations(table))
+    return Counter(adjacency_relations(table))
 
 
 def make_rng(seed: int) -> random.Random:

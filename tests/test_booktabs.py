@@ -1,9 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabgrid.booktabs import (
-    HeaderLevels,
+    HeaderLevel,
+    RuleTriple,
+    build_booktabs_grid,
     compute_column_threshold,
     find_rule_triples,
     group_inner_rules,
@@ -13,6 +17,7 @@ from tabgrid.booktabs import (
     segment_rows,
     vertical_profile,
 )
+from tabgrid.dsu import UnionFind
 from tabgrid.errors import EmptyBody, InsufficientContext
 from tabgrid.fixtures import gen_booktabs_page
 from tabgrid.geometry import box
@@ -37,7 +42,7 @@ CFG = RecognizerConfig()
 
 def test_three_aligned_rules_form_one_triple():
     rules = [h_rule(100, 100, 500), h_rule(100, 150, 500), h_rule(100, 300, 500)]
-    triples = find_rule_triples(rules, CFG)
+    triples = find_rule_triples(rules)
     assert len(triples) == 1
     t = triples[0]
     assert t.top.box.center[1] == 100
@@ -54,7 +59,7 @@ def test_short_rules_between_top_and_middle_become_inner():
         h_rule(100, 150, 500),
         h_rule(100, 300, 500),
     ]
-    triples = find_rule_triples(rules, CFG)
+    triples = find_rule_triples(rules)
     assert len(triples) == 1
     assert len(triples[0].inner_rules) == 2
 
@@ -62,22 +67,22 @@ def test_short_rules_between_top_and_middle_become_inner():
 def test_misaligned_middle_rule_blocks_triple():
     # middle rule 40% narrower than the others: no compatible triple
     rules = [h_rule(100, 100, 500), h_rule(100, 150, 340), h_rule(100, 300, 500)]
-    assert find_rule_triples(rules, CFG) == []
+    assert find_rule_triples(rules) == []
 
 
 def test_alignment_tolerance_scales_with_width():
     # 2% of a 1000 px rule is 20 px: edges 15 px apart still align
     rules = [h_rule(0, 100, 1000), h_rule(15, 150, 995), h_rule(5, 300, 1000)]
-    assert len(find_rule_triples(rules, CFG)) == 1
+    assert len(find_rule_triples(rules)) == 1
     # but on a 100 px rule the tolerance is max(5, 2) = 5: 15 px breaks it
     rules = [h_rule(0, 100, 100), h_rule(15, 150, 100), h_rule(0, 300, 100)]
-    assert find_rule_triples(rules, CFG) == []
+    assert find_rule_triples(rules) == []
 
 
 def test_greedy_scan_takes_first_compatible_pair():
     # four aligned rules: the first three are consumed, the fourth stays free
     rules = [h_rule(0, y, 400) for y in (100, 150, 300, 360)]
-    triples = find_rule_triples(rules, CFG)
+    triples = find_rule_triples(rules)
     assert len(triples) == 1
     assert triples[0].bottom.box.center[1] == 300
 
@@ -85,7 +90,7 @@ def test_greedy_scan_takes_first_compatible_pair():
 def test_two_stacked_tables_found_in_one_pass():
     rules = [h_rule(0, y, 400) for y in (100, 150, 300)]
     rules += [h_rule(0, y, 400) for y in (500, 540, 700)]
-    triples = find_rule_triples(rules, CFG)
+    triples = find_rule_triples(rules)
     assert len(triples) == 2
     assert [t.top.box.center[1] for t in triples] == [100, 500]
 
@@ -100,22 +105,19 @@ def test_inner_rules_cluster_into_levels():
             h_rule(0, 160, 400),
             h_rule(0, 300, 400),
         ],
-        CFG,
     )[0]
     levels = group_inner_rules(t)
-    assert levels.header_row_count == 3  # two grouping levels + the title row
-    assert len(levels.levels) == 2
-    assert len(levels.levels[0].rules) == 2
-    assert len(levels.levels[1].rules) == 1
+    assert len(levels) == 2
+    assert len(levels[0].rules) == 2
+    assert len(levels[1].rules) == 1
 
 
 def test_no_inner_rules_single_header_row():
     t = find_rule_triples(
-        [h_rule(0, 100, 400), h_rule(0, 150, 400), h_rule(0, 300, 400)], CFG
+        [h_rule(0, 100, 400), h_rule(0, 150, 400), h_rule(0, 300, 400)]
     )[0]
     levels = group_inner_rules(t)
-    assert levels.levels == ()
-    assert levels.header_row_count == 1
+    assert levels == ()
 
 
 # ---------------------------------------------------------------------------
@@ -295,3 +297,80 @@ def test_booktabs_requires_body_region():
     tables, diags = recognize_booktabs_tables(page, CFG)
     assert tables == []
     assert diags  # explains why the candidate was dropped
+
+
+# ---------------------------------------------------------------------------
+# build_booktabs_grid against the per-level union-find it replaced
+
+
+def header_cells_oracle(triple, levels, body, xs):
+    """Per header level, a union-find joins every column range a grouping
+    rule overlaps; every other row is one cell per column."""
+    mid_y = int(triple.middle.box.center[1] + 0.5)
+    level_centers = [(lv.band[0] + lv.band[1]) // 2 for lv in levels]
+    ys = [triple.top.box.top, *level_centers, mid_y, *body, triple.bottom.box.bottom]
+    n_rows, n_cols = len(ys) - 1, len(xs) - 1
+    cells = []
+    for r in range(n_rows):
+        uf = UnionFind(n_cols)
+        for rule in levels[r].rules if r < len(levels) else ():
+            covered = [
+                j
+                for j in range(n_cols)
+                if min(rule.box.right, xs[j + 1]) - max(rule.box.left, xs[j]) > 0
+            ]
+            for a, b in zip(covered, covered[1:]):
+                uf.union(a, b)
+        j = 0
+        while j < n_cols:
+            k = j
+            while k + 1 < n_cols and uf.find(k + 1) == uf.find(j):
+                k += 1
+            cells.append((r, j, k, (xs[j], ys[r], xs[k + 1], ys[r + 1])))
+            j = k + 1
+    return cells
+
+
+@st.composite
+def header_layouts(draw):
+    """A booktabs triple over random columns whose header levels hold
+    grouping rules over random column ranges, drawn a few pixels inside or
+    past the range's borders, so that rules overlap, abut or stay apart."""
+    n_cols = draw(st.integers(1, 7))
+    xs = [100]
+    for _ in range(n_cols):
+        xs.append(xs[-1] + draw(st.integers(12, 60)))
+    n_levels = draw(st.integers(1, 3))
+    levels = []
+    for k in range(n_levels):
+        y = 110 + 10 * k
+        rules = []
+        for _ in range(draw(st.integers(0, 4))):
+            a = draw(st.integers(0, n_cols - 1))
+            b = draw(st.integers(a, n_cols - 1))
+            left = xs[a] + draw(st.integers(-4, 4))
+            right = max(xs[b + 1] + draw(st.integers(-4, 4)), left + 2)
+            rules.append(h_rule(left, y, right))
+        rules.sort(key=lambda s: (s.box.left, s.box.top))
+        levels.append(HeaderLevel(band=(y - 1, y + 1), rules=tuple(rules)))
+    mid_y = 110 + 10 * n_levels
+    triple = RuleTriple(
+        top=h_rule(xs[0], 100, xs[-1]),
+        middle=h_rule(xs[0], mid_y, xs[-1]),
+        bottom=h_rule(xs[0], mid_y + 40, xs[-1]),
+        inner_rules=tuple(r for lv in levels for r in lv.rules),
+    )
+    body = sorted(draw(st.sets(st.integers(mid_y + 2, mid_y + 38), max_size=3)))
+    return triple, tuple(levels), body, xs, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=header_layouts())
+def test_build_booktabs_grid_matches_union_find(case):
+    triple, levels, body, xs, labeled = case
+    table = build_booktabs_grid(triple, levels, body, xs[1:-1], labeled)
+    got = [(c.row_start, c.col_start, c.col_end, c.box.as_tuple()) for c in table.cells]
+    assert all(c.row_start == c.row_end for c in table.cells)
+    assert got == header_cells_oracle(triple, levels, body, xs)
+    assert table.header_row_count == len(levels) + 1
+    assert table.labeled is labeled

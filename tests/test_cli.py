@@ -303,6 +303,29 @@ def test_gen_fixtures_rejects_unknown_kind(tmp_path, capsys):
     assert "unknown fixture kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "page, message",
+    [
+        (
+            {"kind": "bordered", "rows": 3, "cols": 3,
+             "merges": [{"row": 1, "col": 0, "dir": "right"}, {"row": 0, "col": 1, "dir": "down"}]},
+            "shares cell (1, 1) with another merge",
+        ),
+        (
+            {"kind": "booktabs", "cols": 5, "cmidrule_levels": [[[0, 2], [2, 3]]]},
+            "cmidrules (0, 2) and (2, 3) overlap in one level",
+        ),
+    ],
+)
+def test_gen_fixtures_rejects_overlapping_merges_and_cmidrules(tmp_path, capsys, page, message):
+    spec = tmp_path / "spec.json"
+    dump_json(spec, {"pages": [{"file_id": "x", "page_nr": 1, **page}]})
+    rc = main(["gen-fixtures", str(spec), str(tmp_path / "c")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_interpret_validates_rules_before_writing(tmp_path, capsys):
     tables = tmp_path / "tables"
     tables.mkdir()

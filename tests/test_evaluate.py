@@ -5,7 +5,6 @@ import pytest
 
 from tabgrid.errors import DuplicateKey, EmptyCorpus
 from tabgrid.evaluate import (
-    Direction,
     PRF,
     adjacency_relations,
     cell_f1_at_iou,
@@ -53,7 +52,7 @@ def _grid_table(rows, origin=(0, 0), cw=50, rh=20):
 
 
 def rel_counts(table):
-    return Counter(r.triple for r in adjacency_relations(table))
+    return Counter(adjacency_relations(table))
 
 
 # ---------------------------------------------------------------------------
@@ -64,17 +63,17 @@ def test_filled_2x2_has_four_relations():
     t = _grid_table([["a", "b"], ["c", "d"]])
     triples = rel_counts(t)
     assert sum(triples.values()) == 4
-    assert triples[("a", "b", Direction.RIGHT.value)] == 1
-    assert triples[("c", "d", Direction.RIGHT.value)] == 1
-    assert triples[("a", "c", Direction.DOWN.value)] == 1
-    assert triples[("b", "d", Direction.DOWN.value)] == 1
+    assert triples[("a", "b", "right")] == 1
+    assert triples[("c", "d", "right")] == 1
+    assert triples[("a", "c", "down")] == 1
+    assert triples[("b", "d", "down")] == 1
 
 
 def test_blank_cells_are_skipped_not_related():
     # blank middle cell: a single Right relation jumps across it
     t = _grid_table([["a", None, "b"]])
     triples = rel_counts(t)
-    assert triples == Counter({("a", "b", Direction.RIGHT.value): 1})
+    assert triples == Counter({("a", "b", "right"): 1})
     # blank cells never originate relations
     t2 = _grid_table([[None, "x"]])
     assert sum(rel_counts(t2).values()) == 0
@@ -83,7 +82,7 @@ def test_blank_cells_are_skipped_not_related():
 def test_duplicate_contents_counted_with_multiplicity():
     t = _grid_table([["x", "x", "x"]])
     triples = rel_counts(t)
-    assert triples == Counter({("x", "x", Direction.RIGHT.value): 2})
+    assert triples == Counter({("x", "x", "right"): 2})
 
 
 def test_spanning_cell_relates_once_per_direction():
@@ -99,9 +98,9 @@ def test_spanning_cell_relates_once_per_direction():
         labeled=True, source=TableSource.SEPARATOR, header_row_count=0,
     )
     triples = rel_counts(t)
-    assert triples[("tall", "r0", Direction.RIGHT.value)] == 1
-    assert ("tall", "r1", Direction.RIGHT.value) not in triples
-    assert triples[("r0", "r1", Direction.DOWN.value)] == 1
+    assert triples[("tall", "r0", "right")] == 1
+    assert ("tall", "r1", "right") not in triples
+    assert triples[("r0", "r1", "down")] == 1
     assert sum(triples.values()) == 2
 
 

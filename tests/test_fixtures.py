@@ -7,9 +7,11 @@ import random
 import pytest
 
 from tabgrid.errors import ConfigError
+from tabgrid.evaluate import recognition_score
 from tabgrid.fixtures import (
     MergeSpec,
     build_corpus,
+    corpus_recognizer_config,
     default_meanings,
     gen_bordered_page,
     gen_booktabs_page,
@@ -17,7 +19,8 @@ from tabgrid.fixtures import (
     shift_separators,
 )
 from tabgrid.interpret import header_row_count_for
-from tabgrid.model import cell_grid, grid_is_tiled
+from tabgrid.model import RecognizerConfig, cell_grid, grid_is_tiled
+from tabgrid.pipeline import PageOrientation, recognize_page
 
 
 def _spec(**kw):
@@ -137,6 +140,76 @@ def test_merge_out_of_bounds_rejected():
         gen_bordered_page(rng, "m", 1, rows=2, cols=2, merges=[MergeSpec(1, 1, "right")])
     with pytest.raises(ConfigError):
         gen_bordered_page(rng, "m", 1, rows=2, cols=2, merges=[MergeSpec(1, 0, "down")])
+
+
+def _spans(table):
+    return sorted(
+        (c.row_start, c.row_end, c.col_start, c.col_end, c.content) for c in table.cells
+    )
+
+
+def test_interior_merges_keep_the_rest_of_their_borders():
+    # two merges cut two interior bands out of column border 1, one merge
+    # cuts row border 2; each border keeps every piece between the cuts
+    merges = [MergeSpec(1, 0, "right"), MergeSpec(3, 0, "right"), MergeSpec(1, 2, "down")]
+    page = gen_bordered_page(random.Random(5), "m", 1, rows=5, cols=4, merges=merges)
+    (want,) = page.gt.tables
+    xs = sorted({c.box.left for c in want.cells} | {want.region.right})
+    ys = sorted({c.box.top for c in want.cells} | {want.region.bottom})
+    seps = page.layout.separators
+    v = sorted((s.box.top, s.box.bottom) for s in seps if s.orientation.value == "v"
+               and s.box.center[0] == xs[1])
+    h = sorted((s.box.left, s.box.right) for s in seps if s.orientation.value == "h"
+               and s.box.center[1] == ys[2])
+    assert v == [(ys[0], ys[1]), (ys[2], ys[3]), (ys[4], ys[5])]
+    assert h == [(xs[0], xs[2]), (xs[3], xs[4])]
+    (got,) = recognize_page(page.layout, RecognizerConfig()).tables
+    assert _spans(got) == _spans(want)
+
+
+def test_docs_fixture_page_scores_its_own_ground_truth():
+    # doc_a of the fixture spec in docs/formats.md: vertical, 5 x 4, a merge in row 1
+    doc_a = {
+        "kind": "bordered", "file_id": "doc_a", "page_nr": 1, "rows": 5, "cols": 4,
+        "labeled": True, "interpretation": True, "orientation": "vertical",
+        "merges": [{"row": 1, "col": 0, "dir": "right"}],
+    }
+    (page,) = generate_pages(_spec(seed=7, pages=[doc_a]))
+    got = recognize_page(page.layout, corpus_recognizer_config(), PageOrientation.VERTICAL)
+    assert recognition_score(page.gt.tables, list(got.tables)).f1 == 1.0
+
+
+def test_merges_that_share_a_cell_rejected():
+    rng = random.Random(0)
+    for merges in (
+        [MergeSpec(1, 0, "right"), MergeSpec(1, 1, "down")],
+        [MergeSpec(0, 1, "down"), MergeSpec(1, 0, "right")],
+        [MergeSpec(0, 0, "right"), MergeSpec(0, 0, "right")],
+    ):
+        with pytest.raises(ConfigError, match="shares cell"):
+            gen_bordered_page(rng, "m", 1, rows=3, cols=3, merges=merges)
+
+
+def test_merges_that_remove_a_whole_border_rejected():
+    rng = random.Random(0)
+    for rows, cols, merges in (
+        (2, 3, [MergeSpec(0, 0, "right"), MergeSpec(1, 0, "right")]),
+        (1, 3, [MergeSpec(0, 1, "right")]),
+        (3, 2, [MergeSpec(0, 0, "down"), MergeSpec(0, 1, "down")]),
+    ):
+        with pytest.raises(ConfigError, match="whole grid border"):
+            gen_bordered_page(rng, "m", 1, rows=rows, cols=cols, merges=merges)
+
+
+def test_overlapping_cmidrules_in_one_level_rejected():
+    rng = random.Random(0)
+    with pytest.raises(ConfigError, match="overlap in one level"):
+        gen_booktabs_page(rng, "bt", 1, rows=3, cols=5, cmidrule_levels=[[(2, 3), (0, 2)]])
+    # abutting spans in one level and overlapping spans in two levels are fine
+    page = gen_booktabs_page(
+        rng, "bt", 1, rows=3, cols=5, cmidrule_levels=[[(0, 1), (2, 3)], [(1, 2)]]
+    )
+    assert grid_is_tiled(page.gt.tables[0])
 
 
 def test_unlabeled_page_marks_expected_missed():

@@ -13,12 +13,14 @@ from tabgrid.model import (
     Separator,
     SeparatorOrientation,
     Word,
+    WordIndex,
 )
 from tabgrid.separator import (
+    RoughGrid,
     SeparatorCluster,
     _sort_key,
-    assign_table_label,
     estimate_grid,
+    has_table_label,
     merge_separators,
     recognize_separator_tables,
     refine_grid,
@@ -224,10 +226,10 @@ def test_label_detection_bands():
     below = Word(box=box(100, 210, 150, 226), text="TAB. 7")
     far = Word(box=box(100, 10, 150, 26), text="Table 1:")
     wrong = Word(box=box(100, 70, 150, 86), text="Figure 2:")
-    assert assign_table_label(hull, [above], cfg)
-    assert assign_table_label(hull, [below], cfg)
-    assert not assign_table_label(hull, [far], cfg)
-    assert not assign_table_label(hull, [wrong], cfg)
+    assert has_table_label(WordIndex((above,)), hull, cfg)
+    assert has_table_label(WordIndex((below,)), hull, cfg)
+    assert not has_table_label(WordIndex((far,)), hull, cfg)
+    assert not has_table_label(WordIndex((wrong,)), hull, cfg)
 
 
 def test_recognize_separator_tables_end_to_end():
@@ -268,3 +270,130 @@ def test_random_bordered_grids_recovered_exactly():
         want_cells = {(c.row_start, c.row_end, c.col_start, c.col_end): (c.content, c.box)
                       for c in want.cells}
         assert got_cells == want_cells
+
+
+def test_label_band_stops_at_its_widened_edges():
+    # the bands reach label_search_margin_px (50) past the hull's left and
+    # right edges; a keyword word at the band's height beyond that misses
+    cfg = RecognizerConfig()
+    hull = box(100, 100, 300, 200)
+    for left, right, found in [
+        (351, 400, False),  # starts 1 px past the right edge of the band
+        (350, 400, True),  # touches it
+        (0, 49, False),  # ends 1 px before the left edge
+        (0, 50, True),
+    ]:
+        for top in (70, 210):  # above and below the hull
+            word = Word(box=box(left, top, right, top + 16), text="Table 4:")
+            assert has_table_label(WordIndex((word,)), hull, cfg) is found, (left, top)
+
+
+# ---------------------------------------------------------------------------
+# refine_grid against the union-find it replaced
+
+
+def refine_grid_oracle(grid, cluster):
+    """Union-find over every rough cell: join left-right where no vertical
+    ruling crosses the probe, then top-down between rows whose column runs
+    are equal and where no horizontal ruling crosses the probe."""
+    rb, cb = grid.row_borders, grid.col_borders
+    n_rows, n_cols = len(rb) - 1, len(cb) - 1
+
+    def hits(l, t, r, b, seps):
+        return any(
+            s.box.left < r and l < s.box.right and s.box.top < b and t < s.box.bottom
+            for s in seps
+        )
+
+    uf = UnionFind(n_rows * n_cols)
+    for i in range(n_rows):
+        inset = (rb[i + 1] - rb[i]) * 0.4 / 2.0
+        for j in range(n_cols - 1):
+            x = cb[j + 1]
+            if not hits(x - 2.0, rb[i] + inset, x + 2.0, rb[i + 1] - inset, cluster.verticals):
+                uf.union(i * n_cols + j, i * n_cols + j + 1)
+
+    def row_runs(i):
+        runs, j = [], 0
+        while j < n_cols:
+            k = j
+            while k + 1 < n_cols and uf.find(i * n_cols + k + 1) == uf.find(i * n_cols + j):
+                k += 1
+            runs.append((j, k))
+            j = k + 1
+        return runs
+
+    runs_by_row = [row_runs(i) for i in range(n_rows)]
+    for i in range(n_rows - 1):
+        below = {run[0]: run for run in runs_by_row[i + 1]}
+        for cs, ce in runs_by_row[i]:
+            if below.get(cs) != (cs, ce):
+                continue
+            inset = (cb[ce + 1] - cb[cs]) * 0.4 / 2.0
+            y = rb[i + 1]
+            if not hits(cb[cs] + inset, y - 2.0, cb[ce + 1] - inset, y + 2.0, cluster.horizontals):
+                uf.union(i * n_cols + cs, (i + 1) * n_cols + cs)
+
+    spans = {}
+    for i in range(n_rows):
+        for j in range(n_cols):
+            s = spans.setdefault(uf.find(i * n_cols + j), [i, i, j, j, 0])
+            s[0], s[1] = min(s[0], i), max(s[1], i)
+            s[2], s[3] = min(s[2], j), max(s[3], j)
+            s[4] += 1
+    cells = []
+    for rs, re_, cs, ce, count in spans.values():
+        assert count == (re_ - rs + 1) * (ce - cs + 1), "non-rectangular merge"
+        cells.append((rs, re_, cs, ce, (cb[cs], rb[rs], cb[ce + 1], rb[re_ + 1])))
+    return sorted(cells, key=lambda c: (c[0], c[2]))
+
+
+@st.composite
+def partial_rulings(draw):
+    """A rough grid and a ruling set in which each stretch of each border,
+    one cell long, is drawn, left out or drawn too short to meet the probe;
+    an erased rectangle adds a merged cell spanning rows and columns."""
+    n_rows, n_cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    xs = [0]
+    for _ in range(n_cols):
+        xs.append(xs[-1] + draw(st.integers(10, 60)))
+    ys = [0]
+    for _ in range(n_rows):
+        ys.append(ys[-1] + draw(st.integers(10, 60)))
+    r0, c0 = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+    r1, c1 = draw(st.integers(r0, n_rows - 1)), draw(st.integers(c0, n_cols - 1))
+    density = draw(st.sampled_from([0.3, 0.6, 0.85]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def stretch(a, b):
+        """(start, end) of the ruling drawn along [a, b], or None."""
+        if rng.random() > density:
+            return None
+        if rng.random() < 0.15:  # a stub at one end that the probe misses
+            return (a, a + 2) if rng.random() < 0.5 else (b - 2, b)
+        return (a, b)
+
+    seps = []
+    for j, x in enumerate(xs):
+        for i in range(n_rows):
+            inside = 0 < j < len(xs) - 1 and r0 <= i <= r1 and c0 < j <= c1
+            piece = (ys[i], ys[i + 1]) if j in (0, n_cols) else stretch(ys[i], ys[i + 1])
+            if piece and not inside:
+                seps.append(v_sep(x, *piece))
+    for i, y in enumerate(ys):
+        for j in range(n_cols):
+            inside = 0 < i < len(ys) - 1 and c0 <= j <= c1 and r0 < i <= r1
+            piece = (xs[j], xs[j + 1]) if i in (0, n_rows) else stretch(xs[j], xs[j + 1])
+            if piece and not inside:
+                seps.append(h_sep(piece[0], y, piece[1]))
+    grid = RoughGrid(tuple(ys), tuple(xs))
+    return grid, SeparatorCluster(raw_members=tuple(seps), hull=box(0, 0, xs[-1], ys[-1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=partial_rulings())
+def test_refine_grid_matches_union_find(case):
+    grid, cluster = case
+    table = refine_grid(grid, cluster)
+    got = [(c.row_start, c.row_end, c.col_start, c.col_end, c.box.as_tuple()) for c in table.cells]
+    assert got == refine_grid_oracle(grid, cluster)
