@@ -20,6 +20,7 @@ import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .corpusio import (
@@ -33,8 +34,9 @@ from .corpusio import (
     read_tuple_set,
     write_tuple_set,
 )
-from .errors import ConfigError, DuplicateKey, TabgridError
+from .errors import ConfigError, DuplicateKey, EmptyCorpus, TabgridError
 from .evaluate import (
+    PRF,
     cell_score,
     corpus_average,
     interpretation_score,
@@ -86,6 +88,11 @@ def _json_files(directory: Path) -> list[Path]:
 # 2.5 ms, so two workers win that back from about 40 files on: each worker
 # needs about 20 files to pay for itself.
 MIN_FILES_PER_WORKER = 20
+# Reading and scoring a pair of one-table pages takes about 0.9 ms, so eval
+# needs far more items than recognize before a pool pays.  Measured on 2
+# shared cores, `eval recognition` in two workers lost to one process at
+# 240 pairs and won at 360: two workers need about 280 pairs.
+MIN_PAIRS_PER_WORKER = 140
 
 
 def _cores() -> int:
@@ -93,17 +100,17 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _attempt(work, path: Path) -> tuple[str, str | None, bool, object]:
-    """``(name, message, crashed, value)`` of ``work(path)``; never raises."""
+def _attempt(work, item) -> tuple[str, str | None, bool, object]:
+    """``(item.name, message, crashed, value)`` of ``work(item)``; never raises."""
     try:
-        return path.name, None, False, work(path)
+        return item.name, None, False, work(item)
     except _INPUT_ERRORS as exc:
-        return path.name, str(exc), False, None
+        return item.name, str(exc), False, None
     except Exception as exc:
-        return path.name, f"{type(exc).__name__}: {exc}", True, None
+        return item.name, f"{type(exc).__name__}: {exc}", True, None
 
 
-_worker_work = None  # the per-file function of this pool worker
+_worker_work = None  # the per-item function of this pool worker
 
 
 def _init_worker(work) -> None:
@@ -111,22 +118,23 @@ def _init_worker(work) -> None:
     _worker_work = work
 
 
-def _attempt_in_worker(path: Path) -> tuple[str, str | None, bool, object]:
-    return _attempt(_worker_work, path)
+def _attempt_in_worker(item) -> tuple[str, str | None, bool, object]:
+    return _attempt(_worker_work, item)
 
 
-def _attempt_in_pool(files: list[Path], work, workers: int) -> list[tuple]:
-    """``_attempt`` over ``files`` in ``workers`` forked processes, in file order.
+def _attempt_in_pool(items: list, work, workers: int) -> list[tuple]:
+    """``_attempt`` over ``items`` in ``workers`` forked processes, in order.
 
-    ``work`` reaches the workers through fork, so it need not pickle.  If a
-    worker dies, every file without a result is reported as crashed.
+    ``work`` reaches the workers through fork, so it need not pickle; the
+    items and what ``work`` returns do.  If a worker dies, every item
+    without a result is reported as crashed.
     """
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
     results: list[tuple] = []
-    chunksize = -(-len(files) // (4 * workers))  # a few chunks per worker even out page costs
+    chunksize = -(-len(items) // (4 * workers))  # a few chunks per worker even out item costs
     with ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -134,28 +142,33 @@ def _attempt_in_pool(files: list[Path], work, workers: int) -> list[tuple]:
         initargs=(work,),
     ) as pool:
         try:
-            for result in pool.map(_attempt_in_worker, files, chunksize=chunksize):
+            for result in pool.map(_attempt_in_worker, items, chunksize=chunksize):
                 results.append(result)
         except BrokenProcessPool as exc:
             lost = f"{type(exc).__name__}: {exc}"
-            results += [(p.name, lost, True, None) for p in files[len(results):]]
+            results += [(item.name, lost, True, None) for item in items[len(results):]]
     return results
+
+
+def _attempt_all(items: list, work, max_workers: int, min_per_worker: int) -> list[tuple]:
+    """``_attempt`` over ``items``, in order, in up to ``max_workers``
+    processes, but in this one unless every worker gets ``min_per_worker``
+    items."""
+    workers = min(max_workers, len(items) // min_per_worker)
+    if workers > 1:
+        return _attempt_in_pool(items, work, workers)
+    return [_attempt(work, item) for item in items]
 
 
 def _run_per_file(files: list[Path], work, max_workers: int) -> tuple[int, list]:
     """Call ``work(path)`` for every file; one bad file never ends the run.
 
-    Runs in up to ``max_workers`` processes, but in this one unless every
-    worker gets ``MIN_FILES_PER_WORKER`` files.  Prints one sorted
-    ``error: <file>: <msg>`` line per failed file and returns the exit
-    code (0, 2 if any file is invalid input, 1 if any file crashed) and
-    the values ``work`` returned, in file order.
+    Runs in worker processes when every worker gets ``MIN_FILES_PER_WORKER``
+    files.  Prints one sorted ``error: <file>: <msg>`` line per failed file
+    and returns the exit code (0, 2 if any file is invalid input, 1 if any
+    file crashed) and the values ``work`` returned, in file order.
     """
-    workers = min(max_workers, len(files) // MIN_FILES_PER_WORKER)
-    if workers > 1:
-        results = _attempt_in_pool(files, work, workers)
-    else:
-        results = [_attempt(work, path) for path in files]
+    results = _attempt_all(files, work, max_workers, MIN_FILES_PER_WORKER)
     errors = sorted((name, message) for name, message, _, _ in results if message is not None)
     for name, message in errors:
         print(f"error: {name}: {message}", file=sys.stderr)
@@ -290,41 +303,35 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
 # eval
 
 
-def _load_eval_dir(directory: Path, tuple_sets: bool) -> dict:
-    """Page tables keyed by ``(file_id, page_nr)`` or, with ``tuple_sets``,
-    tuple sets keyed by ``(file_id, page_nr, table_idx)``, as the files say.
-    A file whose name disagrees with its key, or two files with the same
-    key, are invalid input."""
+def _eval_files(directory: Path, parse_name) -> list[Path]:
     files = _json_files(directory)
-    _check_unique_names(directory, files, parse_tuple_name if tuple_sets else parse_layout_name)
-    loaded: dict = {}
-    for path in files:
-        if tuple_sets:
-            named = parse_tuple_name(path.name)
-            if named is None:
-                raise TabgridError(
-                    f"tuple file name not of the form <id>_page<NR>_table<IDX>.json: {path.name}"
-                )
-            item = read_tuple_set(path)
-            key = (item.file_id, item.page_nr, item.table_idx)
-            _check_name(path, named, key)
-        else:
-            item = _read_page_tables(path)
-            key = (item.file_id, item.page_nr)
-        loaded[key] = item
-    return loaded
+    _check_unique_names(directory, files, parse_name)
+    return files
 
 
-def _load_eval_dirs(args: argparse.Namespace, tuple_sets: bool = False) -> tuple[dict, dict]:
-    """Ground truth and predictions; with ``--strict``, every key must be on both sides."""
-    gt = _load_eval_dir(Path(args.gt_dir), tuple_sets)
-    pred = _load_eval_dir(Path(args.pred_dir), tuple_sets)
-    if args.strict:
-        lines = [f"missing prediction for {_key_name(k)}" for k in sorted(gt.keys() - pred)]
-        lines += [f"missing ground truth for {_key_name(k)}" for k in sorted(pred.keys() - gt)]
-        if lines:
-            raise TabgridError("; ".join(lines))
-    return gt, pred
+def _check_not_empty(args: argparse.Namespace, gt, pred) -> None:
+    if not gt and not pred:
+        raise EmptyCorpus(f"no files to score in {args.gt_dir} or {args.pred_dir}")
+
+
+def _check_strict(gt_keys, pred_keys) -> None:
+    """With ``--strict``, every key must be on both sides."""
+    lines = [f"missing prediction for {_key_name(k)}" for k in sorted(gt_keys - pred_keys)]
+    lines += [f"missing ground truth for {_key_name(k)}" for k in sorted(pred_keys - gt_keys)]
+    if lines:
+        raise TabgridError("; ".join(lines))
+
+
+class _PagePair(NamedTuple):
+    """The ground-truth and predicted tables files of one page; either may be None."""
+
+    name: str  # <id>_pageNN
+    gt: Path | None
+    pred: Path | None
+
+
+class _Unscored(Exception):
+    """A page pair whose scoring failed unexpectedly, or whose worker died."""
 
 
 def _gt_tables(page: PageTables) -> list:
@@ -332,18 +339,72 @@ def _gt_tables(page: PageTables) -> list:
     return [t for t, missed in zip(page.tables, page.expected_missed) if not missed]
 
 
+def _score_page_pairs(args: argparse.Namespace, score) -> list[tuple[tuple[str, int], object]]:
+    """``(key, score(gt_tables, pred_tables))`` for every page of either
+    directory, in ``(file_id, page_nr)`` order; a page on one side only
+    scores against no tables.
+
+    Files pair by their ``<id>_page<NR>`` names, which the reader checks
+    against the pages they hold.  Each pair is read and scored on its own,
+    in worker processes when every worker gets ``MIN_PAIRS_PER_WORKER``
+    pairs, and only its counts come back.  Invalid input raises the fault
+    that reading the ground truth in name order, then the predictions,
+    would meet first; ``--strict`` pairing is checked after that.  A pair
+    that fails otherwise raises ``_Unscored``.
+    """
+    gt_dir, pred_dir = Path(args.gt_dir), Path(args.pred_dir)
+    gt_files = _eval_files(gt_dir, parse_layout_name)
+    try:
+        pred_files = _eval_files(pred_dir, parse_layout_name)
+    except _INPUT_ERRORS:
+        for path in gt_files:  # a fault in the ground truth comes first
+            _read_page_tables(path)
+        raise
+    _check_not_empty(args, gt_files, pred_files)
+    faults: list[tuple[int, str, str]] = []  # (side, file name, message); 0 is ground truth
+    by_key: dict[tuple[str, int], list] = {}
+    for side, files in enumerate((gt_files, pred_files)):
+        for path in files:
+            try:
+                by_key.setdefault(_page_name(path, "table"), [None, None])[side] = path
+            except TabgridError as exc:
+                faults.append((side, path.name, str(exc)))
+    keys = sorted(by_key)
+
+    def score_pair(pair: _PagePair):
+        pages = []
+        for side, path in enumerate((pair.gt, pair.pred)):
+            try:
+                pages.append(None if path is None else _read_page_tables(path))
+            except _INPUT_ERRORS as exc:
+                return (side, path.name, str(exc)), None
+        gt, pred = pages
+        return None, score(
+            [] if gt is None else _gt_tables(gt), [] if pred is None else list(pred.tables)
+        )
+
+    pairs = [_PagePair(_key_name(key), *by_key[key]) for key in keys]
+    results = _attempt_all(pairs, score_pair, args.max_workers, MIN_PAIRS_PER_WORKER)
+    for name, message, _, _ in results:
+        if message is not None:
+            raise _Unscored(f"{name}: {message}")
+    faults += [fault for _, _, _, (fault, _) in results if fault is not None]
+    if faults:
+        raise TabgridError(min(faults)[2])
+    if args.strict:
+        _check_strict(
+            {k for k in keys if by_key[k][0] is not None},
+            {k for k in keys if by_key[k][1] is not None},
+        )
+    return [(key, counts) for key, (_, _, _, (_, counts)) in zip(keys, results)]
+
+
 def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str]:
-    gt_pages, pred_pages = _load_eval_dirs(args)
-    gt_docs: dict[str, dict[int, list]] = {}
-    pred_docs: dict[str, dict[int, list]] = {}
-    for (fid, nr), page in gt_pages.items():
-        gt_docs.setdefault(fid, {})[nr] = _gt_tables(page)
-    for (fid, nr), page in pred_pages.items():
-        pred_docs.setdefault(fid, {})[nr] = list(page.tables)
-    per_doc = {
-        fid: recognition_score(gt_docs.get(fid, {}), pred_docs.get(fid, {}), args.iou_min)
-        for fid in sorted(set(gt_docs) | set(pred_docs))
-    }
+    per_doc: dict[str, PRF] = {}
+    for (fid, _), prf in _score_page_pairs(
+        args, lambda gt, pred: recognition_score(gt, pred, args.iou_min)
+    ):
+        per_doc[fid] = per_doc.get(fid, PRF()) + prf
     corpus = corpus_average(per_doc.values())
 
     lines = [f"document {fid}: {prf}" for fid, prf in per_doc.items()]
@@ -376,13 +437,12 @@ def _parse_cell_thresholds(text: str) -> tuple[float, ...]:
 
 def _eval_cells(args: argparse.Namespace) -> tuple[dict, str]:
     thresholds = _parse_cell_thresholds(args.cell_thresholds)
-    gt_pages, pred_pages = _load_eval_dirs(args)
-    by_t = cell_score(
-        {key: _gt_tables(page) for key, page in gt_pages.items()},
-        {key: list(page.tables) for key, page in pred_pages.items()},
-        args.iou_min,
-        thresholds,
-    )
+    by_t = dict.fromkeys(thresholds, PRF())
+    for _, counts in _score_page_pairs(
+        args, lambda gt, pred: cell_score({0: gt}, {0: pred}, args.iou_min, thresholds)
+    ):
+        for t, prf in counts.items():
+            by_t[t] += prf
     wavg = wavg_f1({t: prf.f1 for t, prf in by_t.items()})
     lines = [f"IoU>={t:g}: {prf}" for t, prf in by_t.items()]
     lines.append(f"WAvg-F1={wavg:.4f}")
@@ -395,8 +455,30 @@ def _eval_cells(args: argparse.Namespace) -> tuple[dict, str]:
     return report, "\n".join(lines)
 
 
+def _load_tuple_sets(directory: Path) -> dict:
+    """Tuple sets keyed by ``(file_id, page_nr, table_idx)``, as the files
+    say.  A file whose name disagrees with its key, or two files with the
+    same key, are invalid input."""
+    loaded: dict = {}
+    for path in _eval_files(directory, parse_tuple_name):
+        named = parse_tuple_name(path.name)
+        if named is None:
+            raise TabgridError(
+                f"tuple file name not of the form <id>_page<NR>_table<IDX>.json: {path.name}"
+            )
+        item = read_tuple_set(path)
+        key = (item.file_id, item.page_nr, item.table_idx)
+        _check_name(path, named, key)
+        loaded[key] = item
+    return loaded
+
+
 def _eval_interpretation(args: argparse.Namespace) -> tuple[dict, str]:
-    gt_sets, pred_sets = _load_eval_dirs(args, tuple_sets=True)
+    gt_sets = _load_tuple_sets(Path(args.gt_dir))
+    pred_sets = _load_tuple_sets(Path(args.pred_dir))
+    _check_not_empty(args, gt_sets, pred_sets)
+    if args.strict:
+        _check_strict(gt_sets.keys(), pred_sets.keys())
     prf = interpretation_score(list(gt_sets.values()), list(pred_sets.values()))
     return {"mode": "interpretation", **prf.fields()}, f"interpretation: {prf}"
 
@@ -404,12 +486,16 @@ def _eval_interpretation(args: argparse.Namespace) -> tuple[dict, str]:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if not 0.0 < args.iou_min <= 1.0:
         raise ConfigError(f"--iou-min must be in (0, 1], got {args.iou_min}")
-    if args.mode == "recognition":
-        report, text = _eval_recognition(args)
-    elif args.mode == "cells":
-        report, text = _eval_cells(args)
-    else:
-        report, text = _eval_interpretation(args)
+    try:
+        if args.mode == "recognition":
+            report, text = _eval_recognition(args)
+        elif args.mode == "cells":
+            report, text = _eval_cells(args)
+        else:
+            report, text = _eval_interpretation(args)
+    except _Unscored as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(text)
     if args.out:
         dump_json(Path(args.out), report)

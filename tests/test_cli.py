@@ -627,6 +627,18 @@ def test_eval_rejects_bad_iou_arguments(tmp_path, capsys, argv):
     assert err.startswith("error: --") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mode", ["recognition", "cells", "interpretation"])
+def test_eval_of_two_empty_directories_is_exit_2(tmp_path, capsys, mode):
+    gt, pred = tmp_path / "gt", tmp_path / "pred"
+    gt.mkdir()
+    pred.mkdir()
+    (pred / "run_manifest.json").write_text("{}")  # not a file to score
+    report = tmp_path / "report.json"
+    assert main(["eval", mode, str(gt), str(pred), "--out", str(report)]) == 2
+    assert capsys.readouterr() == ("", f"error: no files to score in {gt} or {pred}\n")
+    assert not report.exists()
+
+
 def _python(script, *args, timeout=60):
     """Run ``script`` in a new interpreter that imports this checkout's tabgrid."""
     src = str(Path(tabgrid.__file__).resolve().parents[1])
@@ -708,9 +720,34 @@ def _outputs(directory):
     return {p.name: p.read_bytes() for p in directory.iterdir() if p.name != "run_manifest.json"}
 
 
-def test_worker_processes_give_the_serial_outputs_and_errors(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools started on a host with 2 cores."""
     import concurrent.futures
 
+    asked = []
+
+    class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    return asked
+
+
+def _run(monkeypatch, argv, program):
+    """``main(argv)``, or ``main()`` run as a program with ``argv``."""
+    if not program:
+        return main(argv)
+    monkeypatch.setattr(sys, "argv", ["tabgrid", *argv])
+    return main()
+
+
+def test_worker_processes_give_the_serial_outputs_and_errors(
+    tmp_path, monkeypatch, capsys, pools
+):
     corpus = _pool_corpus(tmp_path)
     layouts = corpus / "layouts"
     (layouts / "broken_page01.json").write_text("{not json")
@@ -723,33 +760,18 @@ def test_worker_processes_give_the_serial_outputs_and_errors(tmp_path, monkeypat
             raise RuntimeError("boom")
         return real(layout, *args, **kwargs)
 
-    asked = []
-
-    class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            asked.append(max_workers)
-            super().__init__(max_workers, **kwargs)
-
-    def run(argv, program):
-        if not program:
-            return main(argv)
-        monkeypatch.setattr(sys, "argv", ["tabgrid", *argv])
-        return main()
-
     monkeypatch.setattr(cli, "recognize_page", flaky)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     rules = str(corpus / "rules.json")
     runs = {}
     for program in (False, True):  # main(argv) runs serially, the program in 2 workers
         pred, tuples = tmp_path / f"pred{program}", tmp_path / f"tuples{program}"
         capsys.readouterr()
-        rc_rec = run(["recognize", str(layouts), str(pred)], program)
+        rc_rec = _run(monkeypatch, ["recognize", str(layouts), str(pred)], program)
         rec = capsys.readouterr()
         (pred / "zz_page01.json").write_bytes(sorted(pred.glob("ri*.json"))[0].read_bytes())
-        rc_int = run(["interpret", str(pred), rules, str(tuples)], program)
+        rc_int = _run(monkeypatch, ["interpret", str(pred), rules, str(tuples)], program)
         runs[program] = (rc_rec, rec, rc_int, capsys.readouterr(), _outputs(pred), _outputs(tuples))
-    assert asked == [2, 2]
+    assert pools == [2, 2]
     assert runs[False] == runs[True]
     rc_rec, rec, rc_int, inter, pred_files, tuple_files = runs[True]
     errors = rec.err.splitlines()
@@ -795,25 +817,153 @@ def test_killed_worker_reports_unfinished_files(tmp_path, capsys):
     assert (out / "run_manifest.json").is_file()
 
 
+def _recognized_pool_corpus(tmp_path):
+    """Ground truth and predictions of ``_pool_corpus``."""
+    corpus = _pool_corpus(tmp_path)
+    pred = tmp_path / "pred"
+    assert main([
+        "recognize", str(corpus / "layouts"), str(pred),
+        "--config", str(corpus / "recognizer_config.json"),
+    ]) == 0
+    return corpus / "recognition_gt", pred
+
+
+@pytest.mark.parametrize("mode", ["recognition", "cells"])
+def test_eval_worker_processes_give_the_serial_results(
+    tmp_path, monkeypatch, capsys, pools, mode
+):
+    gt, pred = _recognized_pool_corpus(tmp_path)
+    sorted(pred.glob("rb*_page01.json"))[1].unlink()  # a missing prediction
+    extra = json.loads(sorted(pred.glob("ri*_page01.json"))[0].read_text())
+    dump_json(pred / "zz_page01.json", {**extra, "file_id": "zz"})  # no ground truth
+    altered = sorted(pred.glob("rb*_page01.json"))[4]
+    page = json.loads(altered.read_text())
+    cell = page["tables"][0]["cells"][0]
+    cell["box"][2] = (cell["box"][0] + cell["box"][2]) // 2
+    cell["content"] += " altered"
+    dump_json(altered, page)
+    monkeypatch.setattr(cli, "MIN_PAIRS_PER_WORKER", MIN)
+    capsys.readouterr()
+    runs = {}
+    for program in (False, True):  # main(argv) runs serially, the program in 2 workers
+        runs[program] = []
+        for strict in ([], ["--strict"]):
+            report = tmp_path / f"{mode}{program}{len(strict)}.json"
+            argv = ["eval", mode, str(gt), str(pred), "--out", str(report), *strict]
+            rc = _run(monkeypatch, argv, program)
+            written = report.read_bytes() if report.exists() else None
+            runs[program].append((rc, capsys.readouterr(), written))
+    assert pools == [2, 2]
+    assert runs[False] == runs[True]
+    (rc, text, written), (rc_strict, strict_text, strict_written) = runs[True]
+    assert rc == 0 and text.err == "" and written is not None
+    assert text.out.splitlines()[-1].split("F1=")[1][:6] < "1.0000"
+    assert rc_strict == 2 and strict_text.out == "" and strict_written is None
+    assert strict_text.err.startswith("error: missing prediction for rb")
+    assert strict_text.err.endswith("; missing ground truth for zz_page01\n")
+
+
+def test_eval_reports_the_ground_truth_fault_before_a_prediction_fault(
+    tmp_path, monkeypatch, capsys, pools
+):
+    gt, pred = _recognized_pool_corpus(tmp_path)
+    names = sorted(p.name for p in gt.glob("*.json"))
+    (pred / names[0]).write_text("{not json")  # in the first pair
+    _break_tiling(gt / names[-1])  # in the last pair
+    monkeypatch.setattr(cli, "MIN_PAIRS_PER_WORKER", MIN)
+    capsys.readouterr()
+    errors = []
+    for program in (False, True):
+        assert _run(monkeypatch, ["eval", "cells", str(gt), str(pred)], program) == 2
+        errors.append(capsys.readouterr())
+    assert pools == [2]
+    assert errors[0] == errors[1]
+    assert errors[0].out == "" and errors[0].err.count("\n") == 1
+    assert errors[0].err.startswith("error: ") and "cell span outside grid" in errors[0].err
+
+
+@pytest.mark.parametrize("mode", ["recognition", "cells"])
+def test_eval_reports_a_ground_truth_fault_before_a_missing_prediction_dir(
+    tmp_path, capsys, mode
+):
+    corpus = _make_corpus(tmp_path)
+    gt = corpus / "recognition_gt"
+    _break_tiling(sorted(gt.glob("*.json"))[-1])
+    assert main(["eval", mode, str(gt), str(tmp_path / "absent")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "cell span outside grid" in err and err.count("\n") == 1
+
+
+KILLED_EVAL_WORKER = """
+import os, sys
+from tabgrid import cli
+
+real = cli.recognition_score
+
+def dying(gt, pred, *args):
+    if not pred:  # the page whose prediction is missing
+        os._exit(3)
+    return real(gt, pred, *args)
+
+cli.recognition_score = dying
+cli.MIN_PAIRS_PER_WORKER = 10
+os.sched_getaffinity = lambda pid: {0, 1}
+sys.exit(cli.main())  # run as a program: one worker per core
+"""
+
+
+def test_killed_eval_worker_is_exit_1_without_a_report(tmp_path):
+    gt, pred = _recognized_pool_corpus(tmp_path)
+    sorted(pred.glob("*_page01.json"))[7].unlink()
+    report = tmp_path / "report.json"
+    argv = ["eval", "recognition", str(gt), str(pred), "--out", str(report)]
+    proc = _python(KILLED_EVAL_WORKER, *argv, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("error: ") and ": BrokenProcessPool: " in line
+    assert proc.stdout == "" and not report.exists()
+
+
+MIN_PAIRS = cli.MIN_PAIRS_PER_WORKER
+
+
 @pytest.mark.parametrize(
-    "program, files, cores, asked",
+    "command, program, items, cores, asked",
     [
-        (True, 3 * MIN, 1_000_000, [3]),
-        (True, 3 * MIN, 2, [2]),
-        (True, 2 * MIN - 1, 4, []),
-        (False, 3 * MIN, 4, []),  # cli.main(argv) stays in its own process
+        ("recognize", True, 3 * MIN, 1_000_000, [3]),
+        ("recognize", True, 3 * MIN, 2, [2]),
+        ("recognize", True, 2 * MIN - 1, 4, []),
+        ("recognize", False, 3 * MIN, 4, []),  # cli.main(argv) stays in its own process
+        ("eval", True, 3 * MIN_PAIRS, 1_000_000, [3]),  # two files a pair: pairs set the bound
+        ("eval", True, 3 * MIN_PAIRS, 2, [2]),
+        ("eval", True, 2 * MIN_PAIRS - 1, 4, []),
+        ("eval", False, 3 * MIN_PAIRS, 4, []),
     ],
-    ids=["bound-by-files", "bound-by-cores", "too-few-files", "main-argv"],
+    ids=[
+        "bound-by-files", "bound-by-cores", "too-few-files", "main-argv",
+        "eval-bound-by-pairs", "eval-bound-by-cores", "eval-too-few-pairs", "eval-main-argv",
+    ],
 )
 def test_pool_size_is_bounded_by_cores_and_files(
-    tmp_path, monkeypatch, capsys, program, files, cores, asked
+    tmp_path, monkeypatch, capsys, command, program, items, cores, asked
 ):
     import concurrent.futures
 
-    layouts = tmp_path / "layouts"
-    layouts.mkdir()
-    for i in range(files):
-        dump_json(layouts / f"p{i:03d}_page01.json", {"page_width": 100, "page_height": 100})
+    out = tmp_path / "out"
+    if command == "recognize":
+        layouts = tmp_path / "layouts"
+        layouts.mkdir()
+        for i in range(items):
+            dump_json(layouts / f"p{i:03d}_page01.json", {"page_width": 100, "page_height": 100})
+        argv, done = ["recognize", str(layouts), str(out)], f"recognized {items} page(s)"
+    else:
+        for side in ("gt", "pred"):
+            (tmp_path / side).mkdir()
+            for i in range(items):
+                page = {"file_id": f"p{i:03d}", "page_nr": 1, "tables": []}
+                dump_json(tmp_path / side / f"p{i:03d}_page01.json", page)
+        argv = ["eval", "recognition", str(tmp_path / "gt"), str(tmp_path / "pred")]
+        done = f"corpus ({items} documents): P=1.0000 R=1.0000 F1=1.0000"
     started = []
 
     class InProcessExecutor:
@@ -835,14 +985,12 @@ def test_pool_size_is_bounded_by_cores_and_files(
     monkeypatch.setattr(cli, "_worker_work", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cores))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
-    out = tmp_path / "out"
-    argv = ["recognize", str(layouts), str(out)]
     if program:
         monkeypatch.setattr(sys, "argv", ["tabgrid", *argv])
         assert main() == 0
     else:
         assert main(argv) == 0
     assert started == asked
-    assert f"recognized {files} page(s)" in capsys.readouterr().out
-    assert len(_outputs(out)) == files
-
+    assert done in capsys.readouterr().out
+    if command == "recognize":
+        assert len(_outputs(out)) == items

@@ -2,6 +2,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabgrid.errors import DuplicateKey, EmptyCorpus
 from tabgrid.evaluate import (
@@ -296,6 +298,48 @@ def test_cell_score_pools_pages_and_counts_unpaired_cells_at_every_threshold():
 
 def test_cell_score_without_pages_is_empty_counts():
     assert cell_score({}, {}, 0.5, (0.6, 0.7)) == {0.6: PRF(), 0.7: PRF()}
+
+
+# Tables on a coarse grid of origins and sizes, so that tables pair, pair
+# partially or stay unpaired, and cells overlap at many IoU values.
+@st.composite
+def tables(draw):
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows = [
+        [draw(st.sampled_from([None, " ", "a", "b", "c"])) for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+    origin = (draw(st.integers(0, 4)) * 10, draw(st.integers(0, 3)) * 10)
+    return _grid_table(rows, origin, cw=draw(st.sampled_from([30, 40])), rh=20)
+
+
+page_maps = st.dictionaries(st.integers(1, 4), st.lists(tables(), max_size=3), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gt=page_maps, pred=page_maps)
+def test_recognition_score_is_the_sum_of_its_pages(gt, pred):
+    per_page = [recognition_score(gt.get(nr, []), pred.get(nr, [])) for nr in gt.keys() | pred]
+    assert recognition_score(gt, pred) == sum(per_page, PRF())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gt=page_maps,
+    pred=page_maps,
+    thresholds=st.lists(st.sampled_from([0.5, 0.6, 0.7, 0.8, 0.9]), min_size=1, unique=True),
+)
+def test_cell_score_is_the_sum_of_its_pages(gt, pred, thresholds):
+    thresholds = tuple(thresholds)
+    pooled = cell_score(gt, pred, 0.5, thresholds)
+    for t in thresholds:
+        assert pooled[t] == sum(
+            (
+                cell_score({0: gt.get(nr, [])}, {0: pred.get(nr, [])}, 0.5, thresholds)[t]
+                for nr in gt.keys() | pred
+            ),
+            PRF(),
+        )
 
 
 def test_wavg_f1_weights_by_threshold():
