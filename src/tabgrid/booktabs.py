@@ -70,7 +70,8 @@ def _aligned(a: Separator, b: Separator) -> bool:
 def find_rule_triples(horizontals: list[Separator] | tuple[Separator, ...]) -> list[RuleTriple]:
     """Greedy top-down scan for aligned (top, middle, bottom) rule triples.
 
-    Left/right edges must agree within max(5 px, 2 % of rule width).
+    Each two of the three rules must have left and right edges that agree
+    within max(5 px, 2 % of the wider rule's width).
     Rules strictly between top and middle that overlap the triple's
     x-extent become its inner (grouping) rules.
     """

@@ -15,7 +15,8 @@ interpretation mode.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 from .errors import ConfigError
@@ -32,6 +33,7 @@ from .interpret import (
     MeaningConfig,
     RowTuple,
     TupleSet,
+    header_row_count_for,
     meaning_to_dict,
 )
 from .model import (
@@ -73,9 +75,14 @@ def _token(rng: random.Random, syllables: int | None = None) -> str:
     return "".join(rng.choice(_CONSONANTS) + rng.choice(_VOWELS) for _ in range(n))
 
 
-def _word(rng: random.Random, x: int, y: int, text: str, line_id: int) -> Word:
-    width = 7 * len(text) + rng.randint(0, 4)
-    return Word(box=BoundingBox(x, y, x + width, y + WORD_HEIGHT), text=text, line_id=line_id)
+def _word(
+    rng: random.Random, x: int, y: int, text: str, line_id: int, right: int | None = None
+) -> Word:
+    """A word at (x, y) about 7 px per character wide, cut at ``right``."""
+    end = x + 7 * len(text) + rng.randint(0, 4)
+    if right is not None:
+        end = min(end, right)
+    return Word(box=BoundingBox(x, y, end, y + WORD_HEIGHT), text=text, line_id=line_id)
 
 
 def _h_rule(x0: int, y: int, x1: int) -> Separator:
@@ -206,14 +213,17 @@ def gen_bordered_page(
     rows = rows if rows is not None else rng.randint(2, 8)
     cols = cols if cols is not None else rng.randint(2, 8)
     if columns_mode == "interpretation":
+        # a merged cell would orphan the per-column titles and values the
+        # tuple ground truth is built from, and the columns are shuffled,
+        # so no merge is safe on such a page
+        if merges:
+            raise ConfigError(
+                f"fixture page {(file_id, page_nr)}: an interpretation page takes no merges"
+            )
         cols = max(cols, 3)
-    if merges is None:
-        if columns_mode == "interpretation":
-            # merged cells would orphan the per-column titles and values
-            # the tuple ground truth is built from
-            merges = []
-        else:
-            merges = _random_merges(rng, rows, cols, rng.randint(0, 2))
+        merges = []
+    elif merges is None:
+        merges = _random_merges(rng, rows, cols, rng.randint(0, 2))
     for m in merges:
         if m.direction == "right" and not (0 <= m.row < rows and 0 <= m.col < cols - 1):
             raise ConfigError(f"merge {m} outside a {rows}x{cols} grid")
@@ -237,12 +247,8 @@ def gen_bordered_page(
     row_h = [rng.randint(34, 46) for _ in range(rows)]
     x0 = rng.randint(70, 150)
     y0 = rng.randint(130, 210)
-    cb = [x0]
-    for w in col_w:
-        cb.append(cb[-1] + w)
-    rb = [y0]
-    for h in row_h:
-        rb.append(rb[-1] + h)
+    cb = list(accumulate(col_w, initial=x0))
+    rb = list(accumulate(row_h, initial=y0))
 
     separators: list[Separator] = []
     for j, x in enumerate(cb):
@@ -250,32 +256,24 @@ def gen_bordered_page(
     for i, y in enumerate(rb):
         separators += [_h_rule(x0, y, x1) for x0, x1 in _ruling_pieces(cb, cut_h.get(i, set()))]
 
-    meanings_layout = _interpretation_columns(rng, cols) if columns_mode == "interpretation" else None
+    plan = _interpretation_columns(rng, cols) if columns_mode == "interpretation" else None
 
     words: list[Word] = []
     cells: list[Cell] = []
-    line_base = 100
     for rs, re_, cs, ce in spans:
         box = BoundingBox(cb[cs], rb[rs], cb[ce + 1], rb[re_ + 1])
-        blank = rng.random() < BLANK_RATE and meanings_layout is None
+        blank = rng.random() < BLANK_RATE and plan is None
         cell_words: list[Word] = []
         if not blank:
-            if meanings_layout is None:
+            if plan is None:
                 text = _token(rng)
             elif rs == 0:
-                text = meanings_layout["titles"][cs]
+                text = plan["titles"][cs]
             else:
-                text = meanings_layout["make_value"][cs](rng)
-            wx = box.left + 8
+                text = plan["make_value"][cs](rng)
             wy = box.top + (box.height - WORD_HEIGHT) // 2
-            w = _word(rng, wx, wy, text, line_base + rs)
             # keep the word inside even the narrowest merged cell
-            if w.box.right > box.right - 8:
-                w = Word(
-                    box=BoundingBox(wx, wy, box.right - 8, wy + WORD_HEIGHT),
-                    text=text,
-                    line_id=w.line_id,
-                )
+            w = _word(rng, box.left + 8, wy, text, 100 + rs, right=box.right - 8)
             cell_words.append(w)
             words.append(w)
         cells.append(make_cell(box, rs, re_, cs, ce, cell_words))
@@ -291,24 +289,13 @@ def gen_bordered_page(
         source=TableSource.SEPARATOR,
         header_row_count=0,
     )
-    page_w = max(cb[-1] + 80, 1000)
-    page_h = max(rb[-1] + 120, 1000)
     layout = PageLayout(
-        page_width=page_w,
-        page_height=page_h,
+        page_width=max(cb[-1] + 80, 1000),
+        page_height=max(rb[-1] + 120, 1000),
         words=tuple(words),
         separators=tuple(separators),
     )
-    gt = PageTables(
-        file_id=file_id,
-        page_nr=page_nr,
-        tables=[table],
-        expected_missed=[not labeled],
-    )
-    tuple_sets = []
-    if meanings_layout is not None:
-        tuple_sets.append(_tuple_gt(table, meanings_layout, file_id, page_nr, 0))
-    return FixturePage(file_id, page_nr, layout, gt, tuple_sets)
+    return _one_table_page(file_id, page_nr, layout, table, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -350,19 +337,14 @@ def gen_booktabs_page(
                     f"cmidrules ({a0}, {b0}) and ({a1}, {b1}) overlap in one level"
                 )
 
-    meanings_layout = _interpretation_columns(rng, cols) if columns_mode == "interpretation" else None
+    plan = _interpretation_columns(rng, cols) if columns_mode == "interpretation" else None
 
     # column text: one token per body cell, titles in the lowest header row
     titles = (
-        meanings_layout["titles"]
-        if meanings_layout is not None
-        else [_token(rng, 2).capitalize() for _ in range(cols)]
+        plan["titles"] if plan is not None else [_token(rng, 2).capitalize() for _ in range(cols)]
     )
     body_text = [
-        [
-            meanings_layout["make_value"][j](rng) if meanings_layout is not None else _token(rng)
-            for j in range(cols)
-        ]
+        [plan["make_value"][j](rng) if plan is not None else _token(rng) for j in range(cols)]
         for _ in range(rows)
     ]
     # gap unit 5/16 everywhere in running text pins the page median
@@ -374,9 +356,7 @@ def gen_booktabs_page(
     gaps = [rng.randint(15, 26) for _ in range(cols - 1)]
 
     x0 = rng.randint(80, 140)
-    slots = [x0]
-    for j in range(1, cols):
-        slots.append(slots[-1] + col_w[j - 1] + gaps[j - 1])
+    slots = list(accumulate((w + g for w, g in zip(col_w, gaps)), initial=x0))
     text_right = slots[-1] + col_w[-1]
     pad_l, pad_r = rng.randint(6, 9), rng.randint(6, 9)
     rule_l, rule_r = x0 - pad_l, text_right + pad_r
@@ -396,10 +376,8 @@ def gen_booktabs_page(
     y = top_y + 1 + 6
 
     level_rule_centers: list[int] = []
-    level_cells: list[list[tuple[int, int]]] = []
     for level in cmidrule_levels:
-        ranges = sorted(level)
-        for a, b in ranges:
+        for a, b in sorted(level):
             span_l, span_r = slots[a], slots[b] + col_w[b]
             text = _token(rng, 2).capitalize()
             tw = min(word_w(text), span_r - span_l - 10)
@@ -409,20 +387,12 @@ def gen_booktabs_page(
             )
             separators.append(_h_rule(span_l - 2, y + 27, span_r + 2))
         level_rule_centers.append(y + 27)
-        level_cells.append(ranges)
         line_id += 1
         y += 34
 
-    # lowest header row
+    # lowest header row; every word is cut to its column slot so gaps stay exact
     for j in range(cols):
-        w = _word(rng, slots[j], y + 6, titles[j], line_id)
-        if w.box.width > col_w[j]:
-            w = Word(
-                box=BoundingBox(w.box.left, w.box.top, w.box.left + col_w[j], w.box.bottom),
-                text=w.text,
-                line_id=w.line_id,
-            )
-        words.append(w)
+        words.append(_word(rng, slots[j], y + 6, titles[j], line_id, right=slots[j] + col_w[j]))
     line_id += 1
     y += 6 + WORD_HEIGHT + 8
     mid_y = y + 1
@@ -436,15 +406,8 @@ def gen_booktabs_page(
         ty = yb + i * band_h + text_off
         body_tops.append(ty)
         for j in range(cols):
-            w = _word(rng, slots[j], ty, body_text[i][j], line_id)
-            # clamp into the column slot so gaps stay exact
-            if w.box.width > col_w[j]:
-                w = Word(
-                    box=BoundingBox(w.box.left, w.box.top, w.box.left + col_w[j], w.box.bottom),
-                    text=w.text,
-                    line_id=w.line_id,
-                )
-            words.append(w)
+            right = slots[j] + col_w[j]
+            words.append(_word(rng, slots[j], ty, body_text[i][j], line_id, right=right))
         line_id += 1
     bottom_y = yb + rows * band_h + rng.randint(4, 8)
     separators.append(_h_rule(rule_l, bottom_y, rule_r))
@@ -466,36 +429,21 @@ def gen_booktabs_page(
         col_borders.append((gap_start + gap_end) // 2)
     col_borders.append(region.right)
 
+    # a header level's cells are its spans plus the single columns they
+    # leave; the lowest header row and the body have one cell per column
     cells: list[Cell] = []
     n_header = n_levels + 1
-    n_rows_total = n_header + rows
-    for r in range(n_rows_total):
-        ry0, ry1 = row_borders[r], row_borders[r + 1]
-        if r < n_levels:
-            merged = {}
-            for a, b in level_cells[r]:
-                for j in range(a, b + 1):
-                    merged[j] = (a, b)
-            j = 0
-            while j < cols:
-                a, b = merged.get(j, (j, j))
-                cells.append(
-                    make_cell(
-                        BoundingBox(col_borders[a], ry0, col_borders[b + 1], ry1), r, r, a, b
-                    )
-                )
-                j = b + 1
-        else:
-            for j in range(cols):
-                cells.append(
-                    make_cell(
-                        BoundingBox(col_borders[j], ry0, col_borders[j + 1], ry1), r, r, j, j
-                    )
-                )
+    for r in range(n_header + rows):
+        top, bottom = row_borders[r], row_borders[r + 1]
+        spans = [(a, b) for a, b in cmidrule_levels[r]] if r < n_levels else []
+        covered = {j for a, b in spans for j in range(a, b + 1)}
+        for a, b in sorted(spans + [(j, j) for j in range(cols) if j not in covered]):
+            box = BoundingBox(col_borders[a], top, col_borders[b + 1], bottom)
+            cells.append(make_cell(box, r, r, a, b))
     cells = assign_words_to_cells(cells, words)
     table = RecognizedTable(
         region=region,
-        n_rows=n_rows_total,
+        n_rows=n_header + rows,
         n_cols=cols,
         cells=tuple(cells),
         labeled=labeled,
@@ -508,11 +456,7 @@ def gen_booktabs_page(
         words=tuple(words),
         separators=tuple(separators),
     )
-    gt = PageTables(file_id=file_id, page_nr=page_nr, tables=[table], expected_missed=[not labeled])
-    tuple_sets = []
-    if meanings_layout is not None:
-        tuple_sets.append(_tuple_gt(table, meanings_layout, file_id, page_nr, 0))
-    return FixturePage(file_id, page_nr, layout, gt, tuple_sets)
+    return _one_table_page(file_id, page_nr, layout, table, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -569,20 +513,30 @@ def _interpretation_columns(rng: random.Random, cols: int) -> dict:
 
 
 def _tuple_gt(
-    table: RecognizedTable, meanings_layout: dict, file_id: str, page_nr: int, table_idx: int
+    table: RecognizedTable, plan: dict, file_id: str, page_nr: int, table_idx: int
 ) -> TupleSet:
-    from .interpret import header_row_count_for
-
     grid = cell_grid(table)
     n_header = header_row_count_for(table)
     ts = TupleSet(file_id=file_id, page_nr=page_nr, table_idx=table_idx)
     for i in range(n_header, table.n_rows):
         values = {
             name: grid[i][col].content
-            for col, name in sorted(meanings_layout["meaning_of_col"].items())
+            for col, name in sorted(plan["meaning_of_col"].items())
         }
         ts.tuples.append(RowTuple(row=i - n_header, values=values))
     return ts
+
+
+def _one_table_page(
+    file_id: str, page_nr: int, layout: PageLayout, table: RecognizedTable, plan: dict | None
+) -> FixturePage:
+    """The fixture page for one table: its ground truth marks an unlabeled
+    table as expected missed, and an interpretation ``plan`` adds tuples."""
+    gt = PageTables(
+        file_id=file_id, page_nr=page_nr, tables=[table], expected_missed=[not table.labeled]
+    )
+    tuple_sets = [] if plan is None else [_tuple_gt(table, plan, file_id, page_nr, 0)]
+    return FixturePage(file_id, page_nr, layout, gt, tuple_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -596,32 +550,16 @@ def shift_separators(layout: PageLayout, rng: random.Random, magnitude: int) -> 
         dx = rng.randint(-magnitude, magnitude)
         dy = rng.randint(-magnitude, magnitude)
         b = sep.box
-        moved.append(
-            Separator(
-                box=BoundingBox(b.left + dx, b.top + dy, b.right + dx, b.bottom + dy),
-                orientation=sep.orientation,
-            )
-        )
-    return PageLayout(
-        page_width=layout.page_width,
-        page_height=layout.page_height,
-        words=layout.words,
-        separators=tuple(moved),
-        non_text_regions=layout.non_text_regions,
-    )
+        box = BoundingBox(b.left + dx, b.top + dy, b.right + dx, b.bottom + dy)
+        moved.append(replace(sep, box=box))
+    return replace(layout, separators=tuple(moved))
 
 
 def _transpose_fixture(page: FixturePage) -> FixturePage:
-    layout = transpose_layout(page.layout)
-    gt = PageTables(
-        file_id=page.gt.file_id,
-        page_nr=page.gt.page_nr,
-        tables=[transpose_table(t) for t in page.gt.tables],
-        orientation="vertical",
-        diagnostics=page.gt.diagnostics,
-        expected_missed=page.gt.expected_missed,
+    gt = replace(
+        page.gt, tables=[transpose_table(t) for t in page.gt.tables], orientation="vertical"
     )
-    return FixturePage(page.file_id, page.page_nr, layout, gt, page.tuple_sets)
+    return replace(page, layout=transpose_layout(page.layout), gt=gt)
 
 
 def _page_from_spec(rng: random.Random, entry: dict) -> FixturePage:

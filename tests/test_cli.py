@@ -315,6 +315,11 @@ def test_gen_fixtures_rejects_unknown_kind(tmp_path, capsys):
             {"kind": "booktabs", "cols": 5, "cmidrule_levels": [[[0, 2], [2, 3]]]},
             "cmidrules (0, 2) and (2, 3) overlap in one level",
         ),
+        (
+            {"kind": "bordered", "rows": 5, "cols": 4, "interpretation": True,
+             "merges": [{"row": 3, "col": 0, "dir": "down"}]},
+            "fixture page ('x', 1): an interpretation page takes no merges",
+        ),
     ],
 )
 def test_gen_fixtures_rejects_overlapping_merges_and_cmidrules(tmp_path, capsys, page, message):

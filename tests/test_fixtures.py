@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -171,7 +172,7 @@ def test_docs_fixture_page_scores_its_own_ground_truth():
     # doc_a of the fixture spec in docs/formats.md: vertical, 5 x 4, a merge in row 1
     doc_a = {
         "kind": "bordered", "file_id": "doc_a", "page_nr": 1, "rows": 5, "cols": 4,
-        "labeled": True, "interpretation": True, "orientation": "vertical",
+        "labeled": True, "orientation": "vertical",
         "merges": [{"row": 1, "col": 0, "dir": "right"}],
     }
     (page,) = generate_pages(_spec(seed=7, pages=[doc_a]))
@@ -336,3 +337,33 @@ def test_build_corpus_writes_expected_tree(tmp_path):
     assert len(list((tmp_path / "interpretation_gt").glob("*.json"))) == 2
     assert (tmp_path / "rules.json").is_file()
     assert (tmp_path / "recognizer_config.json").is_file()
+
+
+# every generator branch: explicit merges (two cuts in one border), two
+# cmidrule levels, an unlabeled vertical page, a booktabs interpretation
+# page, and all three random groups
+PINNED_SPEC = _spec(
+    pages=[
+        {"kind": "bordered", "file_id": "pin_merge", "page_nr": 1, "rows": 5, "cols": 4,
+         "merges": [{"row": 1, "col": 0, "dir": "right"}, {"row": 3, "col": 0, "dir": "right"},
+                    {"row": 1, "col": 2, "dir": "down"}]},
+        {"kind": "booktabs", "file_id": "pin_levels", "page_nr": 1, "cols": 5,
+         "cmidrule_levels": [[[0, 1], [2, 4]], [[1, 3]]]},
+        {"kind": "bordered", "file_id": "pin_vertical", "page_nr": 2, "labeled": False,
+         "orientation": "vertical"},
+        {"kind": "booktabs", "file_id": "pin_tuples", "page_nr": 1, "interpretation": True},
+    ],
+    random={"bordered": {"count": 3}, "booktabs": {"count": 3}, "interpretation": {"count": 4}},
+)
+# a changed digest means every existing corpus spec now gives different files
+PINNED_DIGEST = "46e9c7cadaae723f3b4c69c2f24569c4f82614bbd0039e620f7fe25ec784e091"
+
+
+def test_build_corpus_bytes_are_pinned(tmp_path):
+    build_corpus(PINNED_SPEC, tmp_path)
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
+    assert len(files) == 35
+    assert digest.hexdigest() == PINNED_DIGEST
