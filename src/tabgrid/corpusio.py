@@ -5,8 +5,8 @@ Recognition output:  <FILE_ID>_page<NR>.json   (mirrors the layout name)
 Tuple sets:          <FILE_ID>_page<NR>_table<IDX>.json
 
 FILE_ID may itself contain underscores; names parse from the right.
-All JSON is written with sorted keys and a trailing newline so repeated
-runs produce byte-identical files.
+All JSON is written as ``json.dumps(obj, indent=2, sort_keys=True)`` plus
+a trailing newline, so repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -14,12 +14,15 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import LayoutError
 from .interpret import TupleSet, tuple_set_from_dict, tuple_set_to_dict
 from .model import (
     RecognizedTable,
+    json_bool,
+    json_int,
     recognized_table_from_dict,
     recognized_table_to_dict,
 )
@@ -51,8 +54,84 @@ def parse_tuple_name(name: str) -> tuple[str, int, int] | None:
     return m.group("fid"), int(m.group("page")), int(m.group("idx"))
 
 
+_INF = float("inf")
+_INTS = {int}
+
+
+def _encode(o: object, out: list[str], pad: str) -> None:
+    """Append o as ``json.dumps(o, indent=2, sort_keys=True)`` writes it.
+
+    ``indent`` makes ``json`` use its pure-Python encoder; this walk writes
+    the same bytes with less work.  pad is a newline and the indentation of
+    the enclosing line.  Only dict (with str keys), list, tuple, str, int,
+    float, bool and None are written, each by its exact type, so ``True``
+    stays ``true``; anything else raises TypeError.
+    """
+    t = type(o)
+    if t is dict:
+        if not o:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for k in sorted(o):
+            if type(k) is not str:
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            v = o[k]
+            tv = type(v)
+            if tv is str:
+                out.append(sep + _quote(k) + ": " + _quote(v))
+            elif tv is int:
+                out.append(sep + _quote(k) + ": " + int.__repr__(v))
+            else:
+                out.append(sep + _quote(k) + ": ")
+                _encode(v, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif t is list or t is tuple:
+        if not o:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        if set(map(type, o)) == _INTS:  # a box, say: one join
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
+            return
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _encode(v, out, inner)
+            sep = "," + inner
+        out.append(pad + "]")
+    elif t is str:
+        out.append(_quote(o))
+    elif t is int:
+        out.append(int.__repr__(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif t is float:
+        # json's own spelling of the non-finite floats
+        if o != o:
+            out.append("NaN")
+        elif o == _INF:
+            out.append("Infinity")
+        elif o == -_INF:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(o))
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def dump_json(path: Path, obj: object) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    out: list[str] = []
+    _encode(obj, out, "\n")
+    out.append("\n")
+    # the escaper leaves only ASCII, and bytes keep "\n" on every platform
+    path.write_bytes("".join(out).encode("ascii"))
 
 
 def read_json(path: Path) -> object:
@@ -99,18 +178,19 @@ def page_tables_from_dict(d: dict) -> PageTables:
     try:
         raw_tables = d.get("tables", [])
         tables = [recognized_table_from_dict(t) for t in raw_tables]
-        missed = [bool(t.get("expected_missed", False)) for t in raw_tables]
+        missed = [
+            json_bool(t.get("expected_missed", False), f"tables[{i}].expected_missed")
+            for i, t in enumerate(raw_tables)
+        ]
         return PageTables(
             file_id=str(d["file_id"]),
-            page_nr=int(d["page_nr"]),
+            page_nr=json_int(d["page_nr"], "page_nr"),
             tables=tables,
             orientation=str(d.get("orientation", "standard")),
             diagnostics=[str(x) for x in d.get("diagnostics", [])],
             expected_missed=missed,
         )
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, LayoutError):
-            raise
         raise LayoutError(f"bad page tables entry: {exc}") from exc
 
 

@@ -20,7 +20,7 @@ from .errors import DuplicateKey, EmptyCorpus
 from .interpret import TupleSet
 from .kernels import Box, iou_matrix
 from .matching import WeightedBipartiteGraph, max_weight_matching
-from .model import RecognizedTable, cell_grid
+from .model import RecognizedTable
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ def adjacency_relations(table: RecognizedTable) -> list[tuple[str, str, str]]:
     """``(from_content, to_content, "right" | "down")`` relations from every
     non-blank cell to its nearest non-blank neighbor, skipping blank cells
     in between."""
-    grid = cell_grid(table)
-    # cell_grid rejects overlaps, so no two cells share a top-left corner
+    grid = table.grid
+    # the grid rejects overlaps, so no two cells share a top-left corner
     cells = sorted(table.cells, key=lambda c: (c.row_start, c.col_start))
     relations = []
     for c in cells:

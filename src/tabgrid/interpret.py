@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import ConfigError, InvalidPattern
 from .kernels import levenshtein_codes
 from .matching import Matching, WeightedBipartiteGraph, max_weight_matching
-from .model import RecognizedTable, TableSource, cell_grid
+from .model import RecognizedTable, TableSource, json_int
 
 
 class DataType(enum.Enum):
@@ -170,7 +170,7 @@ def header_row_count_for(table: RecognizedTable) -> int:
 
 
 def column_views(table: RecognizedTable) -> list[ColumnView]:
-    grid = cell_grid(table)
+    grid = table.grid
     n_header = header_row_count_for(table)
     views = []
     for j in range(table.n_cols):
@@ -386,13 +386,16 @@ def tuple_set_from_dict(d: dict) -> TupleSet:
         raise ConfigError("tuple set JSON must be an object")
     try:
         tuples = [
-            RowTuple(row=int(t["row"]), values={str(k): str(v) for k, v in t["values"].items()})
-            for t in d.get("tuples", [])
+            RowTuple(
+                row=json_int(t["row"], f"tuples[{i}].row"),
+                values={str(k): str(v) for k, v in t["values"].items()},
+            )
+            for i, t in enumerate(d.get("tuples", []))
         ]
         return TupleSet(
             file_id=str(d["file_id"]),
-            page_nr=int(d["page_nr"]),
-            table_idx=int(d["table_idx"]),
+            page_nr=json_int(d["page_nr"], "page_nr"),
+            table_idx=json_int(d["table_idx"], "table_idx"),
             tuples=tuples,
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -3,7 +3,8 @@
 All geometry is integer pixels with exclusive right/bottom edges.  JSON
 ingestion clamps every box to the page rectangle, strips control
 characters from word text, and rejects separators whose box shape
-contradicts their declared orientation.
+contradicts their declared orientation.  Integer fields take JSON
+integers only and flags JSON booleans only.
 """
 
 from __future__ import annotations
@@ -218,6 +219,15 @@ class RecognizedTable:
         if self.header_row_count < 0:
             raise ValueError("negative header_row_count")
 
+    @cached_property
+    def grid(self) -> list[list[Cell]]:
+        """``cell_grid(self)``, built on first use and then kept.
+
+        It is not a field, so equality and ``replace`` ignore it.  While the
+        cells do not tile the grid, every use raises ValueError.
+        """
+        return cell_grid(self)
+
 
 def grid_is_tiled(table: RecognizedTable) -> bool:
     """True iff the cells' index spans cover the grid exactly once."""
@@ -300,8 +310,49 @@ class RecognizerConfig:
 # JSON (de)serialization
 
 
+def json_int(v: object, name: str) -> int:
+    """v, if it is a JSON integer (an int but not a bool); else ValueError."""
+    if isinstance(v, int) and type(v) is not bool:
+        return v
+    raise ValueError(f"{name} must be an integer, got {v!r}")
+
+
+def json_bool(v: object, name: str) -> bool:
+    """v, if it is a JSON boolean; else ValueError."""
+    if v is True or v is False:
+        return v
+    raise ValueError(f"{name} must be a boolean, got {v!r}")
+
+
+def _valid_box(v: object, width: int = 0, height: int = 0) -> BoundingBox | None:
+    """The box of a list of four plain ints with left <= right and top <= bottom,
+    clipped to the page as ``clamp`` clips it when a page width is given;
+    None for anything else, which ``_box_from_json`` then reports."""
+    if type(v) is list and len(v) == 4:
+        left, top, right, bottom = v
+        if (
+            type(left) is int
+            and type(top) is int
+            and type(right) is int
+            and type(bottom) is int
+            and left <= right
+            and top <= bottom
+        ):
+            if width:
+                left = 0 if left < 0 else width if left > width else left
+                top = 0 if top < 0 else height if top > height else top
+                right = left if right < left else width if right > width else right
+                bottom = top if bottom < top else height if bottom > height else bottom
+            return BoundingBox(left, top, right, bottom)
+    return None
+
+
 def _box_from_json(v: object, where: str) -> BoundingBox:
-    if not (isinstance(v, list) and len(v) == 4 and all(isinstance(x, int) for x in v)):
+    if not (
+        isinstance(v, list)
+        and len(v) == 4
+        and all(isinstance(x, int) and type(x) is not bool for x in v)
+    ):
         raise LayoutError(f"{where}: box must be a list of 4 integers, got {v!r}")
     try:
         return BoundingBox(*v)
@@ -314,60 +365,62 @@ def _strip_control(text: str) -> str:
 
 
 def page_layout_from_dict(d: dict) -> PageLayout:
+    """Read a layout, building each box once.
+
+    The checks run on plain values first; a location string such as
+    ``words[3]`` is built only on the way to an error.
+    """
     if not isinstance(d, dict):
         raise LayoutError("layout JSON must be an object")
     try:
-        width = int(d["page_width"])
-        height = int(d["page_height"])
-    except (KeyError, TypeError, ValueError) as exc:
+        width = json_int(d["page_width"], "page_width")
+        height = json_int(d["page_height"], "page_height")
+    except (KeyError, ValueError) as exc:
         raise LayoutError(f"bad or missing page dimensions: {exc}") from exc
     if width <= 0 or height <= 0:
         raise LayoutError("page dimensions must be positive")
 
     words = []
     for i, w in enumerate(d.get("words", [])):
-        where = f"words[{i}]"
         if not isinstance(w, dict):
-            raise LayoutError(f"{where}: must be an object")
-        b = clamp(_box_from_json(w.get("box"), where), width, height)
+            raise LayoutError(f"words[{i}]: must be an object")
+        v = w.get("box")
+        b = _valid_box(v, width, height) or clamp(_box_from_json(v, f"words[{i}]"), width, height)
         text = w.get("text")
         if not isinstance(text, str):
-            raise LayoutError(f"{where}: text must be a string")
+            raise LayoutError(f"words[{i}]: text must be a string")
         line_id = w.get("line_id")
-        if line_id is not None and not isinstance(line_id, int):
-            raise LayoutError(f"{where}: line_id must be an integer or null")
-        words.append(Word(box=b, text=_strip_control(text), line_id=line_id))
+        if line_id is not None and (not isinstance(line_id, int) or type(line_id) is bool):
+            raise LayoutError(f"words[{i}]: line_id must be an integer or null")
+        # every code point below 32, and 127, is non-printable
+        words.append(Word(b, text if text.isprintable() else _strip_control(text), line_id))
 
     separators = []
     for i, s in enumerate(d.get("separators", [])):
-        where = f"separators[{i}]"
+        where = f"separators[{i}]"  # a few per page, unlike words
         if not isinstance(s, dict):
             raise LayoutError(f"{where}: must be an object")
-        raw = _box_from_json(s.get("box"), where)
+        v = s.get("box")
+        b = _valid_box(v, width, height) or clamp(_box_from_json(v, where), width, height)
         kind = s.get("orientation")
         if kind not in ("h", "v"):
             raise LayoutError(f"{where}: orientation must be 'h' or 'v'")
         orientation = SeparatorOrientation(kind)
         try:
-            separators.append(Separator(box=clamp(raw, width, height), orientation=orientation))
+            separators.append(Separator(b, orientation))
         except ValueError as exc:
             try:
-                Separator(box=raw, orientation=orientation)
+                Separator(_box_from_json(v, where), orientation)
             except ValueError:
                 raise LayoutError(f"{where}: {exc}") from exc
             # right-shaped as given, clipped at the page edge to a stub: dropped
 
     regions = tuple(
-        clamp(_box_from_json(r, f"non_text_regions[{i}]"), width, height)
+        _valid_box(r, width, height)
+        or clamp(_box_from_json(r, f"non_text_regions[{i}]"), width, height)
         for i, r in enumerate(d.get("non_text_regions", []))
     )
-    return PageLayout(
-        page_width=width,
-        page_height=height,
-        words=tuple(words),
-        separators=tuple(separators),
-        non_text_regions=regions,
-    )
+    return PageLayout(width, height, tuple(words), tuple(separators), regions)
 
 
 def page_layout_to_dict(layout: PageLayout) -> dict:
@@ -408,37 +461,37 @@ def recognized_table_to_dict(table: RecognizedTable) -> dict:
     }
 
 
+_SPANS = ("row_start", "row_end", "col_start", "col_end")
+
+
 def recognized_table_from_dict(d: dict) -> RecognizedTable:
+    """Read a table, building each box once; its cells must tile the grid."""
     if not isinstance(d, dict):
         raise LayoutError("table entry must be an object")
     try:
-        region = _box_from_json(d["region"], "table.region")
-        cells = tuple(
-            Cell(
-                box=_box_from_json(c["box"], f"cells[{i}].box"),
-                row_start=int(c["row_start"]),
-                row_end=int(c["row_end"]),
-                col_start=int(c["col_start"]),
-                col_end=int(c["col_end"]),
-                words=(),
-                content=str(c.get("content", "")),
-            )
-            for i, c in enumerate(d["cells"])
-        )
+        v = d["region"]
+        region = _valid_box(v) or _box_from_json(v, "table.region")
+        cells = []
+        for i, c in enumerate(d["cells"]):
+            v = c["box"]
+            b = _valid_box(v) or _box_from_json(v, f"cells[{i}].box")
+            r0, r1, c0, c1 = c["row_start"], c["row_end"], c["col_start"], c["col_end"]
+            if not (type(r0) is int and type(r1) is int and type(c0) is int and type(c1) is int):
+                for k, x in zip(_SPANS, (r0, r1, c0, c1)):
+                    json_int(x, f"cells[{i}].{k}")
+            cells.append(Cell(b, r0, r1, c0, c1, (), str(c.get("content", ""))))
         table = RecognizedTable(
-            region=region,
-            n_rows=int(d["n_rows"]),
-            n_cols=int(d["n_cols"]),
-            cells=cells,
-            labeled=bool(d.get("labeled", False)),
-            source=TableSource(d.get("source", "separator")),
-            header_row_count=int(d.get("header_row_count", 0)),
+            region,
+            json_int(d["n_rows"], "n_rows"),
+            json_int(d["n_cols"], "n_cols"),
+            tuple(cells),
+            json_bool(d.get("labeled", False), "labeled"),
+            TableSource(d.get("source", "separator")),
+            json_int(d.get("header_row_count", 0), "header_row_count"),
         )
-        cell_grid(table)  # cells must tile the grid
+        table.grid  # raises unless the cells tile the grid; kept for later use
         return table
     except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, LayoutError):
-            raise
         raise LayoutError(f"bad table entry: {exc}") from exc
 
 

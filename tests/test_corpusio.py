@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabgrid.corpusio import (
     PageTables,
@@ -94,6 +97,46 @@ def test_dump_json_is_insertion_order_independent(tmp_path):
     dump_json(p1, {"b": 1, "a": {"y": 0, "x": 9}})
     dump_json(p2, {"a": {"x": 9, "y": 0}, "b": 1})
     assert p1.read_bytes() == p2.read_bytes()
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([-0.0, 0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+    | st.text(st.characters(blacklist_categories=()))
+    | st.sampled_from(["", "\"", "\\", "a\"b\\c", "\x00\x1f\x7f\n\t", "\u00e9\u4e2d", "\U0001f600"])
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=5).map(tuple)
+        | st.lists(st.integers(), max_size=5)
+        | st.dictionaries(st.text(st.characters(blacklist_categories=()), max_size=5), inner,
+                          max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_JSON_VALUES)
+def test_dump_json_writes_the_bytes_json_dumps_writes(tmp_path_factory, obj):
+    p = tmp_path_factory.mktemp("dump") / "x.json"
+    dump_json(p, obj)
+    expected = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    assert p.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "obj", [{1, 2}, b"bytes", {"a": [1, {2}]}, {1: "int key"}, {"a": {None: 1}}, [object()]]
+)
+def test_dump_json_rejects_other_types_and_non_str_keys(tmp_path, obj):
+    with pytest.raises(TypeError):
+        dump_json(tmp_path / "x.json", obj)
 
 
 def test_read_json_round_trip(tmp_path):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
+from tabgrid.cli import main
 from tabgrid.errors import ConfigError
 from tabgrid.evaluate import recognition_score
 from tabgrid.fixtures import (
@@ -367,3 +369,30 @@ def test_build_corpus_bytes_are_pinned(tmp_path):
         digest.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
     assert len(files) == 35
     assert digest.hexdigest() == PINNED_DIGEST
+
+
+# a changed digest means recognize, interpret or eval now write other bytes
+PINNED_CHAIN_DIGEST = "c4138796e4ae27cd8c8160caebde63abcc61abb6e8fa1098bc3b1d11fff33274"
+
+
+def test_chain_bytes_on_the_pinned_spec_are_pinned(tmp_path):
+    build_corpus(PINNED_SPEC, tmp_path / "corpus")
+    corpus, pred, tuples = (str(tmp_path / d) for d in ("corpus", "pred", "tuples"))
+    reports = [tmp_path / f"{mode}.json" for mode in ("recognition", "cells", "interpretation")]
+    steps = [
+        ["recognize", f"{corpus}/layouts", pred, "--config", f"{corpus}/recognizer_config.json"],
+        ["interpret", pred, f"{corpus}/rules.json", tuples],
+        ["eval", "recognition", f"{corpus}/recognition_gt", pred, "--out", str(reports[0])],
+        ["eval", "cells", f"{corpus}/recognition_gt", pred, "--out", str(reports[1])],
+        ["eval", "interpretation", f"{corpus}/interpretation_gt", tuples, "--out", str(reports[2])],
+    ]
+    for argv in steps:
+        assert main(argv) == 0
+    files = sorted(
+        p for d in (pred, tuples) for p in Path(d).glob("*.json") if p.name != "run_manifest.json"
+    ) + reports
+    digest = hashlib.sha256()
+    for p in files:
+        digest.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
+    assert len(files) == 22
+    assert digest.hexdigest() == PINNED_CHAIN_DIGEST

@@ -248,6 +248,27 @@ def test_tuple_set_json_round_trip():
     assert back == ts
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("page_nr", "2", "bad tuple set entry: page_nr must be an integer, got '2'"),
+        ("table_idx", 1.0, "bad tuple set entry: table_idx must be an integer, got 1.0"),
+        ("row", True, "bad tuple set entry: tuples[0].row must be an integer, got True"),
+    ],
+)
+def test_tuple_set_takes_json_integers_only(field, value, message):
+    d = {"file_id": "f", "page_nr": 2, "table_idx": 1,
+         "tuples": [{"row": 1, "values": {"M": "x"}}]}
+    assert tuple_set_from_dict(d).tuples[0].row == 1
+    if field == "row":
+        d["tuples"][0]["row"] = value
+    else:
+        d[field] = value
+    with pytest.raises(ConfigError) as err:
+        tuple_set_from_dict(d)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # rules config parsing
 
