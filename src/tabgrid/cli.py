@@ -83,16 +83,15 @@ def _json_files(directory: Path) -> list[Path]:
     )
 
 
-# A pool costs about 25 ms to import concurrent.futures and multiprocessing
-# plus 10-20 ms to start and stop its workers.  A one-table page takes about
-# 2.5 ms, so two workers win that back from about 40 files on: each worker
-# needs about 20 files to pay for itself.
-MIN_FILES_PER_WORKER = 20
-# Reading and scoring a pair of one-table pages takes about 0.9 ms, so eval
-# needs far more items than recognize before a pool pays.  Measured on 2
-# shared cores, `eval recognition` in two workers lost to one process at
-# 240 pairs and won at 360: two workers need about 280 pairs.
-MIN_PAIRS_PER_WORKER = 140
+# Forking two workers, handing out their chunks and reaping them costs about
+# 5 ms; the workers then copy the pages of the parent that they write to.
+# What an item costs grows with its input, so a pool pays from some number
+# of input bytes per worker on.  Measured as program runs on 2 shared cores,
+# recognize breaks even at about 110 KB per worker and interpret at about
+# 235 KB; eval recognition and eval cells on one-table pages at 450-900 KB
+# of page pairs, while 200 KB of dense pairs per worker lost 6-8%.
+MIN_BYTES_PER_WORKER = 160_000
+MIN_PAIR_BYTES_PER_WORKER = 512_000
 
 
 def _cores() -> int:
@@ -110,65 +109,120 @@ def _attempt(work, item) -> tuple[str, str | None, bool, object]:
         return item.name, f"{type(exc).__name__}: {exc}", True, None
 
 
-_worker_work = None  # the per-item function of this pool worker
+def _file_size(path: Path | None) -> int:
+    """Bytes in the file; 0 for no file, or one that its reader will report."""
+    try:
+        return 0 if path is None else path.stat().st_size
+    except OSError:
+        return 0
 
 
-def _init_worker(work) -> None:
-    global _worker_work
-    _worker_work = work
+def _chunks(sizes: list[int], n: int) -> list[list[int]]:
+    """Item indices in ``n`` chunks of near-equal count, cut from the items
+    in descending size, so the first chunk holds the largest items."""
+    order = sorted(range(len(sizes)), key=sizes.__getitem__, reverse=True)
+    return [order[c * len(order) // n : (c + 1) * len(order) // n] for c in range(n)]
 
 
-def _attempt_in_worker(item) -> tuple[str, str | None, bool, object]:
-    return _attempt(_worker_work, item)
+def _death(code: int) -> str:
+    """How a worker that exited with ``code`` (minus a signal number) died."""
+    import signal
+
+    if code >= 0:
+        return f"worker process exited with code {code}"
+    try:
+        return f"worker process killed by {signal.Signals(-code).name}"
+    except ValueError:
+        return f"worker process killed by signal {-code}"
 
 
-def _attempt_in_pool(items: list, work, workers: int) -> list[tuple]:
+def _attempt_in_pool(items: list, work, workers: int, sizes: list[int]) -> list[tuple]:
     """``_attempt`` over ``items`` in ``workers`` forked processes, in order.
 
-    ``work`` reaches the workers through fork, so it need not pickle; the
-    items and what ``work`` returns do.  If a worker dies, every item
-    without a result is reported as crashed.
+    Up to four chunks per worker, largest items first, wait in a pipe as
+    one byte each, so a worker that finishes early takes more.  Each worker
+    sends one pickle of ``(index, result)`` pairs when the pipe is empty.
+    ``work`` reaches the workers through fork, so it need not pickle; what
+    it returns does.  If a worker dies, every item from the first one
+    without a result on is reported as crashed.  No worker outlives this
+    call.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    import pickle
+    import signal
 
-    results: list[tuple] = []
-    chunksize = -(-len(items) // (4 * workers))  # a few chunks per worker even out item costs
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(work,),
-    ) as pool:
-        try:
-            for result in pool.map(_attempt_in_worker, items, chunksize=chunksize):
-                results.append(result)
-        except BrokenProcessPool as exc:
-            lost = f"{type(exc).__name__}: {exc}"
-            results += [(item.name, lost, True, None) for item in items[len(results):]]
-    return results
+    chunks = _chunks(sizes, min(len(items), 4 * workers, 256))  # a chunk id is one byte
+    queue, queue_in = os.pipe()
+    os.write(queue_in, bytes(range(len(chunks))))  # far below a pipe's capacity
+    os.close(queue_in)
+    sys.stdout.flush()  # else a worker could write the parent's buffered text again
+    sys.stderr.flush()
+    pids: list[int] = []  # not yet reaped
+    pipes: list = []  # the read end of each worker's result pipe
+    try:
+        for _ in range(workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: it never returns from here
+                code = 1
+                try:
+                    os.close(read_end)
+                    for pipe in pipes:
+                        pipe.close()
+                    done = []
+                    while chunk := os.read(queue, 1):  # atomic: no chunk is taken twice
+                        done += [(i, _attempt(work, items[i])) for i in chunks[chunk[0]]]
+                    with open(write_end, "wb") as out:
+                        pickle.dump(done, out, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            os.close(write_end)
+            pipes.append(open(read_end, "rb"))
+        results: dict[int, tuple] = {}
+        lost = None
+        for pid, pipe in zip(list(pids), pipes):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids.remove(pid)
+            if code == 0:
+                results.update(pickle.loads(data))
+            elif lost is None:
+                lost = _death(code)
+    finally:
+        os.close(queue)
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    first_lost = next((i for i in range(len(items)) if i not in results), len(items))
+    return [results[i] for i in range(first_lost)] + [
+        (item.name, lost, True, None) for item in items[first_lost:]
+    ]
 
 
-def _attempt_all(items: list, work, max_workers: int, min_per_worker: int) -> list[tuple]:
+def _attempt_all(items: list, work, max_workers: int, min_bytes: int, size) -> list[tuple]:
     """``_attempt`` over ``items``, in order, in up to ``max_workers``
-    processes, but in this one unless every worker gets ``min_per_worker``
-    items."""
-    workers = min(max_workers, len(items) // min_per_worker)
-    if workers > 1:
-        return _attempt_in_pool(items, work, workers)
+    processes, but in this one unless every worker gets ``min_bytes`` of
+    input, counting ``size(item)`` bytes an item."""
+    if max_workers > 1:
+        sizes = [size(item) for item in items]
+        workers = min(max_workers, len(items), sum(sizes) // min_bytes)
+        if workers > 1:
+            return _attempt_in_pool(items, work, workers, sizes)
     return [_attempt(work, item) for item in items]
 
 
 def _run_per_file(files: list[Path], work, max_workers: int) -> tuple[int, list]:
     """Call ``work(path)`` for every file; one bad file never ends the run.
 
-    Runs in worker processes when every worker gets ``MIN_FILES_PER_WORKER``
-    files.  Prints one sorted ``error: <file>: <msg>`` line per failed file
+    Runs in worker processes when every worker gets ``MIN_BYTES_PER_WORKER``
+    bytes of files.  Prints one sorted ``error: <file>: <msg>`` line per failed file
     and returns the exit code (0, 2 if any file is invalid input, 1 if any
     file crashed) and the values ``work`` returned, in file order.
     """
-    results = _attempt_all(files, work, max_workers, MIN_FILES_PER_WORKER)
+    results = _attempt_all(files, work, max_workers, MIN_BYTES_PER_WORKER, _file_size)
     errors = sorted((name, message) for name, message, _, _ in results if message is not None)
     for name, message in errors:
         print(f"error: {name}: {message}", file=sys.stderr)
@@ -346,8 +400,8 @@ def _score_page_pairs(args: argparse.Namespace, score) -> list[tuple[tuple[str, 
 
     Files pair by their ``<id>_page<NR>`` names, which the reader checks
     against the pages they hold.  Each pair is read and scored on its own,
-    in worker processes when every worker gets ``MIN_PAIRS_PER_WORKER``
-    pairs, and only its counts come back.  Invalid input raises the fault
+    in worker processes when every worker gets ``MIN_PAIR_BYTES_PER_WORKER``
+    bytes of files, and only its counts come back.  Invalid input raises the fault
     that reading the ground truth in name order, then the predictions,
     would meet first; ``--strict`` pairing is checked after that.  A pair
     that fails otherwise raises ``_Unscored``.
@@ -384,7 +438,13 @@ def _score_page_pairs(args: argparse.Namespace, score) -> list[tuple[tuple[str, 
         )
 
     pairs = [_PagePair(_key_name(key), *by_key[key]) for key in keys]
-    results = _attempt_all(pairs, score_pair, args.max_workers, MIN_PAIRS_PER_WORKER)
+    results = _attempt_all(
+        pairs,
+        score_pair,
+        args.max_workers,
+        MIN_PAIR_BYTES_PER_WORKER,
+        lambda pair: _file_size(pair.gt) + _file_size(pair.pred),
+    )
     for name, message, _, _ in results:
         if message is not None:
             raise _Unscored(f"{name}: {message}")

@@ -23,6 +23,7 @@ from .model import (
     RecognizedTable,
     json_bool,
     json_int,
+    json_str,
     recognized_table_from_dict,
     recognized_table_to_dict,
 )
@@ -182,12 +183,15 @@ def page_tables_from_dict(d: dict) -> PageTables:
             json_bool(t.get("expected_missed", False), f"tables[{i}].expected_missed")
             for i, t in enumerate(raw_tables)
         ]
+        diagnostics = d.get("diagnostics", [])
+        if type(diagnostics) is not list:
+            raise ValueError(f"diagnostics must be a list, got {diagnostics!r}")
         return PageTables(
-            file_id=str(d["file_id"]),
+            file_id=json_str(d["file_id"], "file_id"),
             page_nr=json_int(d["page_nr"], "page_nr"),
             tables=tables,
-            orientation=str(d.get("orientation", "standard")),
-            diagnostics=[str(x) for x in d.get("diagnostics", [])],
+            orientation=json_str(d.get("orientation", "standard"), "orientation"),
+            diagnostics=[json_str(x, f"diagnostics[{i}]") for i, x in enumerate(diagnostics)],
             expected_missed=missed,
         )
     except (KeyError, TypeError, ValueError) as exc:

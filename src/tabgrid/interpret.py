@@ -22,7 +22,7 @@ from pathlib import Path
 from .errors import ConfigError, InvalidPattern
 from .kernels import levenshtein_codes
 from .matching import Matching, WeightedBipartiteGraph, max_weight_matching
-from .model import RecognizedTable, TableSource, json_int
+from .model import RecognizedTable, TableSource, json_int, json_str
 
 
 class DataType(enum.Enum):
@@ -385,15 +385,17 @@ def tuple_set_from_dict(d: dict) -> TupleSet:
     if not isinstance(d, dict):
         raise ConfigError("tuple set JSON must be an object")
     try:
-        tuples = [
-            RowTuple(
-                row=json_int(t["row"], f"tuples[{i}].row"),
-                values={str(k): str(v) for k, v in t["values"].items()},
-            )
-            for i, t in enumerate(d.get("tuples", []))
-        ]
+        tuples = []
+        for i, t in enumerate(d.get("tuples", [])):
+            row = json_int(t["row"], f"tuples[{i}].row")
+            values = dict(t["values"].items())  # not dict(): it takes a list of pairs
+            for k, v in values.items():
+                if type(k) is not str or type(v) is not str:
+                    json_str(k, f"tuples[{i}].values key")
+                    json_str(v, f"tuples[{i}].values[{k!r}]")
+            tuples.append(RowTuple(row=row, values=values))
         return TupleSet(
-            file_id=str(d["file_id"]),
+            file_id=json_str(d["file_id"], "file_id"),
             page_nr=json_int(d["page_nr"], "page_nr"),
             table_idx=json_int(d["table_idx"], "table_idx"),
             tuples=tuples,

@@ -324,6 +324,13 @@ def json_bool(v: object, name: str) -> bool:
     raise ValueError(f"{name} must be a boolean, got {v!r}")
 
 
+def json_str(v: object, name: str) -> str:
+    """v, if it is a JSON string; else ValueError."""
+    if isinstance(v, str):
+        return v
+    raise ValueError(f"{name} must be a string, got {v!r}")
+
+
 def _valid_box(v: object, width: int = 0, height: int = 0) -> BoundingBox | None:
     """The box of a list of four plain ints with left <= right and top <= bottom,
     clipped to the page as ``clamp`` clips it when a page width is given;
@@ -479,7 +486,10 @@ def recognized_table_from_dict(d: dict) -> RecognizedTable:
             if not (type(r0) is int and type(r1) is int and type(c0) is int and type(c1) is int):
                 for k, x in zip(_SPANS, (r0, r1, c0, c1)):
                     json_int(x, f"cells[{i}].{k}")
-            cells.append(Cell(b, r0, r1, c0, c1, (), str(c.get("content", ""))))
+            content = c.get("content", "")
+            if type(content) is not str:
+                json_str(content, f"cells[{i}].content")
+            cells.append(Cell(b, r0, r1, c0, c1, (), content))
         table = RecognizedTable(
             region,
             json_int(d["n_rows"], "n_rows"),

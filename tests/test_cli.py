@@ -658,13 +658,22 @@ def _python(script, *args, timeout=60):
 
 
 IMPORT_CHECK = """
-import sys
+import os, sys
 before = set(sys.modules)
-import tabgrid.cli
-# the process pool is imported only when a command starts one
-assert not {"multiprocessing", "concurrent.futures"} & set(sys.modules)
+from tabgrid import cli
 loaded = {name.split(".")[0] for name in set(sys.modules) - before}
 print(sorted(loaded - set(sys.stdlib_module_names) - {"tabgrid"}))
+if len(sys.argv) > 1:  # run the command in the arguments as a program, in two workers
+    os.sched_getaffinity = lambda pid: {0, 1}
+    cli.MIN_BYTES_PER_WORKER = 1
+    real, pools = cli._attempt_in_pool, []
+    cli._attempt_in_pool = lambda items, work, workers, sizes: (
+        pools.append(workers) or real(items, work, workers, sizes)
+    )
+    assert cli.main() == 0
+    print(pools)
+# the worker processes need neither multiprocessing nor concurrent.futures
+assert not {"multiprocessing", "concurrent.futures"} & set(sys.modules)
 """
 
 
@@ -672,6 +681,14 @@ def test_cli_import_loads_only_the_standard_library():
     proc = _python(IMPORT_CHECK)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_pooled_program_run_imports_no_multiprocessing(tmp_path):
+    corpus = _make_corpus(tmp_path)
+    out = tmp_path / "out"
+    proc = _python(IMPORT_CHECK, "recognize", str(corpus / "layouts"), str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", f"recognized 9 page(s) -> {out}", "[2]"]
 
 
 PACKAGE_IMPORT_CHECK = """
@@ -707,17 +724,21 @@ def test_eval_cells_custom_thresholds(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # worker processes
 
-MIN = cli.MIN_FILES_PER_WORKER
+PER_KIND = 20  # pages of each kind in the pool corpus
 
 
 def _pool_corpus(tmp_path):
-    """A generated corpus of 3 * MIN_FILES_PER_WORKER pages, enough for two workers."""
+    """A generated corpus of 3 * PER_KIND pages, enough input for two workers."""
     spec_path = tmp_path / "spec.json"
     dump_json(spec_path, {"seed": 5, "random": {
-        "bordered": {"count": MIN}, "booktabs": {"count": MIN}, "interpretation": {"count": MIN},
+        "bordered": {"count": PER_KIND},
+        "booktabs": {"count": PER_KIND},
+        "interpretation": {"count": PER_KIND},
     }})
     corpus = tmp_path / "corpus"
     assert main(["gen-fixtures", str(spec_path), str(corpus)]) == 0
+    layouts = (corpus / "layouts").glob("*.json")
+    assert sum(p.stat().st_size for p in layouts) >= 2 * cli.MIN_BYTES_PER_WORKER
     return corpus
 
 
@@ -728,17 +749,15 @@ def _outputs(directory):
 @pytest.fixture
 def pools(monkeypatch):
     """The worker counts of the process pools started on a host with 2 cores."""
-    import concurrent.futures
-
     asked = []
+    real = cli._attempt_in_pool
 
-    class RecordingExecutor(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers, **kwargs):
-            asked.append(max_workers)
-            super().__init__(max_workers, **kwargs)
+    def recording(items, work, workers, sizes):
+        asked.append(workers)
+        return real(items, work, workers, sizes)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(cli, "_attempt_in_pool", recording)
     return asked
 
 
@@ -783,9 +802,96 @@ def test_worker_processes_give_the_serial_outputs_and_errors(
     assert rc_rec == 1 and len(errors) == 2
     assert errors[0].startswith("error: broken_page01.json: Expecting property name")
     assert errors[1] == f"error: {victim.name}: RuntimeError: boom"
-    assert len(pred_files) == 3 * MIN  # the recognized pages and the copy
+    assert len(pred_files) == 3 * PER_KIND  # the recognized pages and the copy
     assert rc_int == 2 and inter.err.startswith("error: zz_page01.json: file name does not")
-    assert len(tuple_files) == MIN
+    assert len(tuple_files) == PER_KIND
+
+
+def _stacked_page(paths: list[Path]) -> dict:
+    """One layout holding the pages of ``paths``, each below the one before."""
+    page = {"page_width": 0, "page_height": 0, "words": [], "separators": [],
+            "non_text_regions": []}
+    lines = 0
+
+    def moved(box):
+        dy = page["page_height"]
+        return [box[0], box[1] + dy, box[2], box[3] + dy]
+
+    for path in paths:
+        part = json.loads(path.read_text())
+        for w in part["words"]:
+            line_id = None if w["line_id"] is None else w["line_id"] + lines
+            page["words"].append({**w, "box": moved(w["box"]), "line_id": line_id})
+        page["separators"] += [{**s, "box": moved(s["box"])} for s in part["separators"]]
+        page["non_text_regions"] += [moved(r) for r in part["non_text_regions"]]
+        lines += 1 + max((w["line_id"] or 0 for w in part["words"]), default=0)
+        page["page_width"] = max(page["page_width"], part["page_width"])
+        page["page_height"] += part["page_height"]
+    return page
+
+
+def test_large_multi_table_page_gives_the_serial_bytes(tmp_path, monkeypatch, capsys, pools):
+    corpus = _pool_corpus(tmp_path)
+    layouts = corpus / "layouts"
+    stacked = sorted(layouts.glob("*.json"))[::3]
+    dump_json(layouts / "stacked_page01.json", _stacked_page(stacked))
+    sizes = {p.name: p.stat().st_size for p in layouts.glob("*.json")}
+    assert max(sizes, key=sizes.get) == "stacked_page01.json"
+    config = str(corpus / "recognizer_config.json")
+    runs = {}
+    for program in (False, True):
+        pred = tmp_path / f"pred{program}"
+        capsys.readouterr()
+        rc = _run(monkeypatch, ["recognize", str(layouts), str(pred), "--config", config], program)
+        runs[program] = (rc, capsys.readouterr().err, _outputs(pred))
+    assert pools == [2]
+    assert runs[False] == runs[True]
+    rc, err, pred_files = runs[True]
+    assert rc == 0 and err == "" and len(pred_files) == len(sizes)
+    assert len(json.loads(pred_files["stacked_page01.json"])["tables"]) > 1
+
+
+def test_an_exception_in_the_parent_kills_and_reaps_every_worker(monkeypatch):
+    import signal
+    import time
+
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    class Stop(Exception):
+        pass
+
+    def stop(*_):
+        raise Stop
+
+    monkeypatch.setattr(os, "fork", fork)
+    items = [cli._PagePair(name, None, None) for name in "ab"]
+    old = signal.signal(signal.SIGALRM, stop)
+    start = time.monotonic()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.5)  # a fork does not copy the timer
+        with pytest.raises(Stop):
+            cli._attempt_in_pool(items, lambda item: time.sleep(60), 2, [1, 1])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert time.monotonic() - start < 30  # killed, not waited for
+    assert len(forked) == 2
+    for pid in forked:
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_chunks_start_with_the_largest_items():
+    assert cli._chunks([5, 40, 20, 80, 10], 5) == [[3], [1], [2], [4], [0]]
+    assert cli._chunks([1, 3, 2, 3, 0, 9], 4) == [[5], [1, 3], [2], [0, 4]]
+    assert sorted(sum(cli._chunks(list(range(10)), 3), [])) == list(range(10))
 
 
 KILLED_WORKER = """
@@ -816,9 +922,50 @@ def test_killed_worker_reports_unfinished_files(tmp_path, capsys):
     lines = proc.stderr.splitlines()
     lost = [line.split(": ")[1] for line in lines]
     assert lost == names[len(names) - len(lost):] and "victim_page01.json" in lost
-    assert all(": BrokenProcessPool: " in line for line in lines)
+    assert all(line.endswith(": worker process exited with code 3") for line in lines)
     written = _outputs(out)
     assert set(written) | set(lost) == set(names)
+    assert (out / "run_manifest.json").is_file()
+
+
+KILLED_ON_LARGEST = """
+import os, signal, sys
+from tabgrid import cli
+
+real = cli.recognize_page
+
+def dying(layout, *args, **kwargs):
+    if layout.page_width == 999:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(layout, *args, **kwargs)
+
+cli.recognize_page = dying
+os.sched_getaffinity = lambda pid: {0, 1}
+rc = cli.main()  # run as a program: one worker per core
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+sys.exit(rc)
+"""
+
+
+def test_worker_killed_on_the_largest_page_is_reported_and_reaped(tmp_path):
+    corpus = _pool_corpus(tmp_path)
+    layouts = corpus / "layouts"
+    largest = max(p.stat().st_size for p in layouts.glob("*.json"))
+    page = json.dumps({"page_width": 999, "page_height": 999})
+    (layouts / "victim_page01.json").write_text(page + " " * largest)  # the largest input
+    names = sorted(p.name for p in layouts.glob("*.json"))
+    out = tmp_path / "out"
+    proc = _python(KILLED_ON_LARGEST, "recognize", str(layouts), str(out), timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == ["no child left"]
+    lines = proc.stderr.splitlines()
+    lost = [line.split(": ")[1] for line in lines]
+    assert lost == names[len(names) - len(lost):] and "victim_page01.json" in lost
+    assert all(line.endswith(": worker process killed by SIGKILL") for line in lines)
+    assert set(_outputs(out)) | set(lost) == set(names)
     assert (out / "run_manifest.json").is_file()
 
 
@@ -847,7 +994,7 @@ def test_eval_worker_processes_give_the_serial_results(
     cell["box"][2] = (cell["box"][0] + cell["box"][2]) // 2
     cell["content"] += " altered"
     dump_json(altered, page)
-    monkeypatch.setattr(cli, "MIN_PAIRS_PER_WORKER", MIN)
+    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", cli.MIN_BYTES_PER_WORKER)
     capsys.readouterr()
     runs = {}
     for program in (False, True):  # main(argv) runs serially, the program in 2 workers
@@ -875,7 +1022,7 @@ def test_eval_reports_the_ground_truth_fault_before_a_prediction_fault(
     names = sorted(p.name for p in gt.glob("*.json"))
     (pred / names[0]).write_text("{not json")  # in the first pair
     _break_tiling(gt / names[-1])  # in the last pair
-    monkeypatch.setattr(cli, "MIN_PAIRS_PER_WORKER", MIN)
+    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", cli.MIN_BYTES_PER_WORKER)
     capsys.readouterr()
     errors = []
     for program in (False, True):
@@ -911,7 +1058,7 @@ def dying(gt, pred, *args):
     return real(gt, pred, *args)
 
 cli.recognition_score = dying
-cli.MIN_PAIRS_PER_WORKER = 10
+cli.MIN_PAIR_BYTES_PER_WORKER = 1
 os.sched_getaffinity = lambda pid: {0, 1}
 sys.exit(cli.main())  # run as a program: one worker per core
 """
@@ -925,71 +1072,67 @@ def test_killed_eval_worker_is_exit_1_without_a_report(tmp_path):
     proc = _python(KILLED_EVAL_WORKER, *argv, timeout=120)
     assert proc.returncode == 1, proc.stderr
     [line] = proc.stderr.splitlines()
-    assert line.startswith("error: ") and ": BrokenProcessPool: " in line
+    assert line.startswith("error: ") and line.endswith(": worker process exited with code 3")
     assert proc.stdout == "" and not report.exists()
 
 
-MIN_PAIRS = cli.MIN_PAIRS_PER_WORKER
+MIN = cli.MIN_BYTES_PER_WORKER
+MIN_PAIR = cli.MIN_PAIR_BYTES_PER_WORKER
+
+
+def _padded(path: Path, obj: dict, size: int) -> None:
+    """``obj`` as JSON in a file of ``size`` bytes: blanks after the value."""
+    text = json.dumps(obj)
+    path.write_text(text + " " * (size - len(text)))
 
 
 @pytest.mark.parametrize(
-    "command, program, items, cores, asked",
+    "command, program, items, size, cores, asked",
     [
-        ("recognize", True, 3 * MIN, 1_000_000, [3]),
-        ("recognize", True, 3 * MIN, 2, [2]),
-        ("recognize", True, 2 * MIN - 1, 4, []),
-        ("recognize", False, 3 * MIN, 4, []),  # cli.main(argv) stays in its own process
-        ("eval", True, 3 * MIN_PAIRS, 1_000_000, [3]),  # two files a pair: pairs set the bound
-        ("eval", True, 3 * MIN_PAIRS, 2, [2]),
-        ("eval", True, 2 * MIN_PAIRS - 1, 4, []),
-        ("eval", False, 3 * MIN_PAIRS, 4, []),
+        ("recognize", True, 3, 2 * MIN, 1_000_000, [3]),
+        ("recognize", True, 3, MIN, 2, [2]),
+        ("recognize", True, 6, (2 * MIN - 1) // 6, 4, []),
+        ("recognize", False, 3, MIN, 4, []),  # cli.main(argv) stays in its own process
+        ("recognize", True, 8, MIN // 2, 1_000_000, [4]),
+        ("eval", True, 3, 2 * MIN_PAIR, 1_000_000, [3]),  # two files a pair: pairs set the bound
+        ("eval", True, 3, MIN_PAIR, 2, [2]),
+        ("eval", True, 6, (2 * MIN_PAIR - 1) // 6, 4, []),
+        ("eval", False, 3, MIN_PAIR, 4, []),
     ],
     ids=[
-        "bound-by-files", "bound-by-cores", "too-few-files", "main-argv",
+        "bound-by-files", "bound-by-cores", "too-few-files", "main-argv", "bound-by-bytes",
         "eval-bound-by-pairs", "eval-bound-by-cores", "eval-too-few-pairs", "eval-main-argv",
     ],
 )
 def test_pool_size_is_bounded_by_cores_and_files(
-    tmp_path, monkeypatch, capsys, command, program, items, cores, asked
+    tmp_path, monkeypatch, capsys, command, program, items, size, cores, asked
 ):
-    import concurrent.futures
-
+    """``size`` is the input bytes of a file, or of a page pair."""
     out = tmp_path / "out"
     if command == "recognize":
         layouts = tmp_path / "layouts"
         layouts.mkdir()
         for i in range(items):
-            dump_json(layouts / f"p{i:03d}_page01.json", {"page_width": 100, "page_height": 100})
+            page = {"page_width": 100, "page_height": 100}
+            _padded(layouts / f"p{i:03d}_page01.json", page, size)
         argv, done = ["recognize", str(layouts), str(out)], f"recognized {items} page(s)"
     else:
         for side in ("gt", "pred"):
             (tmp_path / side).mkdir()
             for i in range(items):
                 page = {"file_id": f"p{i:03d}", "page_nr": 1, "tables": []}
-                dump_json(tmp_path / side / f"p{i:03d}_page01.json", page)
+                _padded(tmp_path / side / f"p{i:03d}_page01.json", page, size // 2)
         argv = ["eval", "recognition", str(tmp_path / "gt"), str(tmp_path / "pred")]
         done = f"corpus ({items} documents): P=1.0000 R=1.0000 F1=1.0000"
     started = []
 
-    class InProcessExecutor:
+    def in_process(items, work, workers, sizes):
         """Records the pool it is asked for and runs the work here."""
+        started.append(workers)
+        return [cli._attempt(work, item) for item in items]
 
-        def __init__(self, max_workers, mp_context, initializer, initargs):
-            started.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "_worker_work", None)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cores))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessExecutor)
+    monkeypatch.setattr(cli, "_attempt_in_pool", in_process)
     if program:
         monkeypatch.setattr(sys, "argv", ["tabgrid", *argv])
         assert main() == 0

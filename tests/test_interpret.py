@@ -269,6 +269,33 @@ def test_tuple_set_takes_json_integers_only(field, value, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("file_id", 7, "bad tuple set entry: file_id must be a string, got 7"),
+        ("file_id", None, "bad tuple set entry: file_id must be a string, got None"),
+        ("values", {"M": None},
+         "bad tuple set entry: tuples[0].values['M'] must be a string, got None"),
+        ("values", {"M": 7.5},
+         "bad tuple set entry: tuples[0].values['M'] must be a string, got 7.5"),
+        ("values", {"M": "x", 1: "y"},
+         "bad tuple set entry: tuples[0].values key must be a string, got 1"),
+        ("values", [["M", "x"]], "bad tuple set entry: 'list' object has no attribute 'items'"),
+    ],
+)
+def test_tuple_set_takes_json_strings_only(field, value, message):
+    d = {"file_id": "f", "page_nr": 2, "table_idx": 1,
+         "tuples": [{"row": 1, "values": {"M": "x", "N": ""}}]}
+    assert tuple_set_from_dict(d).tuples[0].values == {"M": "x", "N": ""}
+    if field == "values":
+        d["tuples"][0]["values"] = value
+    else:
+        d[field] = value
+    with pytest.raises(ConfigError) as err:
+        tuple_set_from_dict(d)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # rules config parsing
 

@@ -300,6 +300,51 @@ def test_page_tables_take_json_integers_and_booleans_only(doc, message):
     assert str(info.value) == message
 
 
+# Every string field takes a JSON string.  Each of these was once read
+# through str(): "abc" as the diagnostics ['a', 'b', 'c'], null as 'None'
+# and 7 as '7'.
+STRICT_STRINGS = [
+    ("table", "content-null", _with(_table(), ("cells", 1, "content"), None),
+     "bad table entry: cells[1].content must be a string, got None"),
+    ("table", "content-int", _with(_table(), ("cells", 0, "content"), 7),
+     "bad table entry: cells[0].content must be a string, got 7"),
+    ("page-tables", "file-id-int", _with(_page_tables(), ("file_id",), 7),
+     "bad page tables entry: file_id must be a string, got 7"),
+    ("page-tables", "orientation-null", _with(_page_tables(), ("orientation",), None),
+     "bad page tables entry: orientation must be a string, got None"),
+    ("page-tables", "diagnostics-string", _with(_page_tables(), ("diagnostics",), "abc"),
+     "bad page tables entry: diagnostics must be a list, got 'abc'"),
+    ("page-tables", "diagnostics-null", _with(_page_tables(), ("diagnostics",), None),
+     "bad page tables entry: diagnostics must be a list, got None"),
+    ("page-tables", "diagnostic-int", _with(_page_tables(), ("diagnostics",), ["ok", 3]),
+     "bad page tables entry: diagnostics[1] must be a string, got 3"),
+    ("page-tables", "table-content-passes-through",
+     _with(_page_tables(), ("tables", 0, "cells", 0, "content"), ["a"]),
+     "bad table entry: cells[0].content must be a string, got ['a']"),
+]
+
+
+@pytest.mark.parametrize("reader, doc, message", [(c[0], *c[2:]) for c in STRICT_STRINGS],
+                         ids=[c[1] for c in STRICT_STRINGS])
+def test_string_fields_take_json_strings_only(reader, doc, message):
+    read = recognized_table_from_dict if reader == "table" else page_tables_from_dict
+    with pytest.raises(LayoutError) as info:
+        read(doc)
+    assert str(info.value) == message
+
+
+def test_plain_strings_still_read():
+    doc = _with(_page_tables(), ("diagnostics",), ["dropped: no table label"])
+    page = page_tables_from_dict(_with(doc, ("tables", 0, "cells", 0, "content"), ""))
+    assert page.diagnostics == ["dropped: no table label"] and page.file_id == "doc"
+    assert page.orientation == "standard" and page.tables[0].cells[0].content == ""
+    bare = page_tables_from_dict(_with(_with(_page_tables(), ("orientation",), _DROP),
+                                       ("diagnostics",), _DROP))
+    assert bare.orientation == "standard" and bare.diagnostics == []
+    table = recognized_table_from_dict(_with(_table(), ("cells", 1, "content"), _DROP))
+    assert table.cells[1].content == ""
+
+
 def test_plain_flags_and_integers_still_read():
     doc = _with(_page_tables(), ("tables", 0, "expected_missed"), True)
     assert page_tables_from_dict(doc).expected_missed == [True]
