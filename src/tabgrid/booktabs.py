@@ -14,7 +14,6 @@ from .errors import DegenerateGrid, EmptyBody, InsufficientContext
 from .geometry import BoundingBox, contains_point, union_box
 from .kernels import interval_profile
 from .model import (
-    Cell,
     PageLayout,
     RecognizedTable,
     RecognizerConfig,
@@ -23,7 +22,6 @@ from .model import (
     TableSource,
     Word,
     assign_words_to_cells,
-    make_cell,
 )
 from .separator import column_runs, has_table_label
 
@@ -247,7 +245,7 @@ def build_booktabs_grid(
         raise DegenerateGrid(f"non-increasing borders for triple at {extent.as_tuple()}")
 
     n_rows, n_cols = len(ys) - 1, len(xs) - 1
-    cells: list[Cell] = []
+    spans = []
     for r in range(n_rows):
         # a grouping rule joins the two columns beside each border it crosses
         joined = {
@@ -256,11 +254,9 @@ def build_booktabs_grid(
             for j in range(n_cols - 1)
             if rule.box.left < xs[j + 1] < rule.box.right
         }
-        for cs, ce in column_runs(n_cols, joined):
-            box = BoundingBox(xs[cs], ys[r], xs[ce + 1], ys[r + 1])
-            cells.append(make_cell(box, r, r, cs, ce))
+        spans += [(r, r, cs, ce) for cs, ce in column_runs(n_cols, joined)]
 
-    cells = assign_words_to_cells(cells, words)
+    cells = assign_words_to_cells(spans, words, ys, xs)
     return RecognizedTable(
         region=region,
         n_rows=n_rows,

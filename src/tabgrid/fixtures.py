@@ -37,7 +37,6 @@ from .interpret import (
     meaning_to_dict,
 )
 from .model import (
-    Cell,
     PageLayout,
     RecognizedTable,
     RecognizerConfig,
@@ -47,7 +46,6 @@ from .model import (
     Word,
     assign_words_to_cells,
     cell_grid,
-    make_cell,
     page_layout_to_dict,
     recognizer_config_to_dict,
 )
@@ -259,11 +257,9 @@ def gen_bordered_page(
     plan = _interpretation_columns(rng, cols) if columns_mode == "interpretation" else None
 
     words: list[Word] = []
-    cells: list[Cell] = []
     for rs, re_, cs, ce in spans:
         box = BoundingBox(cb[cs], rb[rs], cb[ce + 1], rb[re_ + 1])
         blank = rng.random() < BLANK_RATE and plan is None
-        cell_words: list[Word] = []
         if not blank:
             if plan is None:
                 text = _token(rng)
@@ -273,10 +269,8 @@ def gen_bordered_page(
                 text = plan["make_value"][cs](rng)
             wy = box.top + (box.height - WORD_HEIGHT) // 2
             # keep the word inside even the narrowest merged cell
-            w = _word(rng, box.left + 8, wy, text, 100 + rs, right=box.right - 8)
-            cell_words.append(w)
-            words.append(w)
-        cells.append(make_cell(box, rs, re_, cs, ce, cell_words))
+            words.append(_word(rng, box.left + 8, wy, text, 100 + rs, right=box.right - 8))
+    cells = assign_words_to_cells(spans, words, rb, cb)
 
     words.extend(_label_words(rng, x0, rb[0], page_nr, labeled, line_id=99))
 
@@ -431,16 +425,14 @@ def gen_booktabs_page(
 
     # a header level's cells are its spans plus the single columns they
     # leave; the lowest header row and the body have one cell per column
-    cells: list[Cell] = []
+    spans = []
     n_header = n_levels + 1
     for r in range(n_header + rows):
-        top, bottom = row_borders[r], row_borders[r + 1]
-        spans = [(a, b) for a, b in cmidrule_levels[r]] if r < n_levels else []
-        covered = {j for a, b in spans for j in range(a, b + 1)}
-        for a, b in sorted(spans + [(j, j) for j in range(cols) if j not in covered]):
-            box = BoundingBox(col_borders[a], top, col_borders[b + 1], bottom)
-            cells.append(make_cell(box, r, r, a, b))
-    cells = assign_words_to_cells(cells, words)
+        groups = [(a, b) for a, b in cmidrule_levels[r]] if r < n_levels else []
+        covered = {j for a, b in groups for j in range(a, b + 1)}
+        runs = sorted(groups + [(j, j) for j in range(cols) if j not in covered])
+        spans += [(r, r, a, b) for a, b in runs]
+    cells = assign_words_to_cells(spans, words, row_borders, col_borders)
     table = RecognizedTable(
         region=region,
         n_rows=n_header + rows,

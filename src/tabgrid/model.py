@@ -184,25 +184,6 @@ def join_words(words: list[Word] | tuple[Word, ...]) -> str:
     return " ".join(w.text for w in ordered if w.text)
 
 
-def make_cell(
-    box: BoundingBox,
-    row_start: int,
-    row_end: int,
-    col_start: int,
-    col_end: int,
-    words: list[Word] | tuple[Word, ...] = (),
-) -> Cell:
-    return Cell(
-        box=box,
-        row_start=row_start,
-        row_end=row_end,
-        col_start=col_start,
-        col_end=col_end,
-        words=tuple(words),
-        content=join_words(words),
-    )
-
-
 @dataclass(frozen=True)
 class RecognizedTable:
     region: BoundingBox
@@ -256,35 +237,41 @@ def cell_grid(table: RecognizedTable) -> list[list[Cell]]:
     return grid  # type: ignore[return-value]
 
 
-def assign_words_to_cells(cells: list[Cell], words: list[Word] | tuple[Word, ...]) -> list[Cell]:
-    """Rebuild each cell with the words whose box center it contains.
+def assign_words_to_cells(
+    spans: list[tuple[int, int, int, int]],
+    words: list[Word] | tuple[Word, ...],
+    row_borders: list[int] | tuple[int, ...],
+    col_borders: list[int] | tuple[int, ...],
+) -> list[Cell]:
+    """One cell per span ``(row_start, row_end, col_start, col_end)`` over
+    the increasing borders, holding the words whose box center it
+    contains, in the order given.
 
-    The distinct cell borders cut the plane into slots; each word center
-    is bisected into its slot, and a slot -> covering cells map does the
-    rest.  Cells may overlap or leave gaps; each keeps its words in the
-    order given.
+    The spans tile the grid: an owner grid maps each slot to its span,
+    and each word center is bisected once into the borders.  A word whose
+    slot no span covers, or that lies outside the borders, is dropped.
     """
-    xs = sorted({v for c in cells for v in (c.box.left, c.box.right)})
-    ys = sorted({v for c in cells for v in (c.box.top, c.box.bottom)})
-    x_at = {v: i for i, v in enumerate(xs)}
-    y_at = {v: i for i, v in enumerate(ys)}
-    covering: dict[tuple[int, int], list[int]] = {}
-    for k, c in enumerate(cells):
-        b = c.box
-        for i in range(y_at[b.top], y_at[b.bottom]):
-            for j in range(x_at[b.left], x_at[b.right]):
-                covering.setdefault((i, j), []).append(k)
+    rb, cb = row_borders, col_borders
+    n_rows, n_cols = len(rb) - 1, len(cb) - 1
+    owner: list[list[int | None]] = [[None] * n_cols for _ in range(n_rows)]
+    for k, (rs, re_, cs, ce) in enumerate(spans):
+        for i in range(rs, re_ + 1):
+            owner[i][cs : ce + 1] = [k] * (ce + 1 - cs)
 
-    mine: list[list[Word]] = [[] for _ in cells]
+    mine: list[list[Word]] = [[] for _ in spans]
     for w in words:
         x, y = w.box.center
-        # slot (i, j) is [ys[i], ys[i + 1]) x [xs[j], xs[j + 1]), half-open like cells
-        slot = (bisect_right(ys, y) - 1, bisect_right(xs, x) - 1)
-        for k in covering.get(slot, ()):
-            mine[k].append(w)
+        # slot (i, j) is [rb[i], rb[i + 1]) x [cb[j], cb[j + 1]), half-open like cells
+        i = bisect_right(rb, y) - 1
+        j = bisect_right(cb, x) - 1
+        if 0 <= i < n_rows and 0 <= j < n_cols and owner[i][j] is not None:
+            mine[owner[i][j]].append(w)
     return [
-        make_cell(c.box, c.row_start, c.row_end, c.col_start, c.col_end, ws)
-        for c, ws in zip(cells, mine)
+        Cell(
+            BoundingBox(cb[cs], rb[rs], cb[ce + 1], rb[re_ + 1]),
+            rs, re_, cs, ce, tuple(ws), join_words(ws),
+        )
+        for (rs, re_, cs, ce), ws in zip(spans, mine)
     ]
 
 

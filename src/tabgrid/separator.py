@@ -17,7 +17,6 @@ from .dsu import UnionFind
 from .errors import DegenerateGrid
 from .geometry import BoundingBox, expand, union_box
 from .model import (
-    Cell,
     PageLayout,
     RecognizedTable,
     RecognizerConfig,
@@ -27,7 +26,6 @@ from .model import (
     Word,
     WordIndex,
     assign_words_to_cells,
-    make_cell,
 )
 
 # Coordinates whose centers land this close together are one border.
@@ -208,7 +206,7 @@ def refine_grid(
         for i in range(n_rows - 1)
     ] + [set()]
 
-    cells: list[Cell] = []
+    spans = []
     for i in range(n_rows):
         for cs, ce in runs[i]:
             if i and (cs, ce) in joins_below[i - 1]:
@@ -216,10 +214,8 @@ def refine_grid(
             re_ = i
             while (cs, ce) in joins_below[re_]:
                 re_ += 1
-            cells.append(
-                make_cell(BoundingBox(cb[cs], rb[i], cb[ce + 1], rb[re_ + 1]), i, re_, cs, ce)
-            )
-    cells = assign_words_to_cells(cells, words)
+            spans.append((i, re_, cs, ce))
+    cells = assign_words_to_cells(spans, words, rb, cb)
 
     return RecognizedTable(
         region=BoundingBox(cb[0], rb[0], cb[-1], rb[-1]),

@@ -19,7 +19,6 @@ from tabgrid.model import (
     cell_grid,
     grid_is_tiled,
     join_words,
-    make_cell,
     page_layout_from_dict,
     page_layout_to_dict,
     recognized_table_from_dict,
@@ -35,12 +34,9 @@ def _word(l, t, r, b, text, line_id=None):
 
 
 def _table_2x2():
-    cells = (
-        make_cell(box(0, 0, 10, 10), 0, 0, 0, 0, (_word(1, 1, 5, 5, "a"),)),
-        make_cell(box(10, 0, 20, 10), 0, 0, 1, 1, (_word(11, 1, 15, 5, "b"),)),
-        make_cell(box(0, 10, 10, 20), 1, 1, 0, 0, (_word(1, 11, 5, 15, "c"),)),
-        make_cell(box(10, 10, 20, 20), 1, 1, 1, 1, ()),
-    )
+    spans = [(0, 0, 0, 0), (0, 0, 1, 1), (1, 1, 0, 0), (1, 1, 1, 1)]
+    words = [_word(1, 1, 5, 5, "a"), _word(11, 1, 15, 5, "b"), _word(1, 11, 5, 15, "c")]
+    cells = tuple(assign_words_to_cells(spans, words, [0, 10, 20], [0, 10, 20]))
     return RecognizedTable(
         region=box(0, 0, 20, 20),
         n_rows=2,
@@ -100,7 +96,7 @@ def test_cell_grid_and_tiling():
     assert grid[0][0].content == "a"
     assert grid[1][1].content == ""
     # spanning cell appears at each covered coordinate
-    span = make_cell(box(0, 0, 20, 10), 0, 0, 0, 1, ())
+    span = Cell(box(0, 0, 20, 10), 0, 0, 0, 1)
     t2 = RecognizedTable(
         region=box(0, 0, 20, 20), n_rows=2, n_cols=2,
         cells=(span, t.cells[2], t.cells[3]),
@@ -121,7 +117,7 @@ def test_cell_grid_rejects_holes_and_overlap():
         cell_grid(holey)
     dup = RecognizedTable(
         region=t.region, n_rows=2, n_cols=2,
-        cells=t.cells + (make_cell(box(0, 0, 10, 10), 0, 0, 0, 0, ()),),
+        cells=t.cells + (Cell(box(0, 0, 10, 10), 0, 0, 0, 0),),
         labeled=False, source=TableSource.SEPARATOR, header_row_count=0,
     )
     with pytest.raises(ValueError):
@@ -129,33 +125,29 @@ def test_cell_grid_rejects_holes_and_overlap():
 
 
 def test_assign_words_by_center():
-    cells = [
-        make_cell(box(0, 0, 10, 10), 0, 0, 0, 0, ()),
-        make_cell(box(10, 0, 20, 10), 0, 0, 1, 1, ()),
-    ]
     words = [
         _word(8, 2, 12, 8, "mostly-right"),   # center x = 10 -> second cell
         _word(1, 1, 5, 5, "left"),
         _word(100, 100, 110, 110, "outside"),
     ]
-    out = assign_words_to_cells(cells, words)
+    out = assign_words_to_cells([(0, 0, 0, 0), (0, 0, 1, 1)], words, [0, 10], [0, 10, 20])
     assert out[0].content == "left"
     assert out[1].content == "mostly-right"
+    assert [c.box for c in out] == [box(0, 0, 10, 10), box(10, 0, 20, 10)]
 
 
 # ---------------------------------------------------------------------------
 # indexed word placement against brute-force scans
 
 
-def assign_words_oracle(cells, words):
+def assign_words_oracle(spans, words, row_borders, col_borders):
     """Per-cell scan over every word: the definition of the assignment."""
-    return [
-        make_cell(
-            c.box, c.row_start, c.row_end, c.col_start, c.col_end,
-            [w for w in words if contains_point(c.box, *w.box.center)],
-        )
-        for c in cells
-    ]
+    cells = []
+    for rs, re_, cs, ce in spans:
+        b = box(col_borders[cs], row_borders[rs], col_borders[ce + 1], row_borders[re_ + 1])
+        mine = tuple(w for w in words if contains_point(b, *w.box.center))
+        cells.append(Cell(b, rs, re_, cs, ce, mine, join_words(mine)))
+    return cells
 
 
 def reconstruct_lines_oracle(words):
@@ -189,24 +181,37 @@ def numbered_words(draw, max_size=40):
 
 
 @st.composite
-def tiled_cells(draw):
-    xs = sorted(draw(st.sets(st.integers(0, 24), min_size=2, max_size=6)))
+def tiled_grids(draw):
+    """Random borders and a random tiling of their grid by rectangular spans,
+    in a random order; a span may cover several rows and columns."""
     ys = sorted(draw(st.sets(st.integers(0, 24), min_size=2, max_size=6)))
-    return [
-        make_cell(box(xs[j], ys[i], xs[j + 1], ys[i + 1]), i, i, j, j)
-        for i in range(len(ys) - 1)
-        for j in range(len(xs) - 1)
-    ]
-
-
-# free boxes cover gaps, overlaps, nesting and zero-area cells
-free_cells = st.lists(boxes().map(lambda b: make_cell(b, 0, 0, 0, 0)), max_size=12)
+    xs = sorted(draw(st.sets(st.integers(0, 24), min_size=2, max_size=6)))
+    n_rows, n_cols = len(ys) - 1, len(xs) - 1
+    taken = [[False] * n_cols for _ in range(n_rows)]
+    spans = []
+    for i in range(n_rows):
+        for j in range(n_cols):
+            if taken[i][j]:
+                continue
+            widest = j
+            while widest + 1 < n_cols and not taken[i][widest + 1]:
+                widest += 1
+            ce = draw(st.integers(j, widest))
+            deepest = i
+            while deepest + 1 < n_rows and not any(taken[deepest + 1][j : ce + 1]):
+                deepest += 1
+            re_ = draw(st.integers(i, deepest))
+            for r in range(i, re_ + 1):
+                taken[r][j : ce + 1] = [True] * (ce + 1 - j)
+            spans.append((i, re_, j, ce))
+    return draw(st.permutations(spans)), ys, xs
 
 
 @settings(max_examples=200, deadline=None)
-@given(cells=st.one_of(tiled_cells(), free_cells), words=numbered_words())
-def test_assign_words_matches_per_cell_scan(cells, words):
-    assert assign_words_to_cells(cells, words) == assign_words_oracle(cells, words)
+@given(grid=tiled_grids(), words=numbered_words())
+def test_assign_words_matches_per_cell_scan(grid, words):
+    spans, ys, xs = grid
+    assert assign_words_to_cells(spans, words, ys, xs) == assign_words_oracle(spans, words, ys, xs)
 
 
 @settings(max_examples=200, deadline=None)
