@@ -554,65 +554,96 @@ def _transpose_fixture(page: FixturePage) -> FixturePage:
     return replace(page, layout=transpose_layout(page.layout), gt=gt)
 
 
-def _page_from_spec(rng: random.Random, entry: dict) -> FixturePage:
+_TYPE_NAMES = {list: "a list", dict: "an object", bool: "a boolean"}
+
+
+def _expect(v: object, name: str, kind: type):
+    """v if its type is exactly ``kind`` (list, dict or bool); else a ConfigError."""
+    if type(v) is not kind:
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {v!r}")
+    return v
+
+
+def _spec_int(v: object, name: str, low: int | None = None) -> int:
+    """v if it is a JSON integer of at least ``low``; else a ConfigError."""
+    if type(v) is int and (low is None or v >= low):
+        return v
+    bound = "" if low is None else f" >= {low}"
+    raise ConfigError(f"{name} must be an integer{bound}, got {v!r}")
+
+
+def _page_from_spec(rng: random.Random, entry: object, where: str) -> FixturePage:
+    entry = _expect(entry, where, dict)
     kind = entry.get("kind")
     if kind not in ("bordered", "booktabs"):
         raise ConfigError(f"unknown fixture kind: {kind!r}")
     file_id = entry.get("file_id")
-    page_nr = entry.get("page_nr")
     if not isinstance(file_id, str) or not file_id:
-        raise ConfigError("fixture page needs a non-empty 'file_id'")
-    if not isinstance(page_nr, int) or page_nr < 0:
-        raise ConfigError("fixture page needs a non-negative integer 'page_nr'")
+        raise ConfigError(f"{where}.file_id must be a non-empty string, got {file_id!r}")
+    page_nr = _spec_int(entry.get("page_nr"), f"{where}.page_nr", 0)
+    orientation = entry.get("orientation", "standard")
+    if orientation not in ("standard", "vertical"):
+        raise ConfigError(
+            f"{where}.orientation must be 'standard' or 'vertical', got {orientation!r}"
+        )
+    rows, cols = entry.get("rows"), entry.get("cols")
+    interpretation = _expect(entry.get("interpretation", False), f"{where}.interpretation", bool)
     common = dict(
-        rows=entry.get("rows"),
-        cols=entry.get("cols"),
-        labeled=bool(entry.get("labeled", True)),
-        columns_mode="interpretation" if entry.get("interpretation") else None,
+        rows=None if rows is None else _spec_int(rows, f"{where}.rows", 1),
+        cols=None if cols is None else _spec_int(cols, f"{where}.cols", 1),
+        labeled=_expect(entry.get("labeled", True), f"{where}.labeled", bool),
+        columns_mode="interpretation" if interpretation else None,
     )
     if kind == "bordered":
         merges = None
         if "merges" in entry:
-            merges = [
-                MergeSpec(m["row"], m["col"], m["dir"]) for m in entry["merges"]
-            ]
-            for m in merges:
-                if m.direction not in ("right", "down"):
-                    raise ConfigError(f"unknown merge direction: {m.direction!r}")
+            merges = []
+            for k, m in enumerate(_expect(entry["merges"], f"{where}.merges", list)):
+                at = f"{where}.merges[{k}]"
+                m = _expect(m, at, dict)
+                direction = m.get("dir")
+                if direction not in ("right", "down"):
+                    raise ConfigError(f"{at}.dir must be 'right' or 'down', got {direction!r}")
+                row, col = (_spec_int(m.get(key), f"{at}.{key}", 0) for key in ("row", "col"))
+                merges.append(MergeSpec(row, col, direction))
         page = gen_bordered_page(rng, file_id, page_nr, merges=merges, **common)
     else:
         levels = None
         if "cmidrule_levels" in entry:
-            levels = [
-                [(int(a), int(b)) for a, b in level] for level in entry["cmidrule_levels"]
-            ]
+            at = f"{where}.cmidrule_levels"
+            levels = []
+            for i, level in enumerate(_expect(entry["cmidrule_levels"], at, list)):
+                level = _expect(level, f"{at}[{i}]", list)
+                levels.append([_cmidrule(r, f"{at}[{i}][{j}]") for j, r in enumerate(level)])
         page = gen_booktabs_page(rng, file_id, page_nr, cmidrule_levels=levels, **common)
-    if entry.get("orientation", "standard") == "vertical":
+    if orientation == "vertical":
         page = _transpose_fixture(page)
     return page
 
 
+def _cmidrule(v: object, name: str) -> tuple[int, int]:
+    """A grouping rule's inclusive column span, given as [first, last]."""
+    if type(v) is not list or len(v) != 2:
+        raise ConfigError(f"{name} must be a list of 2 integers, got {v!r}")
+    return _spec_int(v[0], f"{name}[0]", 0), _spec_int(v[1], f"{name}[1]", 0)
+
+
 def generate_pages(spec: dict) -> list[FixturePage]:
     """All fixture pages for a corpus spec, in deterministic order."""
-    seed = spec.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("'seed' must be an integer")
-    rng = random.Random(seed)
-    pages = [_page_from_spec(rng, entry) for entry in spec.get("pages", [])]
-    rand = spec.get("random", {})
-    if not isinstance(rand, dict):
-        raise ConfigError("'random' must be an object")
+    rng = random.Random(_spec_int(spec.get("seed", 0), "seed"))
+    pages = [
+        _page_from_spec(rng, entry, f"pages[{i}]")
+        for i, entry in enumerate(_expect(spec.get("pages", []), "pages", list))
+    ]
+    rand = _expect(spec.get("random", {}), "random", dict)
     known = {"bordered", "booktabs", "interpretation"}
     unknown = set(rand) - known
     if unknown:
         raise ConfigError(f"unknown random corpus groups: {sorted(unknown)}")
 
     def _count(group: str) -> int:
-        entry = rand.get(group, {})
-        n = entry.get("count", 0)
-        if not isinstance(n, int) or n < 0:
-            raise ConfigError(f"random.{group}.count must be a non-negative integer")
-        return n
+        entry = _expect(rand.get(group, {}), f"random.{group}", dict)
+        return _spec_int(entry.get("count", 0), f"random.{group}.count", 0)
 
     for k in range(_count("bordered")):
         pages.append(gen_bordered_page(rng, f"rb{k:03d}", 1))

@@ -92,15 +92,6 @@ def union_box(boxes: list[BoundingBox]) -> BoundingBox:
     )
 
 
-def clamp(b: BoundingBox, width: int, height: int) -> BoundingBox:
-    """Clip the box to the page rectangle [0, width) x [0, height)."""
-    left = min(max(b.left, 0), width)
-    top = min(max(b.top, 0), height)
-    right = min(max(b.right, left), width)
-    bottom = min(max(b.bottom, top), height)
-    return BoundingBox(left, top, right, bottom)
-
-
 def contains_point(b: BoundingBox, x: float, y: float) -> bool:
     """Half-open containment matching the exclusive right/bottom edges."""
     return b.left <= x < b.right and b.top <= y < b.bottom

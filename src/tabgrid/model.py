@@ -16,10 +16,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
+from typing import NoReturn
 
 from .dsu import UnionFind
 from .errors import ConfigError, LayoutError
-from .geometry import BoundingBox, clamp, transpose_box
+from .geometry import BoundingBox, transpose_box
 
 DEFAULT_LABEL_KEYWORDS = ("table", "tab.")
 
@@ -60,11 +61,7 @@ class PageLayout:
 
     @cached_property
     def word_index(self) -> WordIndex:
-        """The page's words indexed by y, built on first use.
-
-        It lives on the page object, so pages recognized on different
-        threads never share one.
-        """
+        """The page's words indexed by y, built on first use."""
         return WordIndex(self.words)
 
 
@@ -320,8 +317,8 @@ def json_str(v: object, name: str) -> str:
 
 def _valid_box(v: object, width: int = 0, height: int = 0) -> BoundingBox | None:
     """The box of a list of four plain ints with left <= right and top <= bottom,
-    clipped to the page as ``clamp`` clips it when a page width is given;
-    None for anything else, which ``_box_from_json`` then reports."""
+    clipped to the page when a page width is given;
+    None for anything else, which ``_reject_box`` then reports."""
     if type(v) is list and len(v) == 4:
         left, top, right, bottom = v
         if (
@@ -341,17 +338,22 @@ def _valid_box(v: object, width: int = 0, height: int = 0) -> BoundingBox | None
     return None
 
 
-def _box_from_json(v: object, where: str) -> BoundingBox:
-    if not (
-        isinstance(v, list)
-        and len(v) == 4
-        and all(isinstance(x, int) and type(x) is not bool for x in v)
-    ):
-        raise LayoutError(f"{where}: box must be a list of 4 integers, got {v!r}")
-    try:
-        return BoundingBox(*v)
-    except ValueError as exc:
-        raise LayoutError(f"{where}: {exc}") from exc
+def _reject_box(v: object, where: str) -> NoReturn:
+    """Raise the LayoutError for a box ``_valid_box`` turned down."""
+    if type(v) is list and len(v) == 4 and all(type(x) is int for x in v):
+        try:
+            BoundingBox(*v)
+        except ValueError as exc:
+            raise LayoutError(f"{where}: {exc}") from exc
+    raise LayoutError(f"{where}: box must be a list of 4 integers, got {v!r}")
+
+
+def _json_list(d: dict, key: str) -> list:
+    """d[key] if it is a JSON array, [] if the key is absent; else LayoutError."""
+    v = d.get(key, [])
+    if type(v) is not list:
+        raise LayoutError(f"{key} must be a list, got {v!r}")
+    return v
 
 
 def _strip_control(text: str) -> str:
@@ -375,11 +377,11 @@ def page_layout_from_dict(d: dict) -> PageLayout:
         raise LayoutError("page dimensions must be positive")
 
     words = []
-    for i, w in enumerate(d.get("words", [])):
+    for i, w in enumerate(_json_list(d, "words")):
         if not isinstance(w, dict):
             raise LayoutError(f"words[{i}]: must be an object")
         v = w.get("box")
-        b = _valid_box(v, width, height) or clamp(_box_from_json(v, f"words[{i}]"), width, height)
+        b = _valid_box(v, width, height) or _reject_box(v, f"words[{i}]")
         text = w.get("text")
         if not isinstance(text, str):
             raise LayoutError(f"words[{i}]: text must be a string")
@@ -390,12 +392,12 @@ def page_layout_from_dict(d: dict) -> PageLayout:
         words.append(Word(b, text if text.isprintable() else _strip_control(text), line_id))
 
     separators = []
-    for i, s in enumerate(d.get("separators", [])):
+    for i, s in enumerate(_json_list(d, "separators")):
         where = f"separators[{i}]"  # a few per page, unlike words
         if not isinstance(s, dict):
             raise LayoutError(f"{where}: must be an object")
         v = s.get("box")
-        b = _valid_box(v, width, height) or clamp(_box_from_json(v, where), width, height)
+        b = _valid_box(v, width, height) or _reject_box(v, where)
         kind = s.get("orientation")
         if kind not in ("h", "v"):
             raise LayoutError(f"{where}: orientation must be 'h' or 'v'")
@@ -404,15 +406,14 @@ def page_layout_from_dict(d: dict) -> PageLayout:
             separators.append(Separator(b, orientation))
         except ValueError as exc:
             try:
-                Separator(_box_from_json(v, where), orientation)
+                Separator(_valid_box(v), orientation)
             except ValueError:
                 raise LayoutError(f"{where}: {exc}") from exc
             # right-shaped as given, clipped at the page edge to a stub: dropped
 
     regions = tuple(
-        _valid_box(r, width, height)
-        or clamp(_box_from_json(r, f"non_text_regions[{i}]"), width, height)
-        for i, r in enumerate(d.get("non_text_regions", []))
+        _valid_box(r, width, height) or _reject_box(r, f"non_text_regions[{i}]")
+        for i, r in enumerate(_json_list(d, "non_text_regions"))
     )
     return PageLayout(width, height, tuple(words), tuple(separators), regions)
 
@@ -464,11 +465,11 @@ def recognized_table_from_dict(d: dict) -> RecognizedTable:
         raise LayoutError("table entry must be an object")
     try:
         v = d["region"]
-        region = _valid_box(v) or _box_from_json(v, "table.region")
+        region = _valid_box(v) or _reject_box(v, "table.region")
         cells = []
         for i, c in enumerate(d["cells"]):
             v = c["box"]
-            b = _valid_box(v) or _box_from_json(v, f"cells[{i}].box")
+            b = _valid_box(v) or _reject_box(v, f"cells[{i}].box")
             r0, r1, c0, c1 = c["row_start"], c["row_end"], c["col_start"], c["col_end"]
             if not (type(r0) is int and type(r1) is int and type(c0) is int and type(c1) is int):
                 for k, x in zip(_SPANS, (r0, r1, c0, c1)):

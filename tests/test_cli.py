@@ -238,6 +238,23 @@ def test_page_crash_is_reported_and_run_completes(tmp_path, monkeypatch, capsys)
     assert written == sorted([layouts[0].name, layouts[2].name, "run_manifest.json"])
 
 
+@pytest.mark.parametrize("field, value", [("words", 5), ("separators", None),
+                                          ("non_text_regions", "none")])
+def test_layout_field_that_is_not_a_list_is_exit_2(tmp_path, capsys, field, value):
+    corpus = _make_corpus(tmp_path)
+    layouts = sorted((corpus / "layouts").glob("*.json"))
+    bad = layouts[0]
+    doc = json.loads(bad.read_text())
+    doc[field] = value
+    dump_json(bad, doc)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["recognize", str(corpus / "layouts"), str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad.name}: {field} must be a list, got {value!r}\n"
+    written = sorted(p.name for p in out.glob("*.json"))
+    assert written == sorted([p.name for p in layouts[1:]] + ["run_manifest.json"])
+
+
 def test_recognize_skips_run_manifest_in_layout_dir(tmp_path, capsys):
     corpus = _make_corpus(tmp_path)
     layouts = corpus / "layouts"
@@ -328,6 +345,59 @@ def test_gen_fixtures_rejects_overlapping_merges_and_cmidrules(tmp_path, capsys,
     rc = main(["gen-fixtures", str(spec), str(tmp_path / "c")])
     assert rc == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+_PAGE = {"kind": "bordered", "file_id": "x", "page_nr": 1}
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ({"pages": 5}, "pages must be a list, got 5"),
+        ({"pages": [5]}, "pages[0] must be an object, got 5"),
+        ({"random": {"bordered": 3}}, "random.bordered must be an object, got 3"),
+        ({"random": {"booktabs": {"count": True}}},
+         "random.booktabs.count must be an integer >= 0, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"pages": [{**_PAGE, "page_nr": True}]},
+         "pages[0].page_nr must be an integer >= 0, got True"),
+        ({"pages": [{**_PAGE, "rows": "a"}]}, "pages[0].rows must be an integer >= 1, got 'a'"),
+        ({"pages": [{**_PAGE, "cols": 3.0}]}, "pages[0].cols must be an integer >= 1, got 3.0"),
+        ({"pages": [{**_PAGE, "kind": "booktabs", "rows": 0}]},
+         "pages[0].rows must be an integer >= 1, got 0"),
+        ({"pages": [{**_PAGE, "labeled": "false"}]},
+         "pages[0].labeled must be a boolean, got 'false'"),
+        ({"pages": [{**_PAGE, "interpretation": 1}]},
+         "pages[0].interpretation must be a boolean, got 1"),
+        ({"pages": [{**_PAGE, "orientation": "sideways"}]},
+         "pages[0].orientation must be 'standard' or 'vertical', got 'sideways'"),
+        ({"pages": [{**_PAGE, "merges": {"row": 0}}]},
+         "pages[0].merges must be a list, got {'row': 0}"),
+        ({"pages": [{**_PAGE, "rows": 3, "cols": 3, "merges": [{"row": 0, "dir": "right"}]}]},
+         "pages[0].merges[0].col must be an integer >= 0, got None"),
+        ({"pages": [{**_PAGE, "merges": [{"row": 0, "col": 0, "dir": "up"}]}]},
+         "pages[0].merges[0].dir must be 'right' or 'down', got 'up'"),
+        ({"pages": [{**_PAGE, "kind": "booktabs", "cmidrule_levels": [[[0]]]}]},
+         "pages[0].cmidrule_levels[0][0] must be a list of 2 integers, got [0]"),
+        ({"pages": [{**_PAGE, "kind": "booktabs", "cmidrule_levels": [[[0, 1.0]]]}]},
+         "pages[0].cmidrule_levels[0][0][1] must be an integer >= 0, got 1.0"),
+        ({"pages": [{**_PAGE, "kind": "booktabs", "cmidrule_levels": [5]}]},
+         "pages[0].cmidrule_levels[0] must be a list, got 5"),
+    ],
+    ids=[
+        "pages-int", "page-int", "group-int", "count-bool", "seed-float", "page-nr-bool",
+        "rows-string", "cols-float", "rows-zero", "labeled-string", "interpretation-int",
+        "orientation-unknown", "merges-object", "merge-without-col", "merge-dir-unknown",
+        "cmidrule-one-bound", "cmidrule-float-bound", "level-int",
+    ],
+)
+def test_gen_fixtures_rejects_wrongly_typed_fields(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    dump_json(path, spec)
+    rc = main(["gen-fixtures", str(path), str(tmp_path / "c")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "c").exists()
 
 

@@ -5,7 +5,6 @@ import pytest
 from tabgrid.geometry import (
     BoundingBox,
     box,
-    clamp,
     contains_point,
     expand,
     intersection_area,
@@ -62,10 +61,9 @@ def test_intersects_closed_vs_overlaps_open():
     assert overlaps(a, box(9, 9, 20, 20))
 
 
-def test_expand_and_clamp():
+def test_expand_grows_every_side():
     e = expand(box(10, 10, 20, 20), 5)
     assert e.as_tuple() == (5, 5, 25, 25)
-    assert clamp(box(-5, -5, 30, 30), 20, 25).as_tuple() == (0, 0, 20, 25)
 
 
 def test_union_box():

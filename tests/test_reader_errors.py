@@ -135,6 +135,17 @@ LAYOUT_ERRORS = [
      "non_text_regions[0]: box must be a list of 4 integers, got [50, '30', 60, 40]"),
     ("region-degenerate", _with(_page(), ("non_text_regions", 0), [60, 30, 50, 40]),
      "non_text_regions[0]: degenerate box: BoundingBox(left=60, top=30, right=50, bottom=40)"),
+    ("words-int", _with(_page(), ("words",), 5), "words must be a list, got 5"),
+    ("words-object", _with(_page(), ("words",), {"box": [1, 1, 9, 9]}),
+     "words must be a list, got {'box': [1, 1, 9, 9]}"),
+    ("separators-null", _with(_page(), ("separators",), None),
+     "separators must be a list, got None"),
+    ("separators-string", _with(_page(), ("separators",), "h"),
+     "separators must be a list, got 'h'"),
+    ("regions-null", _with(_page(), ("non_text_regions",), None),
+     "non_text_regions must be a list, got None"),
+    ("regions-box", _with(_page(), ("non_text_regions",), 7),
+     "non_text_regions must be a list, got 7"),
 ]
 
 
