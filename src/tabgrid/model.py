@@ -317,8 +317,8 @@ def json_str(v: object, name: str) -> str:
 
 def _valid_box(v: object, width: int = 0, height: int = 0) -> BoundingBox | None:
     """The box of a list of four plain ints with left <= right and top <= bottom,
-    clipped to the page when a page width is given;
-    None for anything else, which ``_reject_box`` then reports."""
+    clipped to the page when a page width is given; None for anything else,
+    which ``_reject_box`` then reports."""
     if type(v) is list and len(v) == 4:
         left, top, right, bottom = v
         if (
