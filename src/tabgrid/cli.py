@@ -86,12 +86,13 @@ def _json_files(directory: Path) -> list[Path]:
 # Forking two workers, handing out their chunks and reaping them costs about
 # 5 ms; the workers then copy the pages of the parent that they write to.
 # What an item costs grows with its input, so a pool pays from some number
-# of input bytes per worker on.  Measured as program runs on 2 shared cores,
-# recognize breaks even at about 110 KB per worker and interpret at about
-# 235 KB; eval recognition and eval cells on one-table pages at 450-900 KB
-# of page pairs, while 200 KB of dense pairs per worker lost 6-8%.
-MIN_BYTES_PER_WORKER = 160_000
-MIN_PAIR_BYTES_PER_WORKER = 512_000
+# of input bytes per worker on.  Measured as program runs on 2 shared cores
+# and given in compact bytes (the runs read indented files, 2.0-2.2 times as
+# large), recognize breaks even at about 53 KB per worker and interpret at about
+# 110 KB; eval recognition and eval cells on one-table pages at 210-420 KB
+# of page pairs, while 92 KB of dense pairs per worker lost 6-8%.
+MIN_BYTES_PER_WORKER = 80_000
+MIN_PAIR_BYTES_PER_WORKER = 235_000
 
 
 def _cores() -> int:

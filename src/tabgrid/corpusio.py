@@ -5,8 +5,9 @@ Recognition output:  <FILE_ID>_page<NR>.json   (mirrors the layout name)
 Tuple sets:          <FILE_ID>_page<NR>_table<IDX>.json
 
 FILE_ID may itself contain underscores; names parse from the right.
-All JSON is written as ``json.dumps(obj, indent=2, sort_keys=True)`` plus
-a trailing newline, so repeated runs produce byte-identical files.
+All JSON is written as ``json.dumps(obj, sort_keys=True)`` plus a trailing
+newline: one line of ASCII, so repeated runs produce byte-identical files.
+The readers take any JSON layout, indented files included.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import LayoutError
@@ -55,84 +55,9 @@ def parse_tuple_name(name: str) -> tuple[str, int, int] | None:
     return m.group("fid"), int(m.group("page")), int(m.group("idx"))
 
 
-_INF = float("inf")
-_INTS = {int}
-
-
-def _encode(o: object, out: list[str], pad: str) -> None:
-    """Append o as ``json.dumps(o, indent=2, sort_keys=True)`` writes it.
-
-    ``indent`` makes ``json`` use its pure-Python encoder; this walk writes
-    the same bytes with less work.  pad is a newline and the indentation of
-    the enclosing line.  Only dict (with str keys), list, tuple, str, int,
-    float, bool and None are written, each by its exact type, so ``True``
-    stays ``true``; anything else raises TypeError.
-    """
-    t = type(o)
-    if t is dict:
-        if not o:
-            out.append("{}")
-            return
-        inner = pad + "  "
-        sep = "{" + inner
-        for k in sorted(o):
-            if type(k) is not str:
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            v = o[k]
-            tv = type(v)
-            if tv is str:
-                out.append(sep + _quote(k) + ": " + _quote(v))
-            elif tv is int:
-                out.append(sep + _quote(k) + ": " + int.__repr__(v))
-            else:
-                out.append(sep + _quote(k) + ": ")
-                _encode(v, out, inner)
-            sep = "," + inner
-        out.append(pad + "}")
-    elif t is list or t is tuple:
-        if not o:
-            out.append("[]")
-            return
-        inner = pad + "  "
-        if set(map(type, o)) == _INTS:  # a box, say: one join
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
-            return
-        sep = "[" + inner
-        for v in o:
-            out.append(sep)
-            _encode(v, out, inner)
-            sep = "," + inner
-        out.append(pad + "]")
-    elif t is str:
-        out.append(_quote(o))
-    elif t is int:
-        out.append(int.__repr__(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif t is float:
-        # json's own spelling of the non-finite floats
-        if o != o:
-            out.append("NaN")
-        elif o == _INF:
-            out.append("Infinity")
-        elif o == -_INF:
-            out.append("-Infinity")
-        else:
-            out.append(float.__repr__(o))
-    else:
-        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
-
-
 def dump_json(path: Path, obj: object) -> None:
-    out: list[str] = []
-    _encode(obj, out, "\n")
-    out.append("\n")
-    # the escaper leaves only ASCII, and bytes keep "\n" on every platform
-    path.write_bytes("".join(out).encode("ascii"))
+    # json's C encoder; ASCII escapes, and bytes keep "\n" on every platform
+    path.write_bytes((json.dumps(obj, sort_keys=True) + "\n").encode("ascii"))
 
 
 def read_json(path: Path) -> object:

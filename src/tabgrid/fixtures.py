@@ -140,7 +140,10 @@ def _random_merges(rng: random.Random, rows: int, cols: int, count: int) -> list
     attempts = 0
     while len(merges) < count and attempts < 50:
         attempts += 1
-        if rng.random() < 0.5 and cols >= 2:
+        right = rng.random() < 0.5  # drawn on every attempt: later pages read on from here
+        if rows < 2 or cols < 2:
+            continue  # any merge of a one-row or one-column grid cuts a whole border
+        if right:
             i = rng.choice([0, rows - 1])
             j = rng.randrange(cols - 1)
             if (i, j) in taken_cells or (i, j + 1) in taken_cells or (j + 1) in used_v_borders:
@@ -148,7 +151,7 @@ def _random_merges(rng: random.Random, rows: int, cols: int, count: int) -> list
             taken_cells.update({(i, j), (i, j + 1)})
             used_v_borders.add(j + 1)
             merges.append(MergeSpec(i, j, "right"))
-        elif rows >= 2:
+        else:
             j = rng.choice([0, cols - 1])
             i = rng.randrange(rows - 1)
             if (i, j) in taken_cells or (i + 1, j) in taken_cells or (i + 1) in used_h_borders:
@@ -572,11 +575,24 @@ def _spec_int(v: object, name: str, low: int | None = None) -> int:
     raise ConfigError(f"{name} must be an integer{bound}, got {v!r}")
 
 
+def _known_fields(d: dict, where: str, fields: tuple[str, ...], note: str = "") -> None:
+    """A ConfigError naming the first key of d, in sorted order, not in ``fields``."""
+    for key in sorted(d):
+        if key not in fields:
+            raise ConfigError(f"unknown field {where}{key}{note}")
+
+
+_PAGE_FIELDS = ("kind", "file_id", "page_nr", "orientation", "rows", "cols", "labeled",
+                "interpretation")
+
+
 def _page_from_spec(rng: random.Random, entry: object, where: str) -> FixturePage:
     entry = _expect(entry, where, dict)
     kind = entry.get("kind")
     if kind not in ("bordered", "booktabs"):
         raise ConfigError(f"unknown fixture kind: {kind!r}")
+    extra = "merges" if kind == "bordered" else "cmidrule_levels"
+    _known_fields(entry, f"{where}.", (*_PAGE_FIELDS, extra), f" of a {kind} page")
     file_id = entry.get("file_id")
     if not isinstance(file_id, str) or not file_id:
         raise ConfigError(f"{where}.file_id must be a non-empty string, got {file_id!r}")
@@ -601,6 +617,7 @@ def _page_from_spec(rng: random.Random, entry: object, where: str) -> FixturePag
             for k, m in enumerate(_expect(entry["merges"], f"{where}.merges", list)):
                 at = f"{where}.merges[{k}]"
                 m = _expect(m, at, dict)
+                _known_fields(m, f"{at}.", ("row", "col", "dir"))
                 direction = m.get("dir")
                 if direction not in ("right", "down"):
                     raise ConfigError(f"{at}.dir must be 'right' or 'down', got {direction!r}")
@@ -630,6 +647,7 @@ def _cmidrule(v: object, name: str) -> tuple[int, int]:
 
 def generate_pages(spec: dict) -> list[FixturePage]:
     """All fixture pages for a corpus spec, in deterministic order."""
+    _known_fields(spec, "", ("seed", "pages", "random"))
     rng = random.Random(_spec_int(spec.get("seed", 0), "seed"))
     pages = [
         _page_from_spec(rng, entry, f"pages[{i}]")
@@ -643,6 +661,7 @@ def generate_pages(spec: dict) -> list[FixturePage]:
 
     def _count(group: str) -> int:
         entry = _expect(rand.get(group, {}), f"random.{group}", dict)
+        _known_fields(entry, f"random.{group}.", ("count",))
         return _spec_int(entry.get("count", 0), f"random.{group}.count", 0)
 
     for k in range(_count("bordered")):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +23,7 @@ from pathlib import Path
 from .errors import ConfigError, InvalidPattern
 from .kernels import levenshtein_codes
 from .matching import Matching, WeightedBipartiteGraph, max_weight_matching
-from .model import RecognizedTable, TableSource, json_int, json_str
+from .model import RecognizedTable, TableSource, json_float, json_int, json_str
 
 
 class DataType(enum.Enum):
@@ -54,8 +55,11 @@ class MeaningConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("meaning name must be non-empty")
-        if self.w_title < 0 or self.w_content < 0 or self.w_title + self.w_content <= 0:
-            raise ValueError(f"{self.name}: weights must be non-negative with a positive sum")
+        weights = (self.w_title, self.w_content)
+        if not (all(0 <= w < math.inf for w in weights) and sum(weights) > 0):  # NaN fails too
+            raise ValueError(
+                f"{self.name}: weights must be finite and non-negative with a positive sum"
+            )
         if not (0.0 <= self.min_affinity <= 1.0):
             raise ValueError(f"{self.name}: min_affinity must lie in [0, 1]")
         if not (
@@ -294,7 +298,7 @@ def meanings_from_json(raw: object) -> list[MeaningConfig]:
         for key in ("w_title", "w_content", "min_affinity"):
             v = entry.get(key)
             if isinstance(v, (int, float)) and not isinstance(v, bool):
-                kwargs[key] = float(v)
+                kwargs[key] = json_float(v)
             elif key not in entry:
                 errors.append(f"{where}: {key} is required")
                 ok = False

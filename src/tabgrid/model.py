@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
@@ -282,8 +283,8 @@ class RecognizerConfig:
     label_search_margin_px: int = 50
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < self.gamma < math.inf:  # NaN fails too
+            raise ValueError("gamma must be positive and finite")
         if self.separator_expand_px < 0 or self.label_search_margin_px < 0:
             raise ValueError("pixel margins must be non-negative")
         if (self.require_labels_separator or self.require_labels_booktabs) and not self.label_keywords:
@@ -313,6 +314,15 @@ def json_str(v: object, name: str) -> str:
     if isinstance(v, str):
         return v
     raise ValueError(f"{name} must be a string, got {v!r}")
+
+
+def json_float(v: int | float) -> float:
+    """A JSON number as a float; an integer too large for one becomes an
+    infinity of its sign, which every config check rejects."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
 
 
 def _valid_box(v: object, width: int = 0, height: int = 0) -> BoundingBox | None:
@@ -524,7 +534,7 @@ def recognizer_config_from_dict(d: dict) -> RecognizerConfig:
     if "gamma" in d:
         if not isinstance(d["gamma"], (int, float)) or isinstance(d["gamma"], bool):
             raise ConfigError("gamma must be a number")
-        kwargs["gamma"] = float(d["gamma"])
+        kwargs["gamma"] = json_float(d["gamma"])
     for key in ("require_labels_separator", "require_labels_booktabs"):
         if key in d:
             if not isinstance(d[key], bool):

@@ -101,6 +101,50 @@ def test_eval_recognition_report_file(tmp_path, capsys):
     assert len(report["documents"]) == 9
 
 
+def _chain_outputs(root: Path, capsys) -> tuple[list[str], dict]:
+    """The stdout of each command of the chain on ``root/corpus``, with root
+    spelt ROOT, and every file the chain wrote but its manifests."""
+    corpus, pred, tuples = root / "corpus", root / "pred", root / "tuples"
+    steps = [
+        ["recognize", f"{corpus}/layouts", str(pred), "--config", f"{corpus}/recognizer_config.json"],
+        ["interpret", str(pred), f"{corpus}/rules.json", str(tuples)],
+        *(
+            ["eval", mode, f"{corpus}/recognition_gt", str(pred), "--out", f"{root}/{mode}.json"]
+            for mode in ("recognition", "cells")
+        ),
+        ["eval", "interpretation", f"{corpus}/interpretation_gt", str(tuples),
+         "--out", f"{root}/interpretation.json"],
+    ]
+    stdout = []
+    for argv in steps:
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        stdout.append(captured.out.replace(str(root), "ROOT"))
+    files = {
+        p.relative_to(root).as_posix(): p.read_bytes()
+        for p in root.rglob("*.json")
+        if corpus not in p.parents and p.name not in ("spec.json", "run_manifest.json")
+    }
+    return stdout, files
+
+
+def test_an_indented_corpus_gives_the_same_outputs(tmp_path, capsys):
+    compact = tmp_path / "compact"
+    compact.mkdir()
+    corpus = _make_corpus(compact)
+    indented = tmp_path / "indented"
+    for p in sorted(corpus.rglob("*.json")):
+        q = indented / "corpus" / p.relative_to(corpus)
+        q.parent.mkdir(parents=True, exist_ok=True)
+        q.write_text(json.dumps(json.loads(p.read_bytes()), indent=2, sort_keys=True) + "\n")
+        assert len(q.read_bytes()) > len(p.read_bytes())
+    capsys.readouterr()
+    stdout, files = _chain_outputs(compact, capsys)
+    assert len(files) == 9 + 3 + 3  # tables, tuple sets, reports
+    assert _chain_outputs(indented, capsys) == (stdout, files)
+
+
 REPORT_FIELDS = {"tp", "fp", "fn", "precision", "recall", "f1"}
 
 
@@ -304,6 +348,19 @@ def test_bad_recognizer_config_is_exit_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gamma", ["NaN", "Infinity"])
+def test_non_finite_gamma_is_exit_2(tmp_path, capsys, gamma):
+    # json reads NaN and Infinity; a NaN d_column would give every booktabs
+    # table one column
+    layouts = tmp_path / "layouts"
+    layouts.mkdir()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gamma": %s}' % gamma)
+    rc = main(["recognize", str(layouts), str(tmp_path / "out"), "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: gamma must be positive and finite\n"
+
+
 def test_gen_fixtures_rejects_non_object_spec(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text("[1, 2]")
@@ -384,12 +441,24 @@ _PAGE = {"kind": "bordered", "file_id": "x", "page_nr": 1}
          "pages[0].cmidrule_levels[0][0][1] must be an integer >= 0, got 1.0"),
         ({"pages": [{**_PAGE, "kind": "booktabs", "cmidrule_levels": [5]}]},
          "pages[0].cmidrule_levels[0] must be a list, got 5"),
+        ({"page": [_PAGE]}, "unknown field page"),
+        ({"random": {"bordered": {"cnt": 3}}}, "unknown field random.bordered.cnt"),
+        ({"pages": [{**_PAGE, "row": 3}]}, "unknown field pages[0].row of a bordered page"),
+        ({"pages": [{**_PAGE, "rows": 3, "cols": 3,
+                     "merges": [{"row": 0, "col": 0, "dir": "right", "span": 2}]}]},
+         "unknown field pages[0].merges[0].span"),
+        ({"pages": [{**_PAGE, "kind": "booktabs", "merges": []}]},
+         "unknown field pages[0].merges of a booktabs page"),
+        ({"pages": [{**_PAGE, "cmidrule_levels": []}]},
+         "unknown field pages[0].cmidrule_levels of a bordered page"),
     ],
     ids=[
         "pages-int", "page-int", "group-int", "count-bool", "seed-float", "page-nr-bool",
         "rows-string", "cols-float", "rows-zero", "labeled-string", "interpretation-int",
         "orientation-unknown", "merges-object", "merge-without-col", "merge-dir-unknown",
-        "cmidrule-one-bound", "cmidrule-float-bound", "level-int",
+        "cmidrule-one-bound", "cmidrule-float-bound", "level-int", "top-level-unknown",
+        "group-unknown", "page-unknown", "merge-unknown", "booktabs-merges",
+        "bordered-cmidrules",
     ],
 )
 def test_gen_fixtures_rejects_wrongly_typed_fields(tmp_path, capsys, spec, message):
@@ -408,6 +477,8 @@ def test_interpret_validates_rules_before_writing(tmp_path, capsys):
     dump_json(rules, [
         {"name": "A", "content_regex": "["},  # unbalanced pattern
         {"w_title": 2.0},                     # no name at all
+        {"name": "B", "w_title": float("inf"), "w_content": 1.0, "min_affinity": 0.5,
+         "title_keywords": ["k"]},            # written as Infinity
     ])
     out = tmp_path / "tuples"
     rc = main(["interpret", str(tables), str(rules), str(out)])
@@ -415,6 +486,7 @@ def test_interpret_validates_rules_before_writing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "meanings[0]" in err
     assert "meanings[1]" in err
+    assert "meanings[2]: B: weights must be finite" in err
     assert not out.exists()  # fail-fast: nothing written
 
 

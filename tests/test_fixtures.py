@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -193,6 +194,17 @@ def test_merges_that_share_a_cell_rejected():
             gen_bordered_page(rng, "m", 1, rows=3, cols=3, merges=merges)
 
 
+@pytest.mark.parametrize("shape", [{"rows": 1}, {"cols": 1}, {"rows": 1, "cols": 1}])
+def test_one_row_or_one_column_grids_draw_no_merges(shape):
+    # any merge on such a grid would cut a whole border
+    for seed in range(1, 13):
+        spec = _spec(seed=seed, pages=[{"kind": "bordered", "file_id": "x", "page_nr": 1, **shape}])
+        (page,) = generate_pages(spec)
+        (table,) = page.gt.tables
+        assert len(table.cells) == table.n_rows * table.n_cols
+        assert grid_is_tiled(table)
+
+
 def test_merges_that_remove_a_whole_border_rejected():
     rng = random.Random(0)
     for rows, cols, merges in (
@@ -357,6 +369,22 @@ PINNED_SPEC = _spec(
     ],
     random={"bordered": {"count": 3}, "booktabs": {"count": 3}, "interpretation": {"count": 4}},
 )
+
+
+def _pinned_digest(root: Path, files: list[Path]) -> str:
+    """sha256 over each file's path and its JSON re-indented with ``indent=2``,
+    so the digest pins content, not layout; each file must also hold the one
+    line ``dump_json`` writes."""
+    digest = hashlib.sha256()
+    for p in files:
+        data = p.read_bytes()
+        obj = json.loads(data)
+        assert data == (json.dumps(obj, sort_keys=True) + "\n").encode("ascii"), p
+        indented = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        digest.update(p.relative_to(root).as_posix().encode() + b"\0" + indented.encode())
+    return digest.hexdigest()
+
+
 # a changed digest means every existing corpus spec now gives different files
 PINNED_DIGEST = "46e9c7cadaae723f3b4c69c2f24569c4f82614bbd0039e620f7fe25ec784e091"
 
@@ -364,11 +392,8 @@ PINNED_DIGEST = "46e9c7cadaae723f3b4c69c2f24569c4f82614bbd0039e620f7fe25ec784e09
 def test_build_corpus_bytes_are_pinned(tmp_path):
     build_corpus(PINNED_SPEC, tmp_path)
     files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
-    digest = hashlib.sha256()
-    for p in files:
-        digest.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
     assert len(files) == 35
-    assert digest.hexdigest() == PINNED_DIGEST
+    assert _pinned_digest(tmp_path, files) == PINNED_DIGEST
 
 
 # a changed digest means recognize, interpret or eval now write other bytes
@@ -391,8 +416,5 @@ def test_chain_bytes_on_the_pinned_spec_are_pinned(tmp_path):
     files = sorted(
         p for d in (pred, tuples) for p in Path(d).glob("*.json") if p.name != "run_manifest.json"
     ) + reports
-    digest = hashlib.sha256()
-    for p in files:
-        digest.update(p.relative_to(tmp_path).as_posix().encode() + b"\0" + p.read_bytes())
     assert len(files) == 22
-    assert digest.hexdigest() == PINNED_CHAIN_DIGEST
+    assert _pinned_digest(tmp_path, files) == PINNED_CHAIN_DIGEST

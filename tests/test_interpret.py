@@ -317,6 +317,12 @@ def test_meanings_from_json_reports_every_violation():
         {"name": "A", "w_title": -1, "w_content": 0, "min_affinity": 2.0},
         {"name": "A", "w_title": 1, "w_content": 1, "min_affinity": 0.5,
          "title_keywords": ["k"], "data_type": "Complex"},
+        {"name": "B", "w_title": float("nan"), "w_content": 1, "min_affinity": 0.5,
+         "title_keywords": ["k"]},
+        {"name": "C", "w_title": 1, "w_content": float("inf"), "min_affinity": 0.5,
+         "title_keywords": ["k"]},
+        {"name": "D", "w_title": -(10**400), "w_content": 1, "min_affinity": 0.5,
+         "title_keywords": ["k"]},  # too large for a float
     ]
     with pytest.raises(ConfigError) as err:
         meanings_from_json(bad)
@@ -324,6 +330,9 @@ def test_meanings_from_json_reports_every_violation():
     assert "meanings[0]" in msg
     assert "meanings[1]" in msg
     assert "duplicate" in msg.lower()
+    assert "meanings[2]: B: weights must be finite" in msg
+    assert "meanings[3]: C: weights must be finite" in msg
+    assert "meanings[4]: D: weights must be finite" in msg
 
 
 def test_meanings_from_json_distinguishes_missing_from_mistyped():

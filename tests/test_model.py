@@ -320,6 +320,9 @@ def test_recognizer_config_round_trip_and_validation():
     assert back == cfg
     with pytest.raises(ConfigError):
         recognizer_config_from_dict({"gamma": -1})
+    for gamma in (float("nan"), float("inf"), 10**400):  # the last is too large for a float
+        with pytest.raises(ConfigError, match="gamma must be positive and finite"):
+            recognizer_config_from_dict({"gamma": gamma})
     with pytest.raises(ConfigError):
         recognizer_config_from_dict({"no_such_option": 1})
     with pytest.raises(ValueError):
