@@ -43,6 +43,7 @@ from .evaluate import (
     recognition_score,
     wavg_f1,
 )
+from .fields import load
 from .fixtures import build_corpus
 from .interpret import load_meanings, match_meanings, tuples_from_matching
 from .model import (
@@ -568,9 +569,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
-    spec = read_json(Path(args.spec))
-    if not isinstance(spec, dict):
-        raise TabgridError("fixture spec must be a JSON object")
+    spec = load(args.spec, "fixture spec")
     out_dir = Path(args.out_dir)
     summary = build_corpus(spec, out_dir)
     _write_manifest(out_dir, "gen-fixtures", {"spec": args.spec, "out_dir": out_dir}, args.spec)

@@ -18,15 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import LayoutError
+from .fields import expect
 from .interpret import TupleSet, tuple_set_from_dict, tuple_set_to_dict
-from .model import (
-    RecognizedTable,
-    json_bool,
-    json_int,
-    json_str,
-    recognized_table_from_dict,
-    recognized_table_to_dict,
-)
+from .model import RecognizedTable, recognized_table_from_dict, recognized_table_to_dict
 
 _LAYOUT_RE = re.compile(r"^(?P<fid>.+)_page(?P<page>\d+)\.json$")
 _TUPLE_RE = re.compile(r"^(?P<fid>.+)_page(?P<page>\d+)_table(?P<idx>\d+)\.json$")
@@ -105,18 +99,18 @@ def page_tables_from_dict(d: dict) -> PageTables:
         raw_tables = d.get("tables", [])
         tables = [recognized_table_from_dict(t) for t in raw_tables]
         missed = [
-            json_bool(t.get("expected_missed", False), f"tables[{i}].expected_missed")
+            expect(t.get("expected_missed", False), f"tables[{i}].expected_missed", "boolean")
             for i, t in enumerate(raw_tables)
         ]
-        diagnostics = d.get("diagnostics", [])
-        if type(diagnostics) is not list:
-            raise ValueError(f"diagnostics must be a list, got {diagnostics!r}")
+        diagnostics = expect(d.get("diagnostics", []), "diagnostics", "list")
         return PageTables(
-            file_id=json_str(d["file_id"], "file_id"),
-            page_nr=json_int(d["page_nr"], "page_nr"),
+            file_id=expect(d["file_id"], "file_id", "string"),
+            page_nr=expect(d["page_nr"], "page_nr", "integer"),
             tables=tables,
-            orientation=json_str(d.get("orientation", "standard"), "orientation"),
-            diagnostics=[json_str(x, f"diagnostics[{i}]") for i, x in enumerate(diagnostics)],
+            orientation=expect(d.get("orientation", "standard"), "orientation", "string"),
+            diagnostics=[
+                expect(x, f"diagnostics[{i}]", "string") for i, x in enumerate(diagnostics)
+            ],
             expected_missed=missed,
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -20,6 +20,7 @@ from itertools import accumulate
 from pathlib import Path
 
 from .errors import ConfigError
+from .fields import FieldError, expect, known, must_be, one_of
 from .corpusio import (
     PageTables,
     dump_json,
@@ -557,71 +558,42 @@ def _transpose_fixture(page: FixturePage) -> FixturePage:
     return replace(page, layout=transpose_layout(page.layout), gt=gt)
 
 
-_TYPE_NAMES = {list: "a list", dict: "an object", bool: "a boolean"}
-
-
-def _expect(v: object, name: str, kind: type):
-    """v if its type is exactly ``kind`` (list, dict or bool); else a ConfigError."""
-    if type(v) is not kind:
-        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {v!r}")
-    return v
-
-
-def _spec_int(v: object, name: str, low: int | None = None) -> int:
-    """v if it is a JSON integer of at least ``low``; else a ConfigError."""
-    if type(v) is int and (low is None or v >= low):
-        return v
-    bound = "" if low is None else f" >= {low}"
-    raise ConfigError(f"{name} must be an integer{bound}, got {v!r}")
-
-
-def _known_fields(d: dict, where: str, fields: tuple[str, ...], note: str = "") -> None:
-    """A ConfigError naming the first key of d, in sorted order, not in ``fields``."""
-    for key in sorted(d):
-        if key not in fields:
-            raise ConfigError(f"unknown field {where}{key}{note}")
-
-
 _PAGE_FIELDS = ("kind", "file_id", "page_nr", "orientation", "rows", "cols", "labeled",
                 "interpretation")
 
 
 def _page_from_spec(rng: random.Random, entry: object, where: str) -> FixturePage:
-    entry = _expect(entry, where, dict)
-    kind = entry.get("kind")
-    if kind not in ("bordered", "booktabs"):
-        raise ConfigError(f"unknown fixture kind: {kind!r}")
+    entry = expect(entry, where, "object")
+    kind = one_of(entry.get("kind"), f"{where}.kind", ("bordered", "booktabs"))
     extra = "merges" if kind == "bordered" else "cmidrule_levels"
-    _known_fields(entry, f"{where}.", (*_PAGE_FIELDS, extra), f" of a {kind} page")
+    known(entry, where, (*_PAGE_FIELDS, extra), f" of a {kind} page")
     file_id = entry.get("file_id")
-    if not isinstance(file_id, str) or not file_id:
-        raise ConfigError(f"{where}.file_id must be a non-empty string, got {file_id!r}")
-    page_nr = _spec_int(entry.get("page_nr"), f"{where}.page_nr", 0)
-    orientation = entry.get("orientation", "standard")
-    if orientation not in ("standard", "vertical"):
-        raise ConfigError(
-            f"{where}.orientation must be 'standard' or 'vertical', got {orientation!r}"
-        )
+    if type(file_id) is not str or not file_id:
+        raise FieldError(must_be(f"{where}.file_id", "a non-empty string", file_id))
+    page_nr = expect(entry.get("page_nr"), f"{where}.page_nr", "integer", 0)
+    orientation = one_of(
+        entry.get("orientation", "standard"), f"{where}.orientation", ("standard", "vertical")
+    )
     rows, cols = entry.get("rows"), entry.get("cols")
-    interpretation = _expect(entry.get("interpretation", False), f"{where}.interpretation", bool)
+    interpretation = expect(
+        entry.get("interpretation", False), f"{where}.interpretation", "boolean"
+    )
     common = dict(
-        rows=None if rows is None else _spec_int(rows, f"{where}.rows", 1),
-        cols=None if cols is None else _spec_int(cols, f"{where}.cols", 1),
-        labeled=_expect(entry.get("labeled", True), f"{where}.labeled", bool),
+        rows=None if rows is None else expect(rows, f"{where}.rows", "integer", 1),
+        cols=None if cols is None else expect(cols, f"{where}.cols", "integer", 1),
+        labeled=expect(entry.get("labeled", True), f"{where}.labeled", "boolean"),
         columns_mode="interpretation" if interpretation else None,
     )
     if kind == "bordered":
         merges = None
         if "merges" in entry:
             merges = []
-            for k, m in enumerate(_expect(entry["merges"], f"{where}.merges", list)):
+            for k, m in enumerate(expect(entry["merges"], f"{where}.merges", "list")):
                 at = f"{where}.merges[{k}]"
-                m = _expect(m, at, dict)
-                _known_fields(m, f"{at}.", ("row", "col", "dir"))
-                direction = m.get("dir")
-                if direction not in ("right", "down"):
-                    raise ConfigError(f"{at}.dir must be 'right' or 'down', got {direction!r}")
-                row, col = (_spec_int(m.get(key), f"{at}.{key}", 0) for key in ("row", "col"))
+                m = expect(m, at, "object")
+                known(m, at, ("row", "col", "dir"))
+                direction = one_of(m.get("dir"), f"{at}.dir", ("right", "down"))
+                row, col = (expect(m.get(k), f"{at}.{k}", "integer", 0) for k in ("row", "col"))
                 merges.append(MergeSpec(row, col, direction))
         page = gen_bordered_page(rng, file_id, page_nr, merges=merges, **common)
     else:
@@ -629,8 +601,8 @@ def _page_from_spec(rng: random.Random, entry: object, where: str) -> FixturePag
         if "cmidrule_levels" in entry:
             at = f"{where}.cmidrule_levels"
             levels = []
-            for i, level in enumerate(_expect(entry["cmidrule_levels"], at, list)):
-                level = _expect(level, f"{at}[{i}]", list)
+            for i, level in enumerate(expect(entry["cmidrule_levels"], at, "list")):
+                level = expect(level, f"{at}[{i}]", "list")
                 levels.append([_cmidrule(r, f"{at}[{i}][{j}]") for j, r in enumerate(level)])
         page = gen_booktabs_page(rng, file_id, page_nr, cmidrule_levels=levels, **common)
     if orientation == "vertical":
@@ -641,28 +613,26 @@ def _page_from_spec(rng: random.Random, entry: object, where: str) -> FixturePag
 def _cmidrule(v: object, name: str) -> tuple[int, int]:
     """A grouping rule's inclusive column span, given as [first, last]."""
     if type(v) is not list or len(v) != 2:
-        raise ConfigError(f"{name} must be a list of 2 integers, got {v!r}")
-    return _spec_int(v[0], f"{name}[0]", 0), _spec_int(v[1], f"{name}[1]", 0)
+        raise FieldError(must_be(name, "a list of 2 integers", v))
+    return expect(v[0], f"{name}[0]", "integer", 0), expect(v[1], f"{name}[1]", "integer", 0)
 
 
-def generate_pages(spec: dict) -> list[FixturePage]:
+def generate_pages(spec: object) -> list[FixturePage]:
     """All fixture pages for a corpus spec, in deterministic order."""
-    _known_fields(spec, "", ("seed", "pages", "random"))
-    rng = random.Random(_spec_int(spec.get("seed", 0), "seed"))
+    spec = expect(spec, "fixture spec", "object")
+    known(spec, "", ("seed", "pages", "random"))
+    rng = random.Random(expect(spec.get("seed", 0), "seed", "integer"))
     pages = [
         _page_from_spec(rng, entry, f"pages[{i}]")
-        for i, entry in enumerate(_expect(spec.get("pages", []), "pages", list))
+        for i, entry in enumerate(expect(spec.get("pages", []), "pages", "list"))
     ]
-    rand = _expect(spec.get("random", {}), "random", dict)
-    known = {"bordered", "booktabs", "interpretation"}
-    unknown = set(rand) - known
-    if unknown:
-        raise ConfigError(f"unknown random corpus groups: {sorted(unknown)}")
+    rand = expect(spec.get("random", {}), "random", "object")
+    known(rand, "random", ("bordered", "booktabs", "interpretation"))
 
     def _count(group: str) -> int:
-        entry = _expect(rand.get(group, {}), f"random.{group}", dict)
-        _known_fields(entry, f"random.{group}.", ("count",))
-        return _spec_int(entry.get("count", 0), f"random.{group}.count", 0)
+        entry = expect(rand.get(group, {}), f"random.{group}", "object")
+        known(entry, f"random.{group}", ("count",))
+        return expect(entry.get("count", 0), f"random.{group}.count", "integer", 0)
 
     for k in range(_count("bordered")):
         pages.append(gen_bordered_page(rng, f"rb{k:03d}", 1))

@@ -14,16 +14,16 @@ lands on at most one column and vice versa.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, InvalidPattern
+from .fields import FieldError, expect, keywords, known, load, must_be, one_of
 from .kernels import levenshtein_codes
 from .matching import Matching, WeightedBipartiteGraph, max_weight_matching
-from .model import RecognizedTable, TableSource, json_float, json_int, json_str
+from .model import RecognizedTable, TableSource
 
 
 class DataType(enum.Enum):
@@ -248,114 +248,92 @@ def tuples_from_matching(
 # rules config JSON
 
 
-_MEANING_KEYS = {
-    "name",
-    "title_keywords",
-    "title_regex",
-    "content_regex",
-    "data_type",
-    "w_title",
-    "w_content",
-    "min_affinity",
-}
+_REQUIRED_FIELDS = ("name", "w_title", "w_content", "min_affinity")
+_MEANING_FIELDS = (
+    *_REQUIRED_FIELDS, "title_keywords", "title_regex", "content_regex", "data_type"
+)
+_DATA_TYPE_NAMES = tuple(t.value for t in DataType)
+
+
+def _meaning_field(key: str, v: object, at: str) -> object:
+    """The MeaningConfig argument of the field ``key`` of a meaning."""
+    if key == "name":
+        return expect(v, at, "string")
+    if key == "title_keywords":
+        return keywords(v, at, non_empty=True)
+    if key == "data_type":
+        return DataType(one_of(expect(v, at, "string").capitalize(), at, _DATA_TYPE_NAMES))
+    if key in ("title_regex", "content_regex"):
+        pattern = expect(v, at, "string")
+        try:
+            re.compile(pattern)
+        except re.error as exc:
+            raise InvalidPattern(f"{at} does not compile: {exc}") from exc
+        return pattern
+    return expect(v, at, "number")  # w_title, w_content, min_affinity
+
+
+def _meaning_fields(entry: dict, where: str) -> tuple[dict, list[ConfigError]]:
+    """The MeaningConfig arguments of one meaning object, and a fault for
+    each field that cannot give its argument."""
+    faults: list[ConfigError] = []
+    try:
+        known(entry, where, _MEANING_FIELDS)
+    except FieldError as exc:
+        faults.append(exc)
+    kwargs: dict = {}
+    for key in _MEANING_FIELDS:
+        if key in _REQUIRED_FIELDS and key not in entry:
+            faults.append(ConfigError(f"{where}.{key} is required"))
+        elif key in _REQUIRED_FIELDS or entry.get(key) is not None:  # null leaves a rule out
+            try:
+                kwargs[key] = _meaning_field(key, entry[key], f"{where}.{key}")
+            except ConfigError as exc:
+                faults.append(exc)
+    return kwargs, faults
 
 
 def meanings_from_json(raw: object) -> list[MeaningConfig]:
-    """Parse and validate a rules config; reports every violation at once.
+    """Parse and validate a rules config; reports every violation at once,
+    one per line.
 
     Accepts either a bare JSON array of meaning objects or an object
     with a ``"meanings"`` array.
     """
-    if isinstance(raw, dict) and isinstance(raw.get("meanings"), list):
-        raw = raw["meanings"]
-    if not isinstance(raw, list):
-        raise ConfigError(
-            "rules config must be a JSON array of meaning objects"
-            " (or an object with a 'meanings' array)"
-        )
-    errors: list[str] = []
-    pattern_error = False
+    if type(raw) is dict:
+        known(raw, "", ("meanings",))
+        raw = expect(raw.get("meanings"), "meanings", "list")
+    elif type(raw) is not list:
+        raise FieldError(must_be("rules config", "a list or an object", raw))
+    faults: list[ConfigError] = []
     meanings: list[MeaningConfig] = []
     names = set()
     for i, entry in enumerate(raw):
         where = f"meanings[{i}]"
-        if not isinstance(entry, dict):
-            errors.append(f"{where}: must be an object")
+        if type(entry) is not dict:
+            faults.append(FieldError(must_be(where, "an object", entry)))
             continue
-        unknown = sorted(set(entry) - _MEANING_KEYS)
-        if unknown:
-            errors.append(f"{where}: unknown keys: {', '.join(unknown)}")
-        name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            errors.append(f"{where}: name must be a non-empty string")
-            name = f"<{i}>"
-        if name in names:
-            errors.append(f"{where}: duplicate meaning name {name!r}")
+        kwargs, found = _meaning_fields(entry, where)
+        if not found:
+            try:
+                meanings.append(MeaningConfig(**kwargs))
+            except ValueError as exc:
+                found.append(ConfigError(f"{where}: {exc}"))
+        name = kwargs.get("name")
+        if name is not None and name in names:
+            found.append(ConfigError(f"{where}: duplicate meaning name {name!r}"))
         names.add(name)
-
-        kwargs: dict = {"name": name}
-        ok = True
-        for key in ("w_title", "w_content", "min_affinity"):
-            v = entry.get(key)
-            if isinstance(v, (int, float)) and not isinstance(v, bool):
-                kwargs[key] = json_float(v)
-            elif key not in entry:
-                errors.append(f"{where}: {key} is required")
-                ok = False
-            else:
-                errors.append(f"{where}: {key} must be a number")
-                ok = False
-
-        kws = entry.get("title_keywords")
-        if kws is not None:
-            if isinstance(kws, list) and all(isinstance(k, str) and k for k in kws) and kws:
-                kwargs["title_keywords"] = tuple(kws)
-            else:
-                errors.append(f"{where}: title_keywords must be a non-empty list of strings")
-                ok = False
-        for key in ("title_regex", "content_regex"):
-            pat = entry.get(key)
-            if pat is None:
-                continue
-            if not isinstance(pat, str):
-                errors.append(f"{where}: {key} must be a string")
-                ok = False
-                continue
-            try:
-                re.compile(pat)
-                kwargs[key] = pat
-            except re.error as exc:
-                errors.append(f"{where}: {key} does not compile: {exc}")
-                pattern_error = True
-                ok = False
-        dt = entry.get("data_type")
-        if dt is not None:
-            try:
-                kwargs["data_type"] = DataType(str(dt).capitalize())
-            except ValueError:
-                allowed = ", ".join(t.value for t in DataType)
-                errors.append(f"{where}: data_type must be one of {allowed}")
-                ok = False
-        if not ok:
-            continue
-        try:
-            meanings.append(MeaningConfig(**kwargs))
-        except ValueError as exc:
-            errors.append(f"{where}: {exc}")
-    if not errors and not meanings:
-        errors.append("rules config defines no meanings")
-    if errors:
-        cls = InvalidPattern if pattern_error else ConfigError
-        raise cls("\n".join(errors))
+        faults += found
+    if not faults and not meanings:
+        faults.append(ConfigError("rules config defines no meanings"))
+    if faults:
+        cls = InvalidPattern if any(type(e) is InvalidPattern for e in faults) else ConfigError
+        raise cls("\n".join(map(str, faults)))
     return meanings
 
 
 def load_meanings(path: str | Path) -> list[MeaningConfig]:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read rules config {path}: {exc}") from exc
-    return meanings_from_json(raw)
+    return meanings_from_json(load(path, "rules config"))
 
 
 def meaning_to_dict(m: MeaningConfig) -> dict:
@@ -391,17 +369,17 @@ def tuple_set_from_dict(d: dict) -> TupleSet:
     try:
         tuples = []
         for i, t in enumerate(d.get("tuples", [])):
-            row = json_int(t["row"], f"tuples[{i}].row")
+            row = expect(t["row"], f"tuples[{i}].row", "integer")
             values = dict(t["values"].items())  # not dict(): it takes a list of pairs
             for k, v in values.items():
                 if type(k) is not str or type(v) is not str:
-                    json_str(k, f"tuples[{i}].values key")
-                    json_str(v, f"tuples[{i}].values[{k!r}]")
+                    expect(k, f"tuples[{i}].values key", "string")
+                    expect(v, f"tuples[{i}].values[{k!r}]", "string")
             tuples.append(RowTuple(row=row, values=values))
         return TupleSet(
-            file_id=json_str(d["file_id"], "file_id"),
-            page_nr=json_int(d["page_nr"], "page_nr"),
-            table_idx=json_int(d["table_idx"], "table_idx"),
+            file_id=expect(d["file_id"], "file_id", "string"),
+            page_nr=expect(d["page_nr"], "page_nr", "integer"),
+            table_idx=expect(d["table_idx"], "table_idx", "integer"),
             tuples=tuples,
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

@@ -10,17 +10,17 @@ integers only and flags JSON booleans only.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import statistics
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NoReturn
 
 from .dsu import UnionFind
 from .errors import ConfigError, LayoutError
+from .fields import expect, keywords, known, load, must_be
 from .geometry import BoundingBox, transpose_box
 
 DEFAULT_LABEL_KEYWORDS = ("table", "tab.")
@@ -295,36 +295,6 @@ class RecognizerConfig:
 # JSON (de)serialization
 
 
-def json_int(v: object, name: str) -> int:
-    """v, if it is a JSON integer (an int but not a bool); else ValueError."""
-    if isinstance(v, int) and type(v) is not bool:
-        return v
-    raise ValueError(f"{name} must be an integer, got {v!r}")
-
-
-def json_bool(v: object, name: str) -> bool:
-    """v, if it is a JSON boolean; else ValueError."""
-    if v is True or v is False:
-        return v
-    raise ValueError(f"{name} must be a boolean, got {v!r}")
-
-
-def json_str(v: object, name: str) -> str:
-    """v, if it is a JSON string; else ValueError."""
-    if isinstance(v, str):
-        return v
-    raise ValueError(f"{name} must be a string, got {v!r}")
-
-
-def json_float(v: int | float) -> float:
-    """A JSON number as a float; an integer too large for one becomes an
-    infinity of its sign, which every config check rejects."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
 def _valid_box(v: object, width: int = 0, height: int = 0) -> BoundingBox | None:
     """The box of a list of four plain ints with left <= right and top <= bottom,
     clipped to the page when a page width is given; None for anything else,
@@ -355,14 +325,14 @@ def _reject_box(v: object, where: str) -> NoReturn:
             BoundingBox(*v)
         except ValueError as exc:
             raise LayoutError(f"{where}: {exc}") from exc
-    raise LayoutError(f"{where}: box must be a list of 4 integers, got {v!r}")
+    raise LayoutError(f"{where}: {must_be('box', 'a list of 4 integers', v)}")
 
 
 def _json_list(d: dict, key: str) -> list:
     """d[key] if it is a JSON array, [] if the key is absent; else LayoutError."""
     v = d.get(key, [])
     if type(v) is not list:
-        raise LayoutError(f"{key} must be a list, got {v!r}")
+        raise LayoutError(must_be(key, "a list", v))
     return v
 
 
@@ -379,8 +349,8 @@ def page_layout_from_dict(d: dict) -> PageLayout:
     if not isinstance(d, dict):
         raise LayoutError("layout JSON must be an object")
     try:
-        width = json_int(d["page_width"], "page_width")
-        height = json_int(d["page_height"], "page_height")
+        width = expect(d["page_width"], "page_width", "integer")
+        height = expect(d["page_height"], "page_height", "integer")
     except (KeyError, ValueError) as exc:
         raise LayoutError(f"bad or missing page dimensions: {exc}") from exc
     if width <= 0 or height <= 0:
@@ -483,19 +453,19 @@ def recognized_table_from_dict(d: dict) -> RecognizedTable:
             r0, r1, c0, c1 = c["row_start"], c["row_end"], c["col_start"], c["col_end"]
             if not (type(r0) is int and type(r1) is int and type(c0) is int and type(c1) is int):
                 for k, x in zip(_SPANS, (r0, r1, c0, c1)):
-                    json_int(x, f"cells[{i}].{k}")
+                    expect(x, f"cells[{i}].{k}", "integer")
             content = c.get("content", "")
             if type(content) is not str:
-                json_str(content, f"cells[{i}].content")
+                expect(content, f"cells[{i}].content", "string")
             cells.append(Cell(b, r0, r1, c0, c1, (), content))
         table = RecognizedTable(
             region,
-            json_int(d["n_rows"], "n_rows"),
-            json_int(d["n_cols"], "n_cols"),
+            expect(d["n_rows"], "n_rows", "integer"),
+            expect(d["n_cols"], "n_cols", "integer"),
             tuple(cells),
-            json_bool(d.get("labeled", False), "labeled"),
+            expect(d.get("labeled", False), "labeled", "boolean"),
             TableSource(d.get("source", "separator")),
-            json_int(d.get("header_row_count", 0), "header_row_count"),
+            expect(d.get("header_row_count", 0), "header_row_count", "integer"),
         )
         table.grid  # raises unless the cells tile the grid; kept for later use
         return table
@@ -516,40 +486,21 @@ def transpose_separator(s: Separator) -> Separator:
     return Separator(box=transpose_box(s.box), orientation=flipped)
 
 
-def recognizer_config_from_dict(d: dict) -> RecognizerConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("recognizer config must be a JSON object")
-    known = {
-        "gamma",
-        "require_labels_separator",
-        "require_labels_booktabs",
-        "label_keywords",
-        "separator_expand_px",
-        "label_search_margin_px",
-    }
-    unknown = sorted(set(d) - known)
-    if unknown:
-        raise ConfigError(f"unknown recognizer config keys: {', '.join(unknown)}")
+# the JSON kind of each RecognizerConfig field, by its annotation
+_CONFIG_KINDS = {"float": "number", "bool": "boolean", "int": "integer"}
+
+
+def recognizer_config_from_dict(d: object) -> RecognizerConfig:
+    """A RecognizerConfig from its JSON object; every key is optional."""
+    d = expect(d, "recognizer config", "object")
+    annotations = {f.name: f.type for f in fields(RecognizerConfig)}
+    known(d, "", annotations)
     kwargs: dict = {}
-    if "gamma" in d:
-        if not isinstance(d["gamma"], (int, float)) or isinstance(d["gamma"], bool):
-            raise ConfigError("gamma must be a number")
-        kwargs["gamma"] = json_float(d["gamma"])
-    for key in ("require_labels_separator", "require_labels_booktabs"):
-        if key in d:
-            if not isinstance(d[key], bool):
-                raise ConfigError(f"{key} must be a boolean")
-            kwargs[key] = d[key]
-    if "label_keywords" in d:
-        kws = d["label_keywords"]
-        if not isinstance(kws, list) or not all(isinstance(k, str) and k for k in kws):
-            raise ConfigError("label_keywords must be a list of non-empty strings")
-        kwargs["label_keywords"] = tuple(kws)
-    for key in ("separator_expand_px", "label_search_margin_px"):
-        if key in d:
-            if not isinstance(d[key], int) or isinstance(d[key], bool):
-                raise ConfigError(f"{key} must be an integer")
-            kwargs[key] = d[key]
+    for key, annotation in annotations.items():
+        if key == "label_keywords" and key in d:
+            kwargs[key] = keywords(d[key], key)
+        elif key in d:
+            kwargs[key] = expect(d[key], key, _CONFIG_KINDS[annotation])
     try:
         return RecognizerConfig(**kwargs)
     except ValueError as exc:
@@ -568,8 +519,4 @@ def recognizer_config_to_dict(cfg: RecognizerConfig) -> dict:
 
 
 def load_recognizer_config(path: str | Path) -> RecognizerConfig:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read recognizer config {path}: {exc}") from exc
-    return recognizer_config_from_dict(raw)
+    return recognizer_config_from_dict(load(path, "recognizer config"))

@@ -366,7 +366,7 @@ def test_gen_fixtures_rejects_non_object_spec(tmp_path, capsys):
     spec.write_text("[1, 2]")
     rc = main(["gen-fixtures", str(spec), str(tmp_path / "c")])
     assert rc == 2
-    assert "spec must be a JSON object" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: fixture spec must be an object, got [1, 2]\n"
 
 
 def test_gen_fixtures_rejects_unknown_kind(tmp_path, capsys):
@@ -374,7 +374,9 @@ def test_gen_fixtures_rejects_unknown_kind(tmp_path, capsys):
     dump_json(spec, {"pages": [{"kind": "csv", "file_id": "x", "page_nr": 1}]})
     rc = main(["gen-fixtures", str(spec), str(tmp_path / "c")])
     assert rc == 2
-    assert "unknown fixture kind" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: pages[0].kind must be 'bordered' or 'booktabs', got 'csv'\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -451,6 +453,14 @@ _PAGE = {"kind": "bordered", "file_id": "x", "page_nr": 1}
          "unknown field pages[0].merges of a booktabs page"),
         ({"pages": [{**_PAGE, "cmidrule_levels": []}]},
          "unknown field pages[0].cmidrule_levels of a bordered page"),
+        ({"random": {"bordred": {"count": 3}}}, "unknown field random.bordred"),
+        ({"pages": [{**_PAGE, "file_id": ""}]},
+         "pages[0].file_id must be a non-empty string, got ''"),
+        (None, "fixture spec must be an object, got None"),
+        (0, "fixture spec must be an object, got 0"),
+        (1.5, "fixture spec must be an object, got 1.5"),
+        ("", "fixture spec must be an object, got ''"),
+        ([], "fixture spec must be an object, got []"),
     ],
     ids=[
         "pages-int", "page-int", "group-int", "count-bool", "seed-float", "page-nr-bool",
@@ -458,7 +468,8 @@ _PAGE = {"kind": "bordered", "file_id": "x", "page_nr": 1}
         "orientation-unknown", "merges-object", "merge-without-col", "merge-dir-unknown",
         "cmidrule-one-bound", "cmidrule-float-bound", "level-int", "top-level-unknown",
         "group-unknown", "page-unknown", "merge-unknown", "booktabs-merges",
-        "bordered-cmidrules",
+        "bordered-cmidrules", "random-group-unknown", "file-id-empty", "spec-null",
+        "spec-int", "spec-float", "spec-string", "spec-list",
     ],
 )
 def test_gen_fixtures_rejects_wrongly_typed_fields(tmp_path, capsys, spec, message):
@@ -468,6 +479,114 @@ def test_gen_fixtures_rejects_wrongly_typed_fields(tmp_path, capsys, spec, messa
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"gamma": "2"}, "gamma must be a number, got '2'"),
+        ({"gamma": None}, "gamma must be a number, got None"),
+        ({"gamma": True}, "gamma must be a number, got True"),
+        ({"gamma": 0}, "gamma must be positive and finite"),
+        ({"require_labels_separator": "true"},
+         "require_labels_separator must be a boolean, got 'true'"),
+        ({"require_labels_booktabs": 1}, "require_labels_booktabs must be a boolean, got 1"),
+        ({"label_keywords": "table"},
+         "label_keywords must be a list of non-empty strings, got 'table'"),
+        ({"label_keywords": ["table", ""]},
+         "label_keywords must be a list of non-empty strings, got ['table', '']"),
+        ({"label_keywords": [], "require_labels_booktabs": True},
+         "label keywords required when labels are required"),
+        ({"separator_expand_px": 2.5}, "separator_expand_px must be an integer, got 2.5"),
+        ({"label_search_margin_px": True}, "label_search_margin_px must be an integer, got True"),
+        ({"label_search_margin_px": -1}, "pixel margins must be non-negative"),
+        ({"gama": 1.5}, "unknown field gama"),
+        ([1.5], "recognizer config must be an object, got [1.5]"),
+    ],
+    ids=[
+        "gamma-string", "gamma-null", "gamma-bool", "gamma-zero", "labels-string",
+        "labels-int", "keywords-string", "keywords-empty-string", "keywords-none-required",
+        "expand-float", "margin-bool", "margin-negative", "unknown", "not-an-object",
+    ],
+)
+def test_recognize_rejects_wrongly_typed_config_fields(tmp_path, capsys, config, message):
+    layouts = tmp_path / "layouts"
+    layouts.mkdir()
+    path = tmp_path / "cfg.json"
+    dump_json(path, config)
+    rc = main(["recognize", str(layouts), str(tmp_path / "out"), "--config", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+_MEANING = {"name": "M", "w_title": 1.0, "w_content": 1.0, "min_affinity": 0.5,
+            "title_keywords": ["k"]}
+
+
+@pytest.mark.parametrize(
+    "rules, message",
+    [
+        ({"meanings": [_MEANING], "meaning": [1]}, "unknown field meaning"),
+        ({"meanings": {"name": "M"}}, "meanings must be a list, got {'name': 'M'}"),
+        ("M", "rules config must be a list or an object, got 'M'"),
+        ([5], "meanings[0] must be an object, got 5"),
+        ([{**_MEANING, "weight": 1}], "unknown field meanings[0].weight"),
+        ([{**_MEANING, "name": 7}], "meanings[0].name must be a string, got 7"),
+        ([{**_MEANING, "w_title": "1"}], "meanings[0].w_title must be a number, got '1'"),
+        ([{**_MEANING, "w_content": True}], "meanings[0].w_content must be a number, got True"),
+        ([{**_MEANING, "min_affinity": None}],
+         "meanings[0].min_affinity must be a number, got None"),
+        ([{k: v for k, v in _MEANING.items() if k != "min_affinity"}],
+         "meanings[0].min_affinity is required"),
+        ([{**_MEANING, "title_keywords": "k"}],
+         "meanings[0].title_keywords must be a non-empty list of non-empty strings, got 'k'"),
+        ([{**_MEANING, "title_keywords": []}],
+         "meanings[0].title_keywords must be a non-empty list of non-empty strings, got []"),
+        ([{**_MEANING, "title_regex": 1}], "meanings[0].title_regex must be a string, got 1"),
+        ([{**_MEANING, "content_regex": ["x"]}],
+         "meanings[0].content_regex must be a string, got ['x']"),
+        ([{**_MEANING, "data_type": 1}], "meanings[0].data_type must be a string, got 1"),
+        ([{**_MEANING, "data_type": "Complex"}],
+         "meanings[0].data_type must be 'Integer', 'Real', 'Date' or 'Text', got 'Complex'"),
+        ([_MEANING, {**_MEANING, "name": "N", "w_title": "x", "data_type": 2}],
+         "meanings[1].w_title must be a number, got 'x'\n"
+         "meanings[1].data_type must be a string, got 2"),
+    ],
+    ids=[
+        "top-level-unknown", "meanings-object", "rules-string", "meaning-int",
+        "meaning-unknown", "name-int", "weight-string", "weight-bool", "floor-null",
+        "floor-missing", "keywords-string", "keywords-empty", "title-regex-int",
+        "content-regex-list", "data-type-int", "data-type-unknown", "two-faults",
+    ],
+)
+def test_interpret_rejects_wrongly_typed_rules_fields(tmp_path, capsys, rules, message):
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    path = tmp_path / "rules.json"
+    dump_json(path, rules)
+    rc = main(["interpret", str(tables), str(path), str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text", [b'{"seed": 1', b'{"seed": 1}\xff'], ids=["bad-json", "bad-utf-8"])
+@pytest.mark.parametrize("what", ["fixture spec", "recognizer config", "rules config"])
+def test_unreadable_small_inputs_are_exit_2(tmp_path, capsys, what, text):
+    path = tmp_path / "input.json"
+    path.write_bytes(text)
+    empty, out = tmp_path / "empty", tmp_path / "out"
+    empty.mkdir()
+    argv = {
+        "fixture spec": ["gen-fixtures", str(path), str(out)],
+        "recognizer config": ["recognize", str(empty), str(out), "--config", str(path)],
+        "rules config": ["interpret", str(empty), str(path), str(out)],
+    }[what]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {what} {path}: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_interpret_validates_rules_before_writing(tmp_path, capsys):

@@ -339,9 +339,10 @@ def test_meanings_from_json_distinguishes_missing_from_mistyped():
     bad = [{"name": "A", "w_content": "high", "min_affinity": 0.5, "title_keywords": ["k"]}]
     with pytest.raises(ConfigError) as err:
         meanings_from_json(bad)
-    msg = str(err.value)
-    assert "meanings[0]: w_title is required" in msg
-    assert "meanings[0]: w_content must be a number" in msg
+    assert str(err.value) == (
+        "meanings[0].w_title is required\n"
+        "meanings[0].w_content must be a number, got 'high'"
+    )
 
 
 def test_meanings_from_json_bad_regex_is_invalid_pattern():
