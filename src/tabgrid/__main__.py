@@ -1,8 +1,6 @@
 """Allow `python -m tabgrid` as an alternative to the `tabgrid` script."""
 
-import sys
-
-from tabgrid.cli import main
+from tabgrid.cli import run
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -13,14 +13,12 @@ it is the only output that differs between reruns on identical inputs.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 from dataclasses import asdict
-from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import __version__
 from .corpusio import (
@@ -44,7 +42,6 @@ from .evaluate import (
     wavg_f1,
 )
 from .fields import load
-from .fixtures import build_corpus
 from .interpret import load_meanings, match_meanings, tuples_from_matching
 from .model import (
     RecognizerConfig,
@@ -53,16 +50,20 @@ from .model import (
 )
 from .pipeline import PageOrientation, recognize_page
 
-_INPUT_ERRORS = (TabgridError, json.JSONDecodeError, OSError)
+_INPUT_ERRORS = (TabgridError, json.JSONDecodeError, UnicodeDecodeError, OSError)
 
 
 def _sha256(path: str | Path | None) -> str | None:
+    import hashlib
+
     if path is None:
         return None
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, inputs: dict, config_path=None) -> None:
+    from datetime import datetime, timezone
+
     manifest = {
         "command": command,
         "inputs": {k: str(v) for k, v in inputs.items()},
@@ -569,6 +570,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
+    from .fixtures import build_corpus  # the largest module; no other command needs it
+
     spec = load(args.spec, "fixture spec")
     out_dir = Path(args.out_dir)
     summary = build_corpus(spec, out_dir)
@@ -645,5 +648,24 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run() -> NoReturn:
+    """The program: ``main()``, then exit without the interpreter's teardown.
+
+    A batch run has nothing left to tear down.  Every output file is closed
+    once written, workers are reaped, and tabgrid registers no ``atexit``
+    handler; only the standard streams may still hold text.  If they cannot
+    take it, the interpreter's own exit reports that, as for any program.
+    A host that calls ``main(argv)`` keeps its interpreter.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-import statistics
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
@@ -110,6 +109,8 @@ class WordIndex:
         Lines come from ``line_id`` when any word has one (words without
         one are then left out), else from ``reconstruct_lines``.
         """
+        import statistics  # and with it fractions and decimal; only this needs them
+
         with_ids = [w for w in self.words if w.line_id is not None]
         if with_ids:
             by_line: dict[int, list[Word]] = {}

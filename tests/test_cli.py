@@ -322,6 +322,42 @@ def test_unparseable_layout_json_is_exit_2(tmp_path, capsys):
     assert "doc_page01.json" in capsys.readouterr().err
 
 
+LATIN_1 = '{"file_id": "café"}'.encode("latin-1")  # é is 0xe9, at byte 16
+NOT_UTF_8 = "'utf-8' codec can't decode byte 0xe9 in position 16: invalid continuation byte"
+
+
+@pytest.mark.parametrize(
+    "command", ["recognize", "interpret", "eval recognition", "eval cells", "eval interpretation"]
+)
+def test_page_file_that_is_not_utf_8_is_exit_2(tmp_path, capsys, command):
+    corpus, pred = _recognized(tmp_path, capsys)
+    rules = str(corpus / "rules.json")
+    tuples = tmp_path / "tuples"
+    assert main(["interpret", str(pred), rules, str(tuples)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    gt = str(corpus / "recognition_gt")
+    bad, argv = {
+        "recognize": (corpus / "layouts", ["recognize", str(corpus / "layouts"), str(out)]),
+        "interpret": (pred, ["interpret", str(pred), rules, str(out)]),
+        "eval recognition": (pred, ["eval", "recognition", gt, str(pred)]),
+        "eval cells": (pred, ["eval", "cells", gt, str(pred)]),
+        "eval interpretation": (
+            tuples, ["eval", "interpretation", str(corpus / "interpretation_gt"), str(tuples)]
+        ),
+    }[command]
+    name = "a_page01_table0.json" if bad == tuples else "a_page01.json"
+    (bad / name).write_bytes(LATIN_1)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    if command in ("recognize", "interpret"):  # every other page is written, and the manifest
+        assert captured.err == f"error: {name}: {NOT_UTF_8}\n"
+        clean = pred if command == "recognize" else tuples
+        assert {p.name for p in out.iterdir()} == {p.name for p in clean.iterdir()}
+    else:
+        assert captured == ("", f"error: {NOT_UTF_8}\n")
+
+
 def test_recognize_drops_ruling_clipped_at_page_edge(tmp_path, capsys):
     layouts = tmp_path / "layouts"
     layouts.mkdir()
