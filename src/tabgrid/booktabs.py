@@ -23,10 +23,7 @@ from .model import (
     Word,
     assign_words_to_cells,
 )
-from .separator import column_runs, has_table_label
-
-# Rules whose y-centers land this close together form one header level.
-LEVEL_CLUSTER_TOL = 3.0
+from .separator import column_runs, has_table_label, split_at_gaps
 
 
 @dataclass(frozen=True)
@@ -112,20 +109,14 @@ def find_rule_triples(horizontals: list[Separator] | tuple[Separator, ...]) -> l
 
 
 def group_inner_rules(triple: RuleTriple) -> tuple[HeaderLevel, ...]:
-    """Cluster inner rules into levels: y-centers within 3 px share one."""
+    """Cluster inner rules into levels: y-centers chained within 3 px share one."""
     rules = sorted(triple.inner_rules, key=lambda s: (s.box.center[1], s.box.left))
-    levels: list[list[Separator]] = []
-    for r in rules:
-        if levels and r.box.center[1] - levels[-1][-1].box.center[1] <= LEVEL_CLUSTER_TOL:
-            levels[-1].append(r)
-        else:
-            levels.append([r])
     return tuple(
         HeaderLevel(
             band=(min(r.box.top for r in lv), max(r.box.bottom for r in lv)),
             rules=tuple(sorted(lv, key=lambda s: (s.box.left, s.box.top))),
         )
-        for lv in levels
+        for lv in split_at_gaps(rules, lambda s: s.box.center[1])
     )
 
 

@@ -24,6 +24,8 @@ from . import __version__
 from .corpusio import (
     PageTables,
     dump_json,
+    format_layout_name,
+    format_tuple_name,
     page_tables_from_dict,
     page_tables_to_dict,
     parse_layout_name,
@@ -243,8 +245,8 @@ def _page_name(path: Path, kind: str) -> tuple[str, int]:
 
 def _key_name(key: tuple) -> str:
     """``<id>_pageNN`` for a page key, ``<id>_pageNN_tableI`` for a tuple-set key."""
-    file_id, page_nr, *table_idx = key
-    return f"{file_id}_page{page_nr:02d}" + "".join(f"_table{i}" for i in table_idx)
+    name = format_layout_name(*key) if len(key) == 2 else format_tuple_name(*key)
+    return name.removesuffix(".json")
 
 
 def _check_name(path: Path, named: tuple, held: tuple) -> None:

@@ -1,6 +1,10 @@
-"""Disjoint-set union with path compression and union by rank."""
+"""Disjoint-set union, and the one sweep down a page that groups linked boxes."""
 
 from __future__ import annotations
+
+from typing import Callable
+
+from .geometry import BoundingBox
 
 
 class UnionFind:
@@ -32,3 +36,21 @@ class UnionFind:
         for i in range(len(self.parent)):
             out.setdefault(self.find(i), []).append(i)
         return out
+
+
+def linked_groups(
+    boxes: list[BoundingBox], linked: Callable[[BoundingBox, BoundingBox], bool]
+) -> list[list[int]]:
+    """Indices of the boxes joined by chains of linked pairs, grouped as by
+    ``UnionFind.groups``.  Only pairs whose y-ranges meet are linked: a sweep
+    down the page asks ``linked(upper, lower)`` of the boxes still open."""
+    uf = UnionFind(len(boxes))
+    open_: list[int] = []
+    for j in sorted(range(len(boxes)), key=lambda i: boxes[i].top):
+        bj = boxes[j]
+        open_ = [i for i in open_ if boxes[i].bottom >= bj.top]
+        for i in open_:
+            if linked(boxes[i], bj):
+                uf.union(i, j)
+        open_.append(j)
+    return list(uf.groups().values())

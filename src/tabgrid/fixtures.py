@@ -51,6 +51,7 @@ from .model import (
     recognizer_config_to_dict,
 )
 from .pipeline import transpose_layout, transpose_table
+from .separator import column_runs
 
 WORD_HEIGHT = 16
 # share of blank cells in a bordered table outside interpretation mode
@@ -191,15 +192,9 @@ def _ruling_pieces(borders: list[int], cut: set[int]) -> list[tuple[int, int]]:
     """The (start, end) pieces of a ruling that runs from ``borders[0]`` to
     ``borders[-1]`` with the bands in ``cut`` removed; band i runs from
     ``borders[i]`` to ``borders[i + 1]``."""
-    pieces: list[tuple[int, int]] = []
-    for i in range(len(borders) - 1):
-        if i in cut:
-            continue
-        if i > 0 and i - 1 not in cut:  # band i continues the piece of band i - 1
-            pieces[-1] = (pieces[-1][0], borders[i + 1])
-        else:
-            pieces.append((borders[i], borders[i + 1]))
-    return pieces
+    n = len(borders) - 1
+    joined = {i for i in range(n - 1) if i not in cut and i + 1 not in cut}
+    return [(borders[a], borders[b + 1]) for a, b in column_runs(n, joined) if a not in cut]
 
 
 def gen_bordered_page(
@@ -432,10 +427,8 @@ def gen_booktabs_page(
     spans = []
     n_header = n_levels + 1
     for r in range(n_header + rows):
-        groups = [(a, b) for a, b in cmidrule_levels[r]] if r < n_levels else []
-        covered = {j for a, b in groups for j in range(a, b + 1)}
-        runs = sorted(groups + [(j, j) for j in range(cols) if j not in covered])
-        spans += [(r, r, a, b) for a, b in runs]
+        joined = {j for a, b in (cmidrule_levels[r] if r < n_levels else ()) for j in range(a, b)}
+        spans += [(r, r, a, b) for a, b in column_runs(cols, joined)]
     cells = assign_words_to_cells(spans, words, row_borders, col_borders)
     table = RecognizedTable(
         region=region,

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .kernels import iou_matrix
+
 
 @dataclass(frozen=True, order=True)
 class BoundingBox:
@@ -53,12 +55,8 @@ def intersection_area(a: BoundingBox, b: BoundingBox) -> int:
 
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union; 0.0 when both boxes have zero area."""
-    inter = intersection_area(a, b)
-    union = a.area + b.area - inter
-    if union == 0:
-        return 0.0
-    return inter / union
+    """Intersection over union; 0.0 when the boxes do not overlap."""
+    return iou_matrix([a.as_tuple()], [b.as_tuple()])[0][0]
 
 
 def expand(b: BoundingBox, margin: int) -> BoundingBox:

@@ -138,10 +138,7 @@ def column_content_score(cells: list[str] | tuple[str, ...], pattern: str) -> fl
 
 
 def data_type_score(cells: list[str] | tuple[str, ...], data_type: DataType) -> float:
-    pattern = DATA_TYPE_PATTERNS[data_type]
-    if not cells:
-        return 0.0
-    return sum(regex_score(c.strip(), pattern) for c in cells) / len(cells)
+    return column_content_score([c.strip() for c in cells], DATA_TYPE_PATTERNS[data_type])
 
 
 def affinity(column: ColumnView, m: MeaningConfig) -> AffinityScores:

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import NoReturn
 
-from .dsu import UnionFind
+from .dsu import linked_groups
 from .errors import ConfigError, LayoutError
 from .fields import expect, keywords, known, load, must_be
 from .geometry import BoundingBox, transpose_box
@@ -74,32 +74,24 @@ class WordIndex:
 
     def __init__(self, words: tuple[Word, ...]) -> None:
         self.words = words
-        # the doubled center y, top + bottom, stays an integer
-        doubled = [w.box.top + w.box.bottom for w in words]
-        self._by_center = sorted(range(len(words)), key=doubled.__getitem__)
-        self._centers = [doubled[i] for i in self._by_center]
         tops = [w.box.top for w in words]
         self._by_top = sorted(range(len(words)), key=tops.__getitem__)
         self._tops = [tops[i] for i in self._by_top]
         self._max_height = max((w.box.height for w in words), default=0)
 
-    def _in_page_order(self, indices: list[int]) -> list[Word]:
-        return [self.words[i] for i in sorted(indices)]
-
     def centered(self, top: int, bottom: int) -> list[Word]:
-        """Words whose box center y lies in [top, bottom)."""
-        lo = bisect_left(self._centers, 2 * top)
-        hi = bisect_left(self._centers, 2 * bottom)
-        return self._in_page_order(self._by_center[lo:hi])
+        """Words whose box center y lies in [top, bottom), all ``touching``
+        words; the doubled center y, box.top + box.bottom, is an integer."""
+        touching = self.touching(top, bottom)
+        return [w for w in touching if 2 * top <= w.box.top + w.box.bottom < 2 * bottom]
 
     def touching(self, top: int, bottom: int) -> list[Word]:
         """Words whose rows [box.top, box.bottom] meet [top, bottom]."""
         lo = bisect_left(self._tops, top - self._max_height)
         hi = bisect_right(self._tops, bottom)
         words = self.words
-        return self._in_page_order(
-            [i for i in self._by_top[lo:hi] if words[i].box.bottom >= top]
-        )
+        hits = [i for i in self._by_top[lo:hi] if words[i].box.bottom >= top]
+        return [words[i] for i in sorted(hits)]
 
     @cached_property
     def d_page(self) -> float | None:
@@ -133,24 +125,14 @@ class WordIndex:
 
 
 def reconstruct_lines(words: list[Word]) -> list[list[Word]]:
-    """Chain words whose vertical overlap covers half the smaller box.
+    """Chain words whose vertical overlap is positive and covers half the
+    smaller box, in one sweep down the page (``linked_groups``).  Lines
+    keep page order inside and are sorted by their topmost word."""
+    def same_line(upper: BoundingBox, lower: BoundingBox) -> bool:
+        overlap = min(upper.bottom, lower.bottom) - lower.top  # lower.top >= upper.top
+        return overlap > 0 and overlap >= 0.5 * min(upper.height, lower.height)
 
-    A sweep down the page tests each word only against the words whose
-    box is still open at its top edge; no other pair overlaps.  Lines
-    keep page order inside and are sorted by their topmost word.
-    """
-    uf = UnionFind(len(words))
-    open_: list[int] = []
-    for j in sorted(range(len(words)), key=lambda i: words[i].box.top):
-        bj = words[j].box
-        open_ = [i for i in open_ if words[i].box.bottom > bj.top]
-        for i in open_:
-            bi = words[i].box
-            overlap = min(bi.bottom, bj.bottom) - bj.top  # bj.top >= bi.top
-            if overlap > 0 and overlap >= 0.5 * min(bi.height, bj.height):
-                uf.union(i, j)
-        open_.append(j)
-    lines = [[words[i] for i in idxs] for idxs in uf.groups().values()]
+    lines = [[words[i] for i in g] for g in linked_groups([w.box for w in words], same_line)]
     lines.sort(key=lambda ws: min(w.box.top for w in ws))
     return lines
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .dsu import UnionFind
+from .dsu import linked_groups
 from .errors import DegenerateGrid
-from .geometry import BoundingBox, expand, union_box
+from .geometry import BoundingBox, expand, intersects, union_box
 from .model import (
     PageLayout,
     RecognizedTable,
@@ -28,7 +28,8 @@ from .model import (
     assign_words_to_cells,
 )
 
-# Coordinates whose centers land this close together are one border.
+# Rulings whose centers land this close together, in a chain, are one
+# border of a grid or one header level of a booktabs table.
 BORDER_CLUSTER_TOL = 3.0
 # Probe strip queried for rulings at a shared border: 4 px wide,
 # spanning the middle 60 % of the cell extent along the border.
@@ -67,26 +68,13 @@ def merge_separators(
 ) -> list[SeparatorCluster]:
     """Cluster rulings whose expanded boxes touch; keep mixed-orientation clusters.
 
-    Merging runs to a fixed point: a cluster absorbs another as soon as
-    any pair of member boxes intersects, which is exactly the connected
-    components of the pairwise intersection graph.  A sweep down the page
-    finds those pairs: each grown box is tested only against the boxes
-    still open at its top edge.
+    A cluster absorbs another as soon as any pair of member boxes
+    intersects: the clusters are the connected components of the pairwise
+    intersection graph, found in one sweep down the page (``linked_groups``).
     """
     raw = sorted(separators, key=_sort_key)
-    grown = [expand(s.box, expand_px) for s in raw]
-    uf = UnionFind(len(grown))
-    open_: list[int] = []
-    for j in sorted(range(len(grown)), key=lambda i: grown[i].top):
-        bj = grown[j]
-        open_ = [i for i in open_ if grown[i].bottom >= bj.top]
-        for i in open_:
-            if grown[i].left <= bj.right and bj.left <= grown[i].right:
-                uf.union(i, j)
-        open_.append(j)
-
     clusters = []
-    for indices in uf.groups().values():
+    for indices in linked_groups([expand(s.box, expand_px) for s in raw], intersects):
         members = [raw[i] for i in indices]
         if len({m.orientation for m in members}) < 2:
             continue  # rulings alone in one direction never form a table
@@ -115,18 +103,20 @@ def has_table_label(words: WordIndex, hull: BoundingBox, cfg: RecognizerConfig) 
     )
 
 
-def _cluster_coords(values: list[float], tol: float = BORDER_CLUSTER_TOL) -> list[int]:
-    """Collapse close coordinates into single borders (chain clustering)."""
-    if not values:
-        return []
-    values = sorted(values)
-    groups: list[list[float]] = [[values[0]]]
-    for v in values[1:]:
-        if v - groups[-1][-1] <= tol:
-            groups[-1].append(v)
+def split_at_gaps(items: list, key) -> list[list]:
+    """Cut items sorted by ``key`` wherever the key grows by more than BORDER_CLUSTER_TOL."""
+    groups: list[list] = []
+    for item in items:
+        if groups and key(item) - key(groups[-1][-1]) <= BORDER_CLUSTER_TOL:
+            groups[-1].append(item)
         else:
-            groups.append([v])
-    return [int(sum(g) / len(g) + 0.5) for g in groups]
+            groups.append([item])
+    return groups
+
+
+def _cluster_coords(values: list[float]) -> list[int]:
+    """Collapse close coordinates into single borders, each their mean."""
+    return [int(sum(g) / len(g) + 0.5) for g in split_at_gaps(sorted(values), float)]
 
 
 def estimate_grid(cluster: SeparatorCluster) -> RoughGrid:

@@ -418,3 +418,33 @@ def test_chain_bytes_on_the_pinned_spec_are_pinned(tmp_path):
     ) + reports
     assert len(files) == 22
     assert _pinned_digest(tmp_path, files) == PINNED_CHAIN_DIGEST
+
+
+# the same chain with every line_id set to null, so d_page rebuilds the lines;
+# the rebuilt lines give the same d_page here, hence the same bytes
+PINNED_NO_LINE_ID_CHAIN_DIGEST = "c4138796e4ae27cd8c8160caebde63abcc61abb6e8fa1098bc3b1d11fff33274"
+
+
+def test_chain_bytes_without_line_ids_are_pinned(tmp_path):
+    build_corpus(PINNED_SPEC, tmp_path / "corpus")
+    corpus, pred, tuples = (str(tmp_path / d) for d in ("corpus", "pred", "tuples"))
+    for p in Path(corpus, "layouts").glob("*.json"):
+        layout = json.loads(p.read_bytes())
+        for w in layout["words"]:
+            w["line_id"] = None
+        p.write_text(json.dumps(layout, sort_keys=True) + "\n")
+    reports = [tmp_path / f"{mode}.json" for mode in ("recognition", "cells", "interpretation")]
+    steps = [
+        ["recognize", f"{corpus}/layouts", pred, "--config", f"{corpus}/recognizer_config.json"],
+        ["interpret", pred, f"{corpus}/rules.json", tuples],
+        ["eval", "recognition", f"{corpus}/recognition_gt", pred, "--out", str(reports[0])],
+        ["eval", "cells", f"{corpus}/recognition_gt", pred, "--out", str(reports[1])],
+        ["eval", "interpretation", f"{corpus}/interpretation_gt", tuples, "--out", str(reports[2])],
+    ]
+    for argv in steps:
+        assert main(argv) == 0
+    files = sorted(
+        p for d in (pred, tuples) for p in Path(d).glob("*.json") if p.name != "run_manifest.json"
+    ) + reports
+    assert len(files) == 22
+    assert _pinned_digest(tmp_path, files) == PINNED_NO_LINE_ID_CHAIN_DIGEST
