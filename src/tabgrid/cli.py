@@ -381,6 +381,15 @@ def _check_strict(gt_keys, pred_keys) -> None:
         raise TabgridError("; ".join(lines))
 
 
+def _read_eval_page(path: Path) -> PageTables:
+    """``_read_page_tables`` of a file with a well-formed name; a fault met
+    in reading it is raised as ``<path>: <reason>``."""
+    try:
+        return _read_page_tables(path)
+    except _INPUT_ERRORS as exc:
+        raise TabgridError(f"{path}: {exc}") from exc
+
+
 class _PagePair(NamedTuple):
     """The ground-truth and predicted tables files of one page; either may be None."""
 
@@ -417,7 +426,8 @@ def _score_page_pairs(args: argparse.Namespace, score) -> list[tuple[tuple[str, 
         pred_files = _eval_files(pred_dir, parse_layout_name)
     except _INPUT_ERRORS:
         for path in gt_files:  # a fault in the ground truth comes first
-            _read_page_tables(path)
+            _page_name(path, "table")
+            _read_eval_page(path)
         raise
     _check_not_empty(args, gt_files, pred_files)
     faults: list[tuple[int, str, str]] = []  # (side, file name, message); 0 is ground truth
@@ -434,7 +444,7 @@ def _score_page_pairs(args: argparse.Namespace, score) -> list[tuple[tuple[str, 
         pages = []
         for side, path in enumerate((pair.gt, pair.pred)):
             try:
-                pages.append(None if path is None else _read_page_tables(path))
+                pages.append(None if path is None else _read_eval_page(path))
             except _INPUT_ERRORS as exc:
                 return (side, path.name, str(exc)), None
         gt, pred = pages
@@ -523,7 +533,8 @@ def _eval_cells(args: argparse.Namespace) -> tuple[dict, str]:
 def _load_tuple_sets(directory: Path) -> dict:
     """Tuple sets keyed by ``(file_id, page_nr, table_idx)``, as the files
     say.  A file whose name disagrees with its key, or two files with the
-    same key, are invalid input."""
+    same key, are invalid input; a fault met in reading a file is raised as
+    ``<path>: <reason>``."""
     loaded: dict = {}
     for path in _eval_files(directory, parse_tuple_name):
         named = parse_tuple_name(path.name)
@@ -531,10 +542,12 @@ def _load_tuple_sets(directory: Path) -> dict:
             raise TabgridError(
                 f"tuple file name not of the form <id>_page<NR>_table<IDX>.json: {path.name}"
             )
-        item = read_tuple_set(path)
-        key = (item.file_id, item.page_nr, item.table_idx)
-        _check_name(path, named, key)
-        loaded[key] = item
+        try:
+            item = read_tuple_set(path)
+            _check_name(path, named, (item.file_id, item.page_nr, item.table_idx))
+        except _INPUT_ERRORS as exc:
+            raise TabgridError(f"{path}: {exc}") from exc
+        loaded[named] = item
     return loaded
 
 

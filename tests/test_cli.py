@@ -355,7 +355,7 @@ def test_page_file_that_is_not_utf_8_is_exit_2(tmp_path, capsys, command):
         clean = pred if command == "recognize" else tuples
         assert {p.name for p in out.iterdir()} == {p.name for p in clean.iterdir()}
     else:
-        assert captured == ("", f"error: {NOT_UTF_8}\n")
+        assert captured == ("", f"error: {bad / name}: {NOT_UTF_8}\n")
 
 
 def test_recognize_drops_ruling_clipped_at_page_edge(tmp_path, capsys):
@@ -569,6 +569,7 @@ _MEANING = {"name": "M", "w_title": 1.0, "w_content": 1.0, "min_affinity": 0.5,
         ([5], "meanings[0] must be an object, got 5"),
         ([{**_MEANING, "weight": 1}], "unknown field meanings[0].weight"),
         ([{**_MEANING, "name": 7}], "meanings[0].name must be a string, got 7"),
+        ([{**_MEANING, "name": ""}], "meanings[0]: meaning name must be non-empty"),
         ([{**_MEANING, "w_title": "1"}], "meanings[0].w_title must be a number, got '1'"),
         ([{**_MEANING, "w_content": True}], "meanings[0].w_content must be a number, got True"),
         ([{**_MEANING, "min_affinity": None}],
@@ -591,7 +592,7 @@ _MEANING = {"name": "M", "w_title": 1.0, "w_content": 1.0, "min_affinity": 0.5,
     ],
     ids=[
         "top-level-unknown", "meanings-object", "rules-string", "meaning-int",
-        "meaning-unknown", "name-int", "weight-string", "weight-bool", "floor-null",
+        "meaning-unknown", "name-int", "name-empty", "weight-string", "weight-bool", "floor-null",
         "floor-missing", "keywords-string", "keywords-empty", "title-regex-int",
         "content-regex-list", "data-type-int", "data-type-unknown", "two-faults",
     ],
@@ -841,7 +842,7 @@ def test_file_named_for_another_page_is_rejected(tmp_path, capsys, mode):
         return
     rc = main(["eval", mode, str(gt), str(pred)])
     assert rc == 2
-    assert capsys.readouterr().err == f"error: {message}"
+    assert capsys.readouterr().err == f"error: {copy}: {message}"
 
 
 def test_interpret_rejects_two_names_for_one_page(tmp_path, capsys):
@@ -1439,3 +1440,53 @@ def test_pool_size_is_bounded_by_cores_and_files(
     assert done in capsys.readouterr().out
     if command == "recognize":
         assert len(_outputs(out)) == items
+
+
+def test_recognize_drops_a_cluster_with_one_border_each_way(tmp_path, capsys):
+    layouts = tmp_path / "layouts"
+    layouts.mkdir()
+    dump_json(layouts / "doc_page01.json", {
+        "page_width": 400,
+        "page_height": 400,
+        "words": [],
+        "separators": [
+            {"box": [50, 99, 250, 101], "orientation": "h"},
+            {"box": [149, 20, 151, 200], "orientation": "v"},
+        ],
+    })
+    out = tmp_path / "out"
+    assert main(["recognize", str(layouts), str(out)]) == 0
+    page = json.loads((out / "doc_page01.json").read_text())
+    assert page["tables"] == []
+    assert page["diagnostics"] == [
+        "separator candidate dropped: cluster at (45, 15, 255, 205) has 1 row and 1 column borders"
+    ]
+
+
+def test_eval_names_a_tuple_set_file_that_is_not_an_object(tmp_path, capsys):
+    gt, pred = tmp_path / "gt", tmp_path / "pred"
+    gt.mkdir()
+    pred.mkdir()
+    bad = pred / "a_page01_table0.json"
+    dump_json(bad, [1])
+    assert main(["eval", "interpretation", str(gt), str(pred)]) == 2
+    assert capsys.readouterr() == ("", f"error: {bad}: tuple set JSON must be an object\n")
+
+
+@pytest.mark.parametrize("mode", ["recognition", "cells"])
+def test_eval_names_a_prediction_file_that_is_not_json(tmp_path, capsys, mode):
+    corpus, pred = _recognized(tmp_path, capsys)
+    bad = sorted(pred.glob("*_page01.json"))[0]
+    bad.write_text("{not json")
+    assert main(["eval", mode, str(corpus / "recognition_gt"), str(pred)]) == 2
+    reason = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    assert capsys.readouterr() == ("", f"error: {bad}: {reason}\n")
+
+
+def test_eval_names_the_ground_truth_file_when_the_prediction_dir_is_missing(tmp_path, capsys):
+    corpus = _make_corpus(tmp_path)
+    bad = sorted((corpus / "recognition_gt").glob("*.json"))[-1]
+    bad.write_text("[]")
+    argv = ["eval", "cells", str(corpus / "recognition_gt"), str(tmp_path / "absent")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: page tables JSON must be an object\n"

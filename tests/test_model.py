@@ -329,3 +329,10 @@ def test_recognizer_config_round_trip_and_validation():
         RecognizerConfig(require_labels_separator=True, label_keywords=())
     with pytest.raises(ValueError):
         RecognizerConfig(separator_expand_px=-2)
+
+
+def test_d_page_skips_a_same_line_pair_of_zero_height_words():
+    flat = [Word(box(0, 10, 10, 10), "a", 1), Word(box(20, 10, 30, 10), "b", 1)]
+    assert WordIndex(tuple(flat)).d_page is None
+    tall = [Word(box(0, 40, 10, 50), "c", 2), Word(box(15, 40, 25, 50), "d", 2)]
+    assert WordIndex(tuple(flat + tall)).d_page == 0.5

@@ -19,6 +19,7 @@ from tabgrid.separator import (
     RoughGrid,
     SeparatorCluster,
     _sort_key,
+    column_runs,
     estimate_grid,
     has_table_label,
     merge_separators,
@@ -397,3 +398,21 @@ def test_refine_grid_matches_union_find(case):
     table = refine_grid(grid, cluster)
     got = [(c.row_start, c.row_end, c.col_start, c.col_end, c.box.as_tuple()) for c in table.cells]
     assert got == refine_grid_oracle(grid, cluster)
+
+
+def test_column_runs_examples():
+    assert column_runs(5, {0, 2, 3}) == [(0, 1), (2, 4)]
+    assert column_runs(3, set()) == [(0, 0), (1, 1), (2, 2)]
+    assert column_runs(3, {0, 1}) == [(0, 2)]
+    assert column_runs(1, set()) == [(0, 0)]
+    assert column_runs(0, set()) == []
+
+
+@given(n_cols=st.integers(0, 12), data=st.data())
+def test_column_runs_tile_the_columns_and_cut_where_not_joined(n_cols, data):
+    joined = data.draw(st.sets(st.integers(0, n_cols - 2))) if n_cols > 1 else set()
+    runs = column_runs(n_cols, joined)
+    assert [j for first, last in runs for j in range(first, last + 1)] == list(range(n_cols))
+    for first, last in runs:
+        assert all(j in joined for j in range(first, last))
+        assert last + 1 == n_cols or last not in joined
