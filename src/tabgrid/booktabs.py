@@ -37,6 +37,12 @@ class RuleTriple:
     def extent(self) -> BoundingBox:
         return union_box([self.top.box, self.middle.box, self.bottom.box])
 
+    @property
+    def region(self) -> BoundingBox:
+        """``extent`` cut to the top rule's top and the bottom rule's bottom."""
+        e = self.extent
+        return BoundingBox(e.left, self.top.box.top, e.right, self.bottom.box.bottom)
+
 
 @dataclass(frozen=True)
 class HeaderLevel:
@@ -226,14 +232,13 @@ def build_booktabs_grid(
     """Assemble the grid: header rows between top and middle rules (one
     per level plus the lowest), body rows from row_borders, and merged
     header cells joining the columns each grouping rule covers."""
-    extent = triple.extent
-    region = BoundingBox(extent.left, triple.top.box.top, extent.right, triple.bottom.box.bottom)
+    region = triple.region
     level_centers = [(lv.band[0] + lv.band[1]) // 2 for lv in levels]
     mid_y = int(triple.middle.box.center[1] + 0.5)
     ys = [region.top, *level_centers, mid_y, *sorted(row_borders), region.bottom]
     xs = [region.left, *sorted(col_borders), region.right]
     if any(b <= a for a, b in zip(ys, ys[1:])) or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise DegenerateGrid(f"non-increasing borders for triple at {extent.as_tuple()}")
+        raise DegenerateGrid(f"non-increasing borders for triple at {triple.extent.as_tuple()}")
 
     n_rows, n_cols = len(ys) - 1, len(xs) - 1
     spans = []
@@ -277,9 +282,7 @@ def recognize_booktabs_tables(
             )
             continue
         levels = group_inner_rules(triple)
-        region = BoundingBox(
-            extent.left, triple.top.box.top, extent.right, triple.bottom.box.bottom
-        )
+        region = triple.region
         if triple.middle.box.bottom >= triple.bottom.box.top:
             diagnostics.append(
                 f"booktabs candidate at {extent.as_tuple()} dropped: no body region"
@@ -299,16 +302,16 @@ def recognize_booktabs_tables(
             lowest_band = BoundingBox(
                 region.left, lowest_band_top, region.right, triple.middle.box.top
             )
-            projection_words = [
-                w
-                for w in index.centered(lowest_band.top, body_region.bottom)
-                if contains_point(body_region, *w.box.center)
-                or contains_point(lowest_band, *w.box.center)
-            ]
             table_words = [
                 w
                 for w in index.centered(region.top, region.bottom)
                 if contains_point(region, *w.box.center)
+            ]
+            projection_words = [
+                w
+                for w in table_words
+                if contains_point(body_region, *w.box.center)
+                or contains_point(lowest_band, *w.box.center)
             ]
             threshold = compute_column_threshold(layout, table_words, cfg.gamma)
             col_borders = segment_columns(projection_words, region, threshold.d_column)

@@ -256,13 +256,15 @@ def _check_name(path: Path, named: tuple, held: tuple) -> None:
         )
 
 
-def _check_unique_names(directory: Path, files: list[Path], parse_name) -> None:
-    """Two files whose names give one key would be written, or scored, as one.
+def _keyed_files(directory: Path, parse_name) -> list[Path]:
+    """``_json_files(directory)``, unless two names give one key: their
+    files would be written, or scored, as one.
 
     Every reader checks that a file's name gives the key it holds, so keys
     from names are keys from contents; names of no known form are left to
     those readers.
     """
+    files = _json_files(directory)
     names: dict[tuple, str] = {}
     for path in files:
         key = parse_name(path.name)
@@ -272,6 +274,7 @@ def _check_unique_names(directory: Path, files: list[Path], parse_name) -> None:
             )
         if key is not None:
             names[key] = path.name
+    return files
 
 
 def _read_page_tables(path: Path) -> PageTables:
@@ -329,8 +332,7 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
     tables_dir = Path(args.tables_dir)
     out_dir = Path(args.out_dir)
     meanings = load_meanings(args.rules)  # validated before any table is read
-    files = _json_files(tables_dir)
-    _check_unique_names(tables_dir, files, parse_layout_name)
+    files = _keyed_files(tables_dir, parse_layout_name)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def interpret_file(path: Path) -> int:
@@ -360,12 +362,6 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 # eval
-
-
-def _eval_files(directory: Path, parse_name) -> list[Path]:
-    files = _json_files(directory)
-    _check_unique_names(directory, files, parse_name)
-    return files
 
 
 def _check_not_empty(args: argparse.Namespace, gt, pred) -> None:
@@ -421,9 +417,9 @@ def _score_page_pairs(args: argparse.Namespace, score) -> list[tuple[tuple[str, 
     that fails otherwise raises ``_Unscored``.
     """
     gt_dir, pred_dir = Path(args.gt_dir), Path(args.pred_dir)
-    gt_files = _eval_files(gt_dir, parse_layout_name)
+    gt_files = _keyed_files(gt_dir, parse_layout_name)
     try:
-        pred_files = _eval_files(pred_dir, parse_layout_name)
+        pred_files = _keyed_files(pred_dir, parse_layout_name)
     except _INPUT_ERRORS:
         for path in gt_files:  # a fault in the ground truth comes first
             _page_name(path, "table")
@@ -536,7 +532,7 @@ def _load_tuple_sets(directory: Path) -> dict:
     same key, are invalid input; a fault met in reading a file is raised as
     ``<path>: <reason>``."""
     loaded: dict = {}
-    for path in _eval_files(directory, parse_tuple_name):
+    for path in _keyed_files(directory, parse_tuple_name):
         named = parse_tuple_name(path.name)
         if named is None:
             raise TabgridError(

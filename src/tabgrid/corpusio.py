@@ -18,13 +18,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import LayoutError
-from .fields import expect
+from .fields import expect, one_of
 from .interpret import TupleSet, tuple_set_from_dict, tuple_set_to_dict
 from .model import RecognizedTable, recognized_table_from_dict, recognized_table_to_dict
+from .pipeline import PageOrientation
 
 _LAYOUT_RE = re.compile(r"^(?P<fid>.+)_page(?P<page>\d+)\.json$")
 _TUPLE_RE = re.compile(r"^(?P<fid>.+)_page(?P<page>\d+)_table(?P<idx>\d+)\.json$")
 _TUPLE_BARE_RE = re.compile(r"^(?P<fid>.+)_(?P<page>\d+)_(?P<idx>\d+)\.json$")
+_ORIENTATIONS = tuple(o.value for o in PageOrientation)
 
 
 def format_layout_name(file_id: str, page_nr: int) -> str:
@@ -107,7 +109,10 @@ def page_tables_from_dict(d: dict) -> PageTables:
             file_id=expect(d["file_id"], "file_id", "string"),
             page_nr=expect(d["page_nr"], "page_nr", "integer"),
             tables=tables,
-            orientation=expect(d.get("orientation", "standard"), "orientation", "string"),
+            orientation=one_of(
+                expect(d.get("orientation", "standard"), "orientation", "string"),
+                "orientation", _ORIENTATIONS,
+            ),
             diagnostics=[
                 expect(x, f"diagnostics[{i}]", "string") for i, x in enumerate(diagnostics)
             ],

@@ -46,7 +46,6 @@ from .model import (
     TableSource,
     Word,
     assign_words_to_cells,
-    cell_grid,
     page_layout_to_dict,
     recognizer_config_to_dict,
 )
@@ -504,7 +503,7 @@ def _interpretation_columns(rng: random.Random, cols: int) -> dict:
 def _tuple_gt(
     table: RecognizedTable, plan: dict, file_id: str, page_nr: int, table_idx: int
 ) -> TupleSet:
-    grid = cell_grid(table)
+    grid = table.grid
     n_header = header_row_count_for(table)
     ts = TupleSet(file_id=file_id, page_nr=page_nr, table_idx=table_idx)
     for i in range(n_header, table.n_rows):
@@ -650,7 +649,7 @@ def corpus_recognizer_config() -> RecognizerConfig:
 def build_corpus(spec: dict, out_dir: str | Path) -> dict:
     """Write layouts, ground truth, and configs for a corpus spec.
 
-    Returns a summary manifest (file counts per artifact kind).
+    Returns the number of pages and of tuple sets written.
     """
     pages = generate_pages(spec)
     out = Path(out_dir)
@@ -671,9 +670,4 @@ def build_corpus(spec: dict, out_dir: str | Path) -> dict:
 
     dump_json(out / "rules.json", {"meanings": [meaning_to_dict(m) for m in default_meanings()]})
     dump_json(out / "recognizer_config.json", recognizer_config_to_dict(corpus_recognizer_config()))
-    return {
-        "pages": len(pages),
-        "layouts": len(pages),
-        "recognition_gt": len(pages),
-        "tuple_sets": n_tuple_sets,
-    }
+    return {"pages": len(pages), "tuple_sets": n_tuple_sets}

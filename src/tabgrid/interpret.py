@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, InvalidPattern
@@ -245,10 +245,8 @@ def tuples_from_matching(
 # rules config JSON
 
 
-_REQUIRED_FIELDS = ("name", "w_title", "w_content", "min_affinity")
-_MEANING_FIELDS = (
-    *_REQUIRED_FIELDS, "title_keywords", "title_regex", "content_regex", "data_type"
-)
+_MEANING_FIELDS = tuple(f.name for f in fields(MeaningConfig))
+_REQUIRED_FIELDS = tuple(f.name for f in fields(MeaningConfig) if f.default is MISSING)
 _DATA_TYPE_NAMES = tuple(t.value for t in DataType)
 
 
@@ -334,20 +332,12 @@ def load_meanings(path: str | Path) -> list[MeaningConfig]:
 
 
 def meaning_to_dict(m: MeaningConfig) -> dict:
-    out: dict = {
-        "name": m.name,
-        "w_title": m.w_title,
-        "w_content": m.w_content,
-        "min_affinity": m.min_affinity,
-    }
-    if m.title_keywords:
-        out["title_keywords"] = list(m.title_keywords)
-    if m.title_regex is not None:
-        out["title_regex"] = m.title_regex
-    if m.content_regex is not None:
-        out["content_regex"] = m.content_regex
-    if m.data_type is not None:
-        out["data_type"] = m.data_type.value
+    """Every required field, and every rule that is not left out (None or ())."""
+    out: dict = {}
+    for key in _MEANING_FIELDS:
+        v = getattr(m, key)
+        if key in _REQUIRED_FIELDS or (v is not None and v != ()):
+            out[key] = v.value if isinstance(v, DataType) else list(v) if type(v) is tuple else v
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NoReturn
@@ -491,14 +491,7 @@ def recognizer_config_from_dict(d: object) -> RecognizerConfig:
 
 
 def recognizer_config_to_dict(cfg: RecognizerConfig) -> dict:
-    return {
-        "gamma": cfg.gamma,
-        "require_labels_separator": cfg.require_labels_separator,
-        "require_labels_booktabs": cfg.require_labels_booktabs,
-        "label_keywords": list(cfg.label_keywords),
-        "separator_expand_px": cfg.separator_expand_px,
-        "label_search_margin_px": cfg.label_search_margin_px,
-    }
+    return {**asdict(cfg), "label_keywords": list(cfg.label_keywords)}
 
 
 def load_recognizer_config(path: str | Path) -> RecognizerConfig:

@@ -18,7 +18,7 @@ from tabgrid.booktabs import (
     vertical_profile,
 )
 from tabgrid.dsu import UnionFind
-from tabgrid.errors import EmptyBody, InsufficientContext
+from tabgrid.errors import DegenerateGrid, EmptyBody, InsufficientContext
 from tabgrid.fixtures import gen_booktabs_page
 from tabgrid.geometry import box
 from tabgrid.model import PageLayout, RecognizerConfig, Separator, SeparatorOrientation, Word
@@ -141,6 +141,13 @@ def test_profiles_clip_to_region():
     assert p.values == [40] * 20
     v = vertical_profile([word(0, 0, 100, 100)], region)
     assert v.values == [20] * 40
+
+
+def test_profiles_skip_words_outside_region():
+    region = box(0, 0, 100, 20)
+    assert horizontal_profile([word(200, 0, 220, 10)], region).values == [0] * 20
+    # a word that only touches the region's bottom edge covers none of its rows
+    assert horizontal_profile([word(10, 20, 30, 30)], region).values == [0] * 20
 
 
 def test_segment_rows_midpoints():
@@ -374,3 +381,13 @@ def test_build_booktabs_grid_matches_union_find(case):
     assert got == header_cells_oracle(triple, levels, body, xs)
     assert table.header_row_count == len(levels) + 1
     assert table.labeled is labeled
+
+
+def test_build_booktabs_grid_rejects_body_border_above_middle_rule():
+    triple = RuleTriple(
+        top=h_rule(0, 10, 100), middle=h_rule(0, 40, 100), bottom=h_rule(0, 100, 100),
+        inner_rules=(),
+    )
+    with pytest.raises(DegenerateGrid) as exc:
+        build_booktabs_grid(triple, (), [30], [], False)
+    assert str(exc.value) == "non-increasing borders for triple at (0, 9, 100, 101)"

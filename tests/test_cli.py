@@ -432,6 +432,10 @@ def test_gen_fixtures_rejects_unknown_kind(tmp_path, capsys):
              "merges": [{"row": 3, "col": 0, "dir": "down"}]},
             "fixture page ('x', 1): an interpretation page takes no merges",
         ),
+        (
+            {"kind": "booktabs", "cols": 3, "cmidrule_levels": [[[1, 5]]]},
+            "error: cmidrule (1, 5) outside 3 columns",
+        ),
     ],
 )
 def test_gen_fixtures_rejects_overlapping_merges_and_cmidrules(tmp_path, capsys, page, message):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tabgrid.errors import ConfigError
 from tabgrid.fields import FieldError, expect
 from tabgrid.fixtures import corpus_recognizer_config, default_meanings, generate_pages
-from tabgrid.interpret import meaning_to_dict, meanings_from_json
+from tabgrid.interpret import DataType, MeaningConfig, meaning_to_dict, meanings_from_json
 from tabgrid.model import RecognizerConfig, recognizer_config_from_dict, recognizer_config_to_dict
 
 
@@ -41,6 +41,18 @@ def test_recognizer_config_round_trip(cfg):
 
 def test_default_meanings_round_trip():
     assert meanings_from_json([meaning_to_dict(m) for m in default_meanings()]) == default_meanings()
+
+
+def test_meaning_writer_leaves_out_only_absent_rules():
+    m = MeaningConfig(name="M", w_title=1.0, w_content=0.0, min_affinity=0.5,
+                      title_regex="", content_regex=r"\d")
+    assert meaning_to_dict(m) == {"name": "M", "w_title": 1.0, "w_content": 0.0,
+                                  "min_affinity": 0.5, "title_regex": "", "content_regex": r"\d"}
+    m = MeaningConfig(name="N", w_title=0.0, w_content=1.0, min_affinity=0.0,
+                      title_keywords=("a", "b"), data_type=DataType.DATE)
+    assert list(meaning_to_dict(m).items())[4:] == [
+        ("title_keywords", ["a", "b"]), ("data_type", "Date")
+    ]
 
 
 def test_null_leaves_an_optional_rule_out():

@@ -323,6 +323,8 @@ STRICT_STRINGS = [
      "bad page tables entry: file_id must be a string, got 7"),
     ("page-tables", "orientation-null", _with(_page_tables(), ("orientation",), None),
      "bad page tables entry: orientation must be a string, got None"),
+    ("page-tables", "orientation-sideways", _with(_page_tables(), ("orientation",), "sideways"),
+     "bad page tables entry: orientation must be 'standard' or 'vertical', got 'sideways'"),
     ("page-tables", "diagnostics-string", _with(_page_tables(), ("diagnostics",), "abc"),
      "bad page tables entry: diagnostics must be a list, got 'abc'"),
     ("page-tables", "diagnostics-null", _with(_page_tables(), ("diagnostics",), None),
