@@ -41,10 +41,11 @@ from .evaluate import (
     corpus_average,
     interpretation_score,
     recognition_score,
+    scored_tables,
     wavg_f1,
 )
 from .fields import load
-from .interpret import load_meanings, match_meanings, tuples_from_matching
+from .interpret import interpret_table, load_meanings
 from .model import (
     RecognizerConfig,
     load_recognizer_config,
@@ -339,11 +340,8 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
         page = _read_page_tables(path)
         written = 0
         for idx, table in enumerate(page.tables):
-            views, matching = match_meanings(table, meanings)
-            if matching.pairs:
-                ts = tuples_from_matching(
-                    table, meanings, views, matching, page.file_id, page.page_nr, idx
-                )
+            ts = interpret_table(table, meanings, page.file_id, page.page_nr, idx)
+            if ts.tuples:
                 write_tuple_set(out_dir, ts)
                 written += 1
         return written
@@ -398,55 +396,47 @@ class _Unscored(Exception):
     """A page pair whose scoring failed unexpectedly, or whose worker died."""
 
 
-def _gt_tables(page: PageTables) -> list:
-    """Ground-truth tables that are expected to be recognized."""
-    return [t for t, missed in zip(page.tables, page.expected_missed) if not missed]
+def _first_fault(*sides: list[Path]) -> None:
+    """Read each side's files in name order, each name, then its content,
+    and raise the first fault met."""
+    for files in sides:
+        for path in files:
+            _page_name(path, "table")
+            _read_eval_page(path)
 
 
 def _score_page_pairs(args: argparse.Namespace, score) -> list[tuple[tuple[str, int], object]]:
     """``(key, score(gt_tables, pred_tables))`` for every page of either
-    directory, in ``(file_id, page_nr)`` order; a page on one side only
-    scores against no tables.
+    directory, in ``(file_id, page_nr)`` order, over the tables that
+    ``scored_tables`` keeps; a page on one side only scores against no tables.
 
     Files pair by their ``<id>_page<NR>`` names, which the reader checks
     against the pages they hold.  Each pair is read and scored on its own,
     in worker processes when every worker gets ``MIN_PAIR_BYTES_PER_WORKER``
-    bytes of files, and only its counts come back.  Invalid input raises the fault
-    that reading the ground truth in name order, then the predictions,
-    would meet first; ``--strict`` pairing is checked after that.  A pair
-    that fails otherwise raises ``_Unscored``.
+    bytes of files, and only its counts come back.  A pair that fails
+    unexpectedly raises ``_Unscored``; then invalid input raises the fault
+    that ``_first_fault`` meets, and ``--strict`` pairing is checked last.
     """
     gt_dir, pred_dir = Path(args.gt_dir), Path(args.pred_dir)
     gt_files = _keyed_files(gt_dir, parse_layout_name)
     try:
         pred_files = _keyed_files(pred_dir, parse_layout_name)
     except _INPUT_ERRORS:
-        for path in gt_files:  # a fault in the ground truth comes first
-            _page_name(path, "table")
-            _read_eval_page(path)
+        _first_fault(gt_files)
         raise
     _check_not_empty(args, gt_files, pred_files)
-    faults: list[tuple[int, str, str]] = []  # (side, file name, message); 0 is ground truth
     by_key: dict[tuple[str, int], list] = {}
     for side, files in enumerate((gt_files, pred_files)):
         for path in files:
-            try:
-                by_key.setdefault(_page_name(path, "table"), [None, None])[side] = path
-            except TabgridError as exc:
-                faults.append((side, path.name, str(exc)))
+            if key := parse_layout_name(path.name):  # _first_fault reports the others
+                by_key.setdefault(key, [None, None])[side] = path
     keys = sorted(by_key)
 
     def score_pair(pair: _PagePair):
-        pages = []
-        for side, path in enumerate((pair.gt, pair.pred)):
-            try:
-                pages.append(None if path is None else _read_eval_page(path))
-            except _INPUT_ERRORS as exc:
-                return (side, path.name, str(exc)), None
-        gt, pred = pages
-        return None, score(
-            [] if gt is None else _gt_tables(gt), [] if pred is None else list(pred.tables)
-        )
+        gt, pred = (None if p is None else _read_eval_page(p) for p in (pair.gt, pair.pred))
+        gt_tables, missed = ([], []) if gt is None else (gt.tables, gt.expected_missed)
+        pred_tables = [] if pred is None else pred.tables
+        return score(*scored_tables(gt_tables, missed, pred_tables, args.iou_min))
 
     pairs = [_PagePair(_key_name(key), *by_key[key]) for key in keys]
     results = _attempt_all(
@@ -456,18 +446,19 @@ def _score_page_pairs(args: argparse.Namespace, score) -> list[tuple[tuple[str, 
         MIN_PAIR_BYTES_PER_WORKER,
         lambda pair: _file_size(pair.gt) + _file_size(pair.pred),
     )
-    for name, message, _, _ in results:
-        if message is not None:
+    for name, message, crashed, _ in results:
+        if crashed:
             raise _Unscored(f"{name}: {message}")
-    faults += [fault for _, _, _, (fault, _) in results if fault is not None]
-    if faults:
-        raise TabgridError(min(faults)[2])
+    faults = [message for _, message, _, _ in results if message is not None]
+    if faults or any(parse_layout_name(p.name) is None for p in gt_files + pred_files):
+        _first_fault(gt_files, pred_files)
+        raise TabgridError(faults[0])  # the file changed after its pair read it
     if args.strict:
         _check_strict(
             {k for k in keys if by_key[k][0] is not None},
             {k for k in keys if by_key[k][1] is not None},
         )
-    return [(key, counts) for key, (_, _, _, (_, counts)) in zip(keys, results)]
+    return [(key, counts) for key, (_, _, _, counts) in zip(keys, results)]
 
 
 def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str]:

@@ -158,6 +158,21 @@ def match_tables(
     )
 
 
+def scored_tables(
+    gt: list[RecognizedTable], missed: list[bool], pred: list[RecognizedTable], iou_min: float
+) -> tuple[list[RecognizedTable], list[RecognizedTable]]:
+    """The tables of one page that a score counts: the ground truth not
+    marked expected-missed, and the predictions that ``match_tables`` does
+    not pair with a marked table, so neither finding nor missing one counts."""
+    if not any(missed):
+        return gt, pred
+    found = {j for i, j in match_tables(gt, pred, iou_min).pairs if missed[i]}
+    return (
+        [t for t, marked in zip(gt, missed) if not marked],
+        [t for j, t in enumerate(pred) if j not in found],
+    )
+
+
 PageTableMap = dict[int, list[RecognizedTable]]
 
 

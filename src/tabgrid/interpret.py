@@ -62,9 +62,8 @@ class MeaningConfig:
             )
         if not (0.0 <= self.min_affinity <= 1.0):
             raise ValueError(f"{self.name}: min_affinity must lie in [0, 1]")
-        if not (
-            self.title_keywords or self.title_regex or self.content_regex or self.data_type
-        ):
+        rules = (self.title_regex, self.content_regex, self.data_type)
+        if not self.title_keywords and all(r is None for r in rules):  # "" is a rule
             raise ValueError(f"{self.name}: at least one rule is required")
 
 
@@ -143,10 +142,11 @@ def data_type_score(cells: list[str] | tuple[str, ...], data_type: DataType) -> 
 
 def affinity(column: ColumnView, m: MeaningConfig) -> AffinityScores:
     """Combined affinity per the weighted-max formula; absent rules score 0."""
-    s_c_rx = column_content_score(column.body_cells, m.content_regex) if m.content_regex else 0.0
-    s_c_dt = data_type_score(column.body_cells, m.data_type) if m.data_type else 0.0
-    s_t_rx = regex_score(column.title, m.title_regex) if m.title_regex else 0.0
-    s_t_kw = title_keyword_score(column.title, m.title_keywords) if m.title_keywords else 0.0
+    cells, title = column.body_cells, column.title
+    s_c_rx = 0.0 if m.content_regex is None else column_content_score(cells, m.content_regex)
+    s_c_dt = 0.0 if m.data_type is None else data_type_score(cells, m.data_type)
+    s_t_rx = 0.0 if m.title_regex is None else regex_score(title, m.title_regex)
+    s_t_kw = title_keyword_score(title, m.title_keywords) if m.title_keywords else 0.0
     combined = (m.w_content * max(s_c_rx, s_c_dt) + m.w_title * max(s_t_rx, s_t_kw)) / (
         m.w_content + m.w_title
     )
@@ -211,27 +211,11 @@ def interpret_table(
 ) -> TupleSet:
     """One tuple per body row with the matched meanings' cell strings."""
     views, matching = match_meanings(table, meanings)
-    return tuples_from_matching(
-        table, meanings, views, matching, file_id, page_nr, table_idx
-    )
-
-
-def tuples_from_matching(
-    table: RecognizedTable,
-    meanings: list[MeaningConfig] | tuple[MeaningConfig, ...],
-    views: list[ColumnView],
-    matching: Matching,
-    file_id: str = "",
-    page_nr: int = 0,
-    table_idx: int = 0,
-) -> TupleSet:
-    """The tuple set of ``interpret_table`` from an existing ``match_meanings`` result."""
     result = TupleSet(file_id=file_id, page_nr=page_nr, table_idx=table_idx)
     if not matching.pairs:
         return result
     by_column = {ri: meanings[li].name for li, ri in matching.pairs}
-    n_body = table.n_rows - header_row_count_for(table)
-    for i in range(n_body):
+    for i in range(table.n_rows - header_row_count_for(table)):
         values = {}
         for cv in views:
             name = by_column.get(cv.index)

@@ -13,8 +13,11 @@ import pytest
 import tabgrid
 from tabgrid import __version__, cli
 from tabgrid.cli import main
-from tabgrid.corpusio import dump_json
-from tabgrid.model import page_layout_from_dict
+from tabgrid.corpusio import PageTables, dump_json, page_tables_from_dict, page_tables_to_dict
+from tabgrid.fixtures import default_meanings
+from tabgrid.geometry import box
+from tabgrid.interpret import meaning_to_dict
+from tabgrid.model import Cell, RecognizedTable, TableSource, page_layout_from_dict
 
 
 SPEC = {
@@ -706,19 +709,36 @@ def test_interpret_crash_is_reported_and_run_completes(tmp_path, monkeypatch, ca
     corpus, pred = _recognized(tmp_path, capsys)
     first = sorted(pred.glob("ri*_page*.json"))[0]
     bad_id = json.loads(first.read_text())["file_id"]
-    real = cli.tuples_from_matching
+    real = cli.interpret_table
 
-    def flaky(table, meanings, views, matching, file_id, *args):
+    def flaky(table, meanings, file_id, *args):
         if file_id == bad_id:
             raise RuntimeError("boom")
-        return real(table, meanings, views, matching, file_id, *args)
+        return real(table, meanings, file_id, *args)
 
-    monkeypatch.setattr(cli, "tuples_from_matching", flaky)
+    monkeypatch.setattr(cli, "interpret_table", flaky)
     out = tmp_path / "tuples"
     assert main(["interpret", str(pred), str(corpus / "rules.json"), str(out)]) == 1
     assert capsys.readouterr().err == f"error: {first.name}: RuntimeError: boom\n"
     assert len(_tuple_files(out)) == 2
     assert (out / "run_manifest.json").is_file()
+
+
+def test_interpret_writes_no_tuple_set_for_a_table_without_body_rows(tmp_path, capsys):
+    header = [
+        Cell(box=box(j * 50, 0, j * 50 + 50, 20), row_start=0, row_end=0, col_start=j,
+             col_end=j, words=(), content=title)
+        for j, title in enumerate(["Compound", "IC50"])
+    ]
+    table = RecognizedTable(region=box(0, 0, 100, 20), n_rows=1, n_cols=2,
+                            cells=tuple(header), labeled=True, source=TableSource.SEPARATOR)
+    tables, rules, out = tmp_path / "tables", tmp_path / "rules.json", tmp_path / "tuples"
+    tables.mkdir()
+    dump_json(tables / "h_page01.json", page_tables_to_dict(PageTables("h", 1, [table])))
+    dump_json(rules, [meaning_to_dict(m) for m in default_meanings()])
+    assert main(["interpret", str(tables), str(rules), str(out)]) == 0
+    assert capsys.readouterr() == (f"wrote 0 tuple set(s) -> {out}\n", "")
+    assert _tuple_files(out) == {}
 
 
 @pytest.mark.parametrize("mode", ["recognition", "cells"])
@@ -1346,6 +1366,66 @@ def test_eval_reports_a_ground_truth_fault_before_a_missing_prediction_dir(
     assert main(["eval", mode, str(gt), str(tmp_path / "absent")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "cell span outside grid" in err and err.count("\n") == 1
+
+
+def test_eval_reads_the_ground_truth_names_before_any_prediction(
+    tmp_path, monkeypatch, capsys, pools
+):
+    gt, pred = _recognized_pool_corpus(tmp_path)
+    (gt / "notes.json").write_text("{}")
+    sorted(pred.glob("*.json"))[0].write_text("{not json")  # in the first pair
+    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", cli.MIN_BYTES_PER_WORKER)
+    capsys.readouterr()
+    for program in (False, True):
+        assert _run(monkeypatch, ["eval", "cells", str(gt), str(pred)], program) == 2
+        assert capsys.readouterr() == ("", f"error: table {LAYOUT_FORM}\n")
+    assert pools == [2]
+
+
+def test_eval_reports_a_crashed_pair_before_a_file_name_of_no_known_form(
+    tmp_path, monkeypatch, capsys, pools
+):
+    gt, pred = _recognized_pool_corpus(tmp_path)
+    (gt / "notes.json").write_text("{}")
+    victim = sorted(gt.glob("*_page01.json"))[3]
+    victim_tables = page_tables_from_dict(json.loads(victim.read_text())).tables
+    real = cli.cell_score
+
+    def flaky(gt_pages, *args):
+        if gt_pages[0] == victim_tables:
+            raise RuntimeError("boom")
+        return real(gt_pages, *args)
+
+    monkeypatch.setattr(cli, "cell_score", flaky)
+    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", cli.MIN_BYTES_PER_WORKER)
+    capsys.readouterr()
+    for program in (False, True):
+        assert _run(monkeypatch, ["eval", "cells", str(gt), str(pred)], program) == 1
+        assert capsys.readouterr() == ("", f"error: {victim.stem}: RuntimeError: boom\n")
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("mode", ["recognition", "cells"])
+def test_eval_does_not_score_a_found_expected_missed_table(tmp_path, capsys, mode):
+    spec = tmp_path / "spec.json"
+    dump_json(spec, {"seed": 3, "pages": [
+        {"kind": "bordered", "file_id": "u", "page_nr": 1, "labeled": False},
+        {"kind": "bordered", "file_id": "l", "page_nr": 1},
+    ]})
+    corpus, pred = tmp_path / "corpus", tmp_path / "pred"
+    assert main(["gen-fixtures", str(spec), str(corpus)]) == 0
+    assert main(["recognize", str(corpus / "layouts"), str(pred)]) == 0
+    found = page_tables_from_dict(json.loads((pred / "u_page01.json").read_text()))
+    assert len(found.tables) == 1  # the default config also finds unlabeled tables
+    capsys.readouterr()
+    assert main(["eval", mode, str(corpus / "recognition_gt"), str(pred), "--strict"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if mode == "recognition":
+        assert "document u: P=1.0000 R=1.0000 F1=1.0000 (tp=0 fp=0 fn=0)" in lines
+        assert lines[-1] == "corpus (2 documents): P=1.0000 R=1.0000 F1=1.0000"
+    else:
+        assert all("F1=1.0000" in line for line in lines[:-1])
+        assert lines[-1] == "WAvg-F1=1.0000"
 
 
 KILLED_EVAL_WORKER = """

@@ -15,6 +15,7 @@ from tabgrid.evaluate import (
     interpretation_score,
     match_tables,
     recognition_score,
+    scored_tables,
     tuple_set_f1,
     wavg_f1,
 )
@@ -415,3 +416,15 @@ def test_interpretation_score_duplicate_key_rejected():
     b = _ts("f", 1, 0, [{"A": "2"}])
     with pytest.raises(DuplicateKey):
         interpretation_score([a, b], [])
+
+
+def test_scored_tables_leave_out_marked_tables_and_the_predictions_paired_with_them():
+    kept, marked = _grid_table([["a"]]), _grid_table([["b"]], origin=(0, 100))
+    near_kept = _grid_table([["a"]], origin=(5, 0))
+    near_marked = _grid_table([["b"]], origin=(5, 100))
+    apart = _grid_table([["c"]], origin=(0, 300))
+    pred = [near_marked, apart, near_kept]
+    assert scored_tables([kept, marked], [False, True], pred, 0.5) == ([kept], [apart, near_kept])
+    assert scored_tables([kept, marked], [False, False], pred, 0.5) == ([kept, marked], pred)
+    # a prediction that does not reach --iou-min with the marked table still counts
+    assert scored_tables([marked], [True], pred, 0.95) == ([], pred)

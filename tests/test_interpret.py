@@ -375,3 +375,23 @@ def test_data_type_case_insensitive():
     }
     (m,) = meanings_from_json([entry])
     assert m.data_type is DataType.REAL
+
+
+def test_interpret_table_with_no_body_row_has_no_tuple():
+    table = _flat_table(["Compound", "IC50"], [[], []])
+    _, matching = match_meanings(table, default_meanings())
+    assert len(matching.pairs) == 2
+    assert interpret_table(table, default_meanings(), "f", 1, 0).tuples == []
+
+
+def test_an_empty_regex_is_a_rule_that_matches_every_string():
+    base = {"name": "M", "w_title": 1, "w_content": 1, "min_affinity": 0.5}
+    (alone,) = meanings_from_json([{**base, "title_regex": ""}])
+    (beside,) = meanings_from_json([{**base, "title_regex": "", "content_regex": "x"}])
+    (content,) = meanings_from_json([{**base, "content_regex": ""}])
+    for title in ("", "IC50", "  "):
+        col = ColumnView(index=0, title=title, body_cells=("y", ""))
+        assert affinity(col, alone).title_regex == 1.0
+        assert affinity(col, beside).title_regex == 1.0
+        assert affinity(col, beside).content_regex == 0.0
+        assert affinity(col, content).content_regex == 1.0
