@@ -45,7 +45,7 @@ from .evaluate import (
     wavg_f1,
 )
 from .fields import load
-from .interpret import interpret_table, load_meanings
+from .interpret import TupleSet, interpret_table, load_meanings
 from .model import (
     RecognizerConfig,
     load_recognizer_config,
@@ -115,10 +115,10 @@ def _attempt(work, item) -> tuple[str, str | None, bool, object]:
         return item.name, f"{type(exc).__name__}: {exc}", True, None
 
 
-def _file_size(path: Path | None) -> int:
-    """Bytes in the file; 0 for no file, or one that its reader will report."""
+def _file_size(path: Path) -> int:
+    """Bytes in the file; 0 for one that its reader will report."""
     try:
-        return 0 if path is None else path.stat().st_size
+        return path.stat().st_size
     except OSError:
         return 0
 
@@ -286,6 +286,18 @@ def _read_page_tables(path: Path) -> PageTables:
     return page
 
 
+def _read_tuple_set(path: Path) -> TupleSet:
+    """A tuple set whose ``<id>_page<NR>_table<IDX>`` name is the set it holds."""
+    named = parse_tuple_name(path.name)
+    if named is None:
+        raise TabgridError(
+            f"tuple file name not of the form <id>_page<NR>_table<IDX>.json: {path.name}"
+        )
+    ts = read_tuple_set(path)
+    _check_name(path, named, (ts.file_id, ts.page_nr, ts.table_idx))
+    return ts
+
+
 # ---------------------------------------------------------------------------
 # recognize
 
@@ -362,11 +374,6 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
 # eval
 
 
-def _check_not_empty(args: argparse.Namespace, gt, pred) -> None:
-    if not gt and not pred:
-        raise EmptyCorpus(f"no files to score in {args.gt_dir} or {args.pred_dir}")
-
-
 def _check_strict(gt_keys, pred_keys) -> None:
     """With ``--strict``, every key must be on both sides."""
     lines = [f"missing prediction for {_key_name(k)}" for k in sorted(gt_keys - pred_keys)]
@@ -375,95 +382,108 @@ def _check_strict(gt_keys, pred_keys) -> None:
         raise TabgridError("; ".join(lines))
 
 
-def _read_eval_page(path: Path) -> PageTables:
-    """``_read_page_tables`` of a file with a well-formed name; a fault met
-    in reading it is raised as ``<path>: <reason>``."""
+def _read_eval(read, path: Path):
+    """``read(path)``; a fault met in reading the file is raised as ``<path>: <reason>``."""
     try:
-        return _read_page_tables(path)
+        return read(path)
     except _INPUT_ERRORS as exc:
         raise TabgridError(f"{path}: {exc}") from exc
 
 
 class _PagePair(NamedTuple):
-    """The ground-truth and predicted tables files of one page; either may be None."""
+    """The ground-truth and predicted files of one page; either list may be empty."""
 
     name: str  # <id>_pageNN
-    gt: Path | None
-    pred: Path | None
+    gt: list[Path]
+    pred: list[Path]
 
 
 class _Unscored(Exception):
     """A page pair whose scoring failed unexpectedly, or whose worker died."""
 
 
-def _first_fault(*sides: list[Path]) -> None:
+def _first_fault(parse_name, read, *sides: list[Path]) -> None:
     """Read each side's files in name order, each name, then its content,
     and raise the first fault met."""
     for files in sides:
         for path in files:
-            _page_name(path, "table")
-            _read_eval_page(path)
+            if parse_name(path.name) is None:
+                read(path)  # raises the reader's own message, which names the file
+            _read_eval(read, path)
 
 
-def _score_page_pairs(args: argparse.Namespace, score) -> list[tuple[tuple[str, int], object]]:
-    """``(key, score(gt_tables, pred_tables))`` for every page of either
-    directory, in ``(file_id, page_nr)`` order, over the tables that
-    ``scored_tables`` keeps; a page on one side only scores against no tables.
+def _score_page_pairs(
+    args: argparse.Namespace, parse_name, read, score
+) -> list[tuple[tuple[str, int], object]]:
+    """``(page, score(gt_items, pred_items))`` for every page of either
+    directory, in ``(file_id, page_nr)`` order, where a side's items are
+    what ``read`` gives for its files of that page; a page on one side only
+    scores against no items.
 
-    Files pair by their ``<id>_page<NR>`` names, which the reader checks
-    against the pages they hold.  Each pair is read and scored on its own,
-    in worker processes when every worker gets ``MIN_PAIR_BYTES_PER_WORKER``
-    bytes of files, and only its counts come back.  A pair that fails
-    unexpectedly raises ``_Unscored``; then invalid input raises the fault
-    that ``_first_fault`` meets, and ``--strict`` pairing is checked last.
+    Files pair by the page, ``key[:2]``, of the key that ``parse_name``
+    gives their names, and ``read`` checks each name against what the file
+    holds.  Each pair is read and scored on its own, in worker processes
+    when every worker gets ``MIN_PAIR_BYTES_PER_WORKER`` bytes of files, and
+    only its counts come back.  A pair that fails unexpectedly raises
+    ``_Unscored``; then invalid input raises the fault that ``_first_fault``
+    meets, and ``--strict`` pairing of the keys is checked last.
     """
-    gt_dir, pred_dir = Path(args.gt_dir), Path(args.pred_dir)
-    gt_files = _keyed_files(gt_dir, parse_layout_name)
+    gt_files = _keyed_files(Path(args.gt_dir), parse_name)
     try:
-        pred_files = _keyed_files(pred_dir, parse_layout_name)
+        pred_files = _keyed_files(Path(args.pred_dir), parse_name)
     except _INPUT_ERRORS:
-        _first_fault(gt_files)
+        _first_fault(parse_name, read, gt_files)
         raise
-    _check_not_empty(args, gt_files, pred_files)
-    by_key: dict[tuple[str, int], list] = {}
+    if not gt_files and not pred_files:
+        raise EmptyCorpus(f"no files to score in {args.gt_dir} or {args.pred_dir}")
+    by_page: dict[tuple[str, int], tuple[list, list]] = {}
     for side, files in enumerate((gt_files, pred_files)):
         for path in files:
-            if key := parse_layout_name(path.name):  # _first_fault reports the others
-                by_key.setdefault(key, [None, None])[side] = path
-    keys = sorted(by_key)
+            if key := parse_name(path.name):  # _first_fault reports the others, in no pair
+                by_page.setdefault(key[:2], ([], []))[side].append(path)
+    pages = sorted(by_page)
 
     def score_pair(pair: _PagePair):
-        gt, pred = (None if p is None else _read_eval_page(p) for p in (pair.gt, pair.pred))
-        gt_tables, missed = ([], []) if gt is None else (gt.tables, gt.expected_missed)
-        pred_tables = [] if pred is None else pred.tables
-        return score(*scored_tables(gt_tables, missed, pred_tables, args.iou_min))
+        return score(*([_read_eval(read, p) for p in files] for files in (pair.gt, pair.pred)))
 
-    pairs = [_PagePair(_key_name(key), *by_key[key]) for key in keys]
+    pairs = [_PagePair(_key_name(page), *by_page[page]) for page in pages]
     results = _attempt_all(
         pairs,
         score_pair,
         args.max_workers,
         MIN_PAIR_BYTES_PER_WORKER,
-        lambda pair: _file_size(pair.gt) + _file_size(pair.pred),
+        lambda pair: sum(map(_file_size, pair.gt + pair.pred)),
     )
     for name, message, crashed, _ in results:
         if crashed:
             raise _Unscored(f"{name}: {message}")
     faults = [message for _, message, _, _ in results if message is not None]
-    if faults or any(parse_layout_name(p.name) is None for p in gt_files + pred_files):
-        _first_fault(gt_files, pred_files)
+    if faults or sum(len(p.gt) + len(p.pred) for p in pairs) < len(gt_files + pred_files):
+        _first_fault(parse_name, read, gt_files, pred_files)
         raise TabgridError(faults[0])  # the file changed after its pair read it
-    if args.strict:
-        _check_strict(
-            {k for k in keys if by_key[k][0] is not None},
-            {k for k in keys if by_key[k][1] is not None},
-        )
-    return [(key, counts) for key, (_, _, _, counts) in zip(keys, results)]
+    if args.strict:  # every name now gives a key
+        _check_strict(*({parse_name(p.name) for p in files} for files in (gt_files, pred_files)))
+    return [(page, counts) for page, (_, _, _, counts) in zip(pages, results)]
+
+
+def _score_tables(args: argparse.Namespace, score) -> list[tuple[tuple[str, int], object]]:
+    """``_score_page_pairs`` of tables files, with ``score(gt_tables,
+    pred_tables)`` over the tables of a page that ``scored_tables`` keeps."""
+
+    def score_page(gt: list[PageTables], pred: list[PageTables]):
+        return score(*scored_tables(
+            [t for page in gt for t in page.tables],
+            [m for page in gt for m in page.expected_missed],
+            [t for page in pred for t in page.tables],
+            args.iou_min,
+        ))
+
+    return _score_page_pairs(args, parse_layout_name, _read_page_tables, score_page)
 
 
 def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str]:
     per_doc: dict[str, PRF] = {}
-    for (fid, _), prf in _score_page_pairs(
+    for (fid, _), prf in _score_tables(
         args, lambda gt, pred: recognition_score(gt, pred, args.iou_min)
     ):
         per_doc[fid] = per_doc.get(fid, PRF()) + prf
@@ -500,7 +520,7 @@ def _parse_cell_thresholds(text: str) -> tuple[float, ...]:
 def _eval_cells(args: argparse.Namespace) -> tuple[dict, str]:
     thresholds = _parse_cell_thresholds(args.cell_thresholds)
     by_t = dict.fromkeys(thresholds, PRF())
-    for _, counts in _score_page_pairs(
+    for _, counts in _score_tables(
         args, lambda gt, pred: cell_score({0: gt}, {0: pred}, args.iou_min, thresholds)
     ):
         for t, prf in counts.items():
@@ -517,34 +537,9 @@ def _eval_cells(args: argparse.Namespace) -> tuple[dict, str]:
     return report, "\n".join(lines)
 
 
-def _load_tuple_sets(directory: Path) -> dict:
-    """Tuple sets keyed by ``(file_id, page_nr, table_idx)``, as the files
-    say.  A file whose name disagrees with its key, or two files with the
-    same key, are invalid input; a fault met in reading a file is raised as
-    ``<path>: <reason>``."""
-    loaded: dict = {}
-    for path in _keyed_files(directory, parse_tuple_name):
-        named = parse_tuple_name(path.name)
-        if named is None:
-            raise TabgridError(
-                f"tuple file name not of the form <id>_page<NR>_table<IDX>.json: {path.name}"
-            )
-        try:
-            item = read_tuple_set(path)
-            _check_name(path, named, (item.file_id, item.page_nr, item.table_idx))
-        except _INPUT_ERRORS as exc:
-            raise TabgridError(f"{path}: {exc}") from exc
-        loaded[named] = item
-    return loaded
-
-
 def _eval_interpretation(args: argparse.Namespace) -> tuple[dict, str]:
-    gt_sets = _load_tuple_sets(Path(args.gt_dir))
-    pred_sets = _load_tuple_sets(Path(args.pred_dir))
-    _check_not_empty(args, gt_sets, pred_sets)
-    if args.strict:
-        _check_strict(gt_sets.keys(), pred_sets.keys())
-    prf = interpretation_score(list(gt_sets.values()), list(pred_sets.values()))
+    pages = _score_page_pairs(args, parse_tuple_name, _read_tuple_set, interpretation_score)
+    prf = sum((counts for _, counts in pages), PRF())
     return {"mode": "interpretation", **prf.fields()}, f"interpretation: {prf}"
 
 

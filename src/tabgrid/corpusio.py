@@ -98,7 +98,7 @@ def page_tables_from_dict(d: dict) -> PageTables:
     if not isinstance(d, dict):
         raise LayoutError("page tables JSON must be an object")
     try:
-        raw_tables = d.get("tables", [])
+        raw_tables = expect(d.get("tables", []), "tables", "list")
         tables = [recognized_table_from_dict(t) for t in raw_tables]
         missed = [
             expect(t.get("expected_missed", False), f"tables[{i}].expected_missed", "boolean")

@@ -303,31 +303,22 @@ def _check_unique_keys(sets: list[TupleSet], side: str) -> None:
 
 def interpretation_score(gt_sets: list[TupleSet], pred_sets: list[TupleSet]) -> PRF:
     """Micro-pooled tuple PRF; per page, tuple sets pair up by a
-    maximum-weight matching over their mutual tuple F1."""
+    maximum-weight matching over their mutual tuple F1, and every tuple
+    that no pair matches is a miss or spurious."""
     _check_unique_keys(gt_sets, "ground-truth")
     _check_unique_keys(pred_sets, "predicted")
-    by_page_gt: dict[tuple[str, int], list[TupleSet]] = {}
-    by_page_pred: dict[tuple[str, int], list[TupleSet]] = {}
-    for ts in gt_sets:
-        by_page_gt.setdefault((ts.file_id, ts.page_nr), []).append(ts)
-    for ts in pred_sets:
-        by_page_pred.setdefault((ts.file_id, ts.page_nr), []).append(ts)
-
-    total = PRF()
-    for page in sorted(set(by_page_gt) | set(by_page_pred)):
-        gts = sorted(by_page_gt.get(page, []), key=lambda ts: ts.table_idx)
-        preds = sorted(by_page_pred.get(page, []), key=lambda ts: ts.table_idx)
+    by_page: dict[tuple[str, int], tuple[list[TupleSet], list[TupleSet]]] = {}
+    for side, sets in enumerate((gt_sets, pred_sets)):
+        for ts in sorted(sets, key=lambda ts: ts.table_idx):
+            by_page.setdefault((ts.file_id, ts.page_nr), ([], []))[side].append(ts)
+    tp = 0
+    for gts, preds in by_page.values():
         scores = {
             (gi, pi): tuple_set_f1(g, p) for gi, g in enumerate(gts) for pi, p in enumerate(preds)
         }
         edges = tuple((gi, pi, prf.f1) for (gi, pi), prf in scores.items())
         graph = WeightedBipartiteGraph(n_left=len(gts), n_right=len(preds), edges=edges)
-        matching = max_weight_matching(graph)
-        matched_gt = {gi for gi, _ in matching.pairs}
-        matched_pred = {pi for _, pi in matching.pairs}
-        total += sum((scores[pair] for pair in matching.pairs), PRF())
-        total += PRF(
-            fp=sum(len(p.tuples) for pi, p in enumerate(preds) if pi not in matched_pred),
-            fn=sum(len(g.tuples) for gi, g in enumerate(gts) if gi not in matched_gt),
-        )
-    return total
+        tp += sum(scores[pair].tp for pair in max_weight_matching(graph).pairs)
+    n_gt = sum(len(ts.tuples) for ts in gt_sets)
+    n_pred = sum(len(ts.tuples) for ts in pred_sets)
+    return PRF(tp=tp, fp=n_pred - tp, fn=n_gt - tp)

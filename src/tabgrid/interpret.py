@@ -339,9 +339,13 @@ def tuple_set_from_dict(d: dict) -> TupleSet:
         raise ConfigError("tuple set JSON must be an object")
     try:
         tuples = []
-        for i, t in enumerate(d.get("tuples", [])):
-            row = expect(t["row"], f"tuples[{i}].row", "integer")
-            values = dict(t["values"].items())  # not dict(): it takes a list of pairs
+        for i, t in enumerate(expect(d.get("tuples", []), "tuples", "list")):
+            if type(t) is not dict:
+                expect(t, f"tuples[{i}]", "object")
+            row, values = t["row"], t["values"]
+            if type(row) is not int or type(values) is not dict:
+                expect(row, f"tuples[{i}].row", "integer")
+                expect(values, f"tuples[{i}].values", "object")
             for k, v in values.items():
                 if type(k) is not str or type(v) is not str:
                     expect(k, f"tuples[{i}].values key", "string")
@@ -353,5 +357,5 @@ def tuple_set_from_dict(d: dict) -> TupleSet:
             table_idx=expect(d["table_idx"], "table_idx", "integer"),
             tuples=tuples,
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad tuple set entry: {exc}") from exc

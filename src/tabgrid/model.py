@@ -19,7 +19,7 @@ from typing import NoReturn
 
 from .dsu import linked_groups
 from .errors import ConfigError, LayoutError
-from .fields import expect, keywords, known, load, must_be
+from .fields import expect, keywords, known, load, must_be, one_of
 from .geometry import BoundingBox, transpose_box
 
 DEFAULT_LABEL_KEYWORDS = ("table", "tab.")
@@ -420,6 +420,7 @@ def recognized_table_to_dict(table: RecognizedTable) -> dict:
 
 
 _SPANS = ("row_start", "row_end", "col_start", "col_end")
+_SOURCES = tuple(s.value for s in TableSource)
 
 
 def recognized_table_from_dict(d: dict) -> RecognizedTable:
@@ -430,7 +431,9 @@ def recognized_table_from_dict(d: dict) -> RecognizedTable:
         v = d["region"]
         region = _valid_box(v) or _reject_box(v, "table.region")
         cells = []
-        for i, c in enumerate(d["cells"]):
+        for i, c in enumerate(expect(d["cells"], "cells", "list")):
+            if type(c) is not dict:
+                expect(c, f"cells[{i}]", "object")
             v = c["box"]
             b = _valid_box(v) or _reject_box(v, f"cells[{i}].box")
             r0, r1, c0, c1 = c["row_start"], c["row_end"], c["col_start"], c["col_end"]
@@ -447,7 +450,7 @@ def recognized_table_from_dict(d: dict) -> RecognizedTable:
             expect(d["n_cols"], "n_cols", "integer"),
             tuple(cells),
             expect(d.get("labeled", False), "labeled", "boolean"),
-            TableSource(d.get("source", "separator")),
+            TableSource(one_of(d.get("source", "separator"), "source", _SOURCES)),
             expect(d.get("header_row_count", 0), "header_row_count", "integer"),
         )
         table.grid  # raises unless the cells tile the grid; kept for later use

@@ -1302,11 +1302,30 @@ def _recognized_pool_corpus(tmp_path):
     return corpus / "recognition_gt", pred
 
 
-@pytest.mark.parametrize("mode", ["recognition", "cells"])
-def test_eval_worker_processes_give_the_serial_results(
-    tmp_path, monkeypatch, capsys, pools, mode
-):
+TUPLE_FORM = "tuple file name not of the form <id>_page<NR>_table<IDX>.json: notes.json"
+
+
+def _pool_eval_dirs(tmp_path):
+    """The ground-truth and predicted directories of ``_pool_corpus`` that
+    each eval mode scores."""
     gt, pred = _recognized_pool_corpus(tmp_path)
+    tuples = tmp_path / "tuples"
+    assert main(["interpret", str(pred), str(gt.parent / "rules.json"), str(tuples)]) == 0
+    interpretation = (gt.parent / "interpretation_gt", tuples)
+    return {"recognition": (gt, pred), "cells": (gt, pred), "interpretation": interpretation}
+
+
+def _alter_predictions(pred, mode):
+    """One prediction left out, one added without ground truth (zz), one changed."""
+    if mode == "interpretation":
+        sets = sorted(pred.glob("ri*.json"))
+        sets[1].unlink()
+        dump_json(pred / "zz_page01_table0.json", {**json.loads(sets[0].read_text()), "file_id": "zz"})
+        altered = json.loads(sets[4].read_text())
+        row = altered["tuples"][0]
+        row["values"] = {k: v + " altered" for k, v in row["values"].items()}
+        dump_json(sets[4], altered)
+        return
     sorted(pred.glob("rb*_page01.json"))[1].unlink()  # a missing prediction
     extra = json.loads(sorted(pred.glob("ri*_page01.json"))[0].read_text())
     dump_json(pred / "zz_page01.json", {**extra, "file_id": "zz"})  # no ground truth
@@ -1316,7 +1335,15 @@ def test_eval_worker_processes_give_the_serial_results(
     cell["box"][2] = (cell["box"][0] + cell["box"][2]) // 2
     cell["content"] += " altered"
     dump_json(altered, page)
-    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", cli.MIN_BYTES_PER_WORKER)
+
+
+@pytest.mark.parametrize("mode", ["recognition", "cells", "interpretation"])
+def test_eval_worker_processes_give_the_serial_results(
+    tmp_path, monkeypatch, capsys, pools, mode
+):
+    gt, pred = _pool_eval_dirs(tmp_path)[mode]
+    _alter_predictions(pred, mode)
+    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", 1)
     capsys.readouterr()
     runs = {}
     for program in (False, True):  # main(argv) runs serially, the program in 2 workers
@@ -1333,27 +1360,38 @@ def test_eval_worker_processes_give_the_serial_results(
     assert rc == 0 and text.err == "" and written is not None
     assert text.out.splitlines()[-1].split("F1=")[1][:6] < "1.0000"
     assert rc_strict == 2 and strict_text.out == "" and strict_written is None
-    assert strict_text.err.startswith("error: missing prediction for rb")
-    assert strict_text.err.endswith("; missing ground truth for zz_page01\n")
+    kind = "ri" if mode == "interpretation" else "rb"
+    assert strict_text.err.startswith(f"error: missing prediction for {kind}")
+    zz = "zz_page01_table0" if mode == "interpretation" else "zz_page01"
+    assert strict_text.err.endswith(f"; missing ground truth for {zz}\n")
+
+
+def _break_tuple_set(path):
+    """Leave out the set's ``tuples`` list: give it a number instead."""
+    dump_json(path, {**json.loads(path.read_text()), "tuples": 3})
 
 
 def test_eval_reports_the_ground_truth_fault_before_a_prediction_fault(
     tmp_path, monkeypatch, capsys, pools
 ):
-    gt, pred = _recognized_pool_corpus(tmp_path)
-    names = sorted(p.name for p in gt.glob("*.json"))
-    (pred / names[0]).write_text("{not json")  # in the first pair
-    _break_tiling(gt / names[-1])  # in the last pair
-    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", cli.MIN_BYTES_PER_WORKER)
-    capsys.readouterr()
-    errors = []
-    for program in (False, True):
-        assert _run(monkeypatch, ["eval", "cells", str(gt), str(pred)], program) == 2
-        errors.append(capsys.readouterr())
-    assert pools == [2]
-    assert errors[0] == errors[1]
-    assert errors[0].out == "" and errors[0].err.count("\n") == 1
-    assert errors[0].err.startswith("error: ") and "cell span outside grid" in errors[0].err
+    dirs = _pool_eval_dirs(tmp_path)
+    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", 1)
+    for mode in ("cells", "interpretation"):
+        gt, pred = dirs[mode]
+        names = sorted(p.name for p in gt.glob("*.json"))
+        (pred / names[0]).write_text("{not json")  # in the first pair
+        last = gt / names[-1]  # in the last pair
+        (_break_tuple_set if mode == "interpretation" else _break_tiling)(last)
+        capsys.readouterr()
+        errors = []
+        for program in (False, True):
+            assert _run(monkeypatch, ["eval", mode, str(gt), str(pred)], program) == 2
+            errors.append(capsys.readouterr())
+        assert errors[0] == errors[1]
+        assert errors[0].out == "" and errors[0].err.count("\n") == 1
+        fault = "tuples must be a list" if mode == "interpretation" else "cell span outside grid"
+        assert errors[0].err.startswith(f"error: {last}: ") and fault in errors[0].err
+    assert pools == [2, 2]
 
 
 @pytest.mark.parametrize("mode", ["recognition", "cells"])
@@ -1371,38 +1409,58 @@ def test_eval_reports_a_ground_truth_fault_before_a_missing_prediction_dir(
 def test_eval_reads_the_ground_truth_names_before_any_prediction(
     tmp_path, monkeypatch, capsys, pools
 ):
-    gt, pred = _recognized_pool_corpus(tmp_path)
-    (gt / "notes.json").write_text("{}")
-    sorted(pred.glob("*.json"))[0].write_text("{not json")  # in the first pair
-    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", cli.MIN_BYTES_PER_WORKER)
-    capsys.readouterr()
-    for program in (False, True):
-        assert _run(monkeypatch, ["eval", "cells", str(gt), str(pred)], program) == 2
-        assert capsys.readouterr() == ("", f"error: table {LAYOUT_FORM}\n")
-    assert pools == [2]
+    dirs = _pool_eval_dirs(tmp_path)
+    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", 1)
+    for mode, form in (("cells", f"table {LAYOUT_FORM}"), ("interpretation", TUPLE_FORM)):
+        gt, pred = dirs[mode]
+        (gt / "notes.json").write_text("{}")
+        sorted(pred.glob("r*.json"))[0].write_text("{not json")  # in the first pair
+        capsys.readouterr()
+        for program in (False, True):
+            assert _run(monkeypatch, ["eval", mode, str(gt), str(pred)], program) == 2
+            assert capsys.readouterr() == ("", f"error: {form}\n")
+    assert pools == [2, 2]
 
 
 def test_eval_reports_a_crashed_pair_before_a_file_name_of_no_known_form(
     tmp_path, monkeypatch, capsys, pools
 ):
-    gt, pred = _recognized_pool_corpus(tmp_path)
-    (gt / "notes.json").write_text("{}")
-    victim = sorted(gt.glob("*_page01.json"))[3]
-    victim_tables = page_tables_from_dict(json.loads(victim.read_text())).tables
-    real = cli.cell_score
+    dirs = _pool_eval_dirs(tmp_path)
+    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", 1)
+    for mode, name in (("cells", "cell_score"), ("interpretation", "interpretation_score")):
+        gt, pred = dirs[mode]
+        (gt / "notes.json").write_text("{}")
+        victim = sorted(gt.glob("r*_page01*.json"))[3]
+        if mode == "interpretation":
+            victim_gt = [cli._read_tuple_set(victim)]
+        else:
+            victim_gt = {0: page_tables_from_dict(json.loads(victim.read_text())).tables}
 
-    def flaky(gt_pages, *args):
-        if gt_pages[0] == victim_tables:
-            raise RuntimeError("boom")
-        return real(gt_pages, *args)
+        def flaky(gt_items, *args, real=getattr(cli, name), victim_gt=victim_gt):
+            if gt_items == victim_gt:
+                raise RuntimeError("boom")
+            return real(gt_items, *args)
 
-    monkeypatch.setattr(cli, "cell_score", flaky)
-    monkeypatch.setattr(cli, "MIN_PAIR_BYTES_PER_WORKER", cli.MIN_BYTES_PER_WORKER)
+        monkeypatch.setattr(cli, name, flaky)
+        capsys.readouterr()
+        page = victim.stem.split("_table")[0]
+        for program in (False, True):
+            assert _run(monkeypatch, ["eval", mode, str(gt), str(pred)], program) == 1
+            assert capsys.readouterr() == ("", f"error: {page}: RuntimeError: boom\n")
+    assert pools == [2, 2]
+
+
+def test_eval_interpretation_crash_names_its_page(tmp_path, monkeypatch, capsys):
+    gt = _make_corpus(tmp_path) / "interpretation_gt"
+
+    def boom(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "interpretation_score", boom)
     capsys.readouterr()
-    for program in (False, True):
-        assert _run(monkeypatch, ["eval", "cells", str(gt), str(pred)], program) == 1
-        assert capsys.readouterr() == ("", f"error: {victim.stem}: RuntimeError: boom\n")
-    assert pools == [2]
+    assert main(["eval", "interpretation", str(gt), str(gt)]) == 1
+    page = sorted(gt.glob("*.json"))[0].stem.split("_table")[0]
+    assert capsys.readouterr() == ("", f"error: {page}: RuntimeError: boom\n")
 
 
 @pytest.mark.parametrize("mode", ["recognition", "cells"])

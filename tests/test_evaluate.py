@@ -411,6 +411,28 @@ def test_interpretation_score_unmatched_sets():
     assert (prf.tp, prf.fp, prf.fn) == (0, 2, 0)
 
 
+@st.composite
+def tuple_sets(draw):
+    """Sets on up to six pages (two files of three), at most three a page, whose
+    tuples share values often enough to pair and to tie."""
+    keys = draw(st.sets(st.tuples(st.sampled_from("fg"), st.integers(1, 3), st.integers(0, 2))))
+    rows = st.lists(st.dictionaries(st.sampled_from("AB"), st.sampled_from(["1", "2", " 1"])),
+                    max_size=3)
+    return [_ts(fid, page, idx, draw(rows)) for fid, page, idx in sorted(keys)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gt=tuple_sets(), pred=tuple_sets())
+def test_interpretation_score_is_the_sum_of_its_pages(gt, pred):
+    pages = {(ts.file_id, ts.page_nr) for ts in gt + pred}
+    per_page = [
+        interpretation_score(*([ts for ts in sets if (ts.file_id, ts.page_nr) == page]
+                               for sets in (gt, pred)))
+        for page in pages
+    ]
+    assert interpretation_score(gt, pred) == sum(per_page, PRF())
+
+
 def test_interpretation_score_duplicate_key_rejected():
     a = _ts("f", 1, 0, [{"A": "1"}])
     b = _ts("f", 1, 0, [{"A": "2"}])

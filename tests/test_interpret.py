@@ -280,7 +280,10 @@ def test_tuple_set_takes_json_integers_only(field, value, message):
          "bad tuple set entry: tuples[0].values['M'] must be a string, got 7.5"),
         ("values", {"M": "x", 1: "y"},
          "bad tuple set entry: tuples[0].values key must be a string, got 1"),
-        ("values", [["M", "x"]], "bad tuple set entry: 'list' object has no attribute 'items'"),
+        ("values", [["M", "x"]],
+         "bad tuple set entry: tuples[0].values must be an object, got [['M', 'x']]"),
+        ("tuples", {"row": 1}, "bad tuple set entry: tuples must be a list, got {'row': 1}"),
+        ("tuples", ["x"], "bad tuple set entry: tuples[0] must be an object, got 'x'"),
     ],
 )
 def test_tuple_set_takes_json_strings_only(field, value, message):

@@ -167,8 +167,10 @@ TABLE_ERRORS = [
     ("region-degenerate", _with(_table(), ("region",), [20, 0, 0, 10]),
      "table.region: degenerate box: BoundingBox(left=20, top=0, right=0, bottom=10)"),
     ("cells-missing", _with(_table(), ("cells",), _DROP), "bad table entry: 'cells'"),
+    ("cells-not-a-list", _with(_table(), ("cells",), {"box": [0, 0, 10, 10]}),
+     "bad table entry: cells must be a list, got {'box': [0, 0, 10, 10]}"),
     ("cell-not-object", _with(_table(), ("cells", 1), [10, 0, 20, 10]),
-     "bad table entry: list indices must be integers or slices, not str"),
+     "bad table entry: cells[1] must be an object, got [10, 0, 20, 10]"),
     ("cell-box-missing", _with(_table(), ("cells", 0, "box"), _DROP), "bad table entry: 'box'"),
     ("cell-box-null", _with(_table(), ("cells", 1, "box"), None),
      "cells[1].box: box must be a list of 4 integers, got None"),
@@ -188,7 +190,9 @@ TABLE_ERRORS = [
     ("header-negative", _with(_table(), ("header_row_count",), -1),
      "bad table entry: negative header_row_count"),
     ("source-unknown", _with(_table(), ("source",), "ocr"),
-     "bad table entry: 'ocr' is not a valid TableSource"),
+     "bad table entry: source must be 'separator' or 'booktabs', got 'ocr'"),
+    ("source-null", _with(_table(), ("source",), None),
+     "bad table entry: source must be 'separator' or 'booktabs', got None"),
     ("grid-hole", _with(_table(), ("n_cols",), 3), "bad table entry: grid hole at (0, 2)"),
     ("grid-overlap", _with(_table(), ("cells", 1, "col_start"), 0),
      "bad table entry: overlapping cells at (0, 0)"),
@@ -214,7 +218,9 @@ PAGE_TABLES_ERRORS = [
     ("page-nr-missing", _with(_page_tables(), ("page_nr",), _DROP),
      "bad page tables entry: 'page_nr'"),
     ("tables-not-a-list", _with(_page_tables(), ("tables",), 3),
-     "bad page tables entry: 'int' object is not iterable"),
+     "bad page tables entry: tables must be a list, got 3"),
+    ("tables-object", _with(_page_tables(), ("tables",), {"region": [0, 0, 20, 10]}),
+     "bad page tables entry: tables must be a list, got {'region': [0, 0, 20, 10]}"),
     ("table-not-an-object", _with(_page_tables(), ("tables", 0), 3),
      "table entry must be an object"),
     ("table-error-passes-through", _with(_page_tables(), ("tables", 0, "cells", 1, "box"), [1]),
