@@ -34,26 +34,16 @@ class RuleTriple:
     inner_rules: tuple[Separator, ...]
 
     @property
-    def extent(self) -> BoundingBox:
-        return union_box([self.top.box, self.middle.box, self.bottom.box])
-
-    @property
     def region(self) -> BoundingBox:
-        """``extent`` cut to the top rule's top and the bottom rule's bottom."""
-        e = self.extent
-        return BoundingBox(e.left, self.top.box.top, e.right, self.bottom.box.bottom)
+        """The three rules' hull, cut to the top rule's top and the bottom rule's bottom."""
+        hull = union_box([self.top.box, self.middle.box, self.bottom.box])
+        return BoundingBox(hull.left, self.top.box.top, hull.right, self.bottom.box.bottom)
 
 
 @dataclass(frozen=True)
 class HeaderLevel:
     band: tuple[int, int]  # (top, bottom) hull of the level's rule boxes
     rules: tuple[Separator, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class Profile:
-    origin: int
-    values: list[int]
 
 
 @dataclass(frozen=True)
@@ -99,14 +89,14 @@ def find_rule_triples(horizontals: list[Separator] | tuple[Separator, ...]) -> l
         ib, ic = picked
         b, c = rules[ib], rules[ic]
         used[ia] = used[ib] = used[ic] = True
-        extent = union_box([a.box, b.box, c.box])
+        hull = union_box([a.box, b.box, c.box])
         top_y, mid_y = a.box.center[1], b.box.center[1]
         inner = []
         for ii, r in enumerate(rules):
             if used[ii]:
                 continue
             y = r.box.center[1]
-            if top_y < y < mid_y and r.box.left < extent.right and extent.left < r.box.right:
+            if top_y < y < mid_y and r.box.left < hull.right and hull.left < r.box.right:
                 inner.append(r)
                 used[ii] = True
         inner.sort(key=lambda s: (s.box.top, s.box.left))
@@ -126,63 +116,38 @@ def group_inner_rules(triple: RuleTriple) -> tuple[HeaderLevel, ...]:
     )
 
 
-def _profile(words, region: BoundingBox, axis: str) -> Profile:
+def _gap_centers(
+    words: list[Word] | tuple[Word, ...], region: BoundingBox, axis: str, min_gap: float
+) -> list[int]:
+    """Absolute centres of the interior zero runs longer than ``min_gap`` in the
+    projection profile of the words clipped to region: along y each covered row
+    weighs the covering widths, along x each column the covering heights."""
+    along_y = axis == "y"
+    origin, length = (region.top, region.height) if along_y else (region.left, region.width)
     starts, ends, weights = [], [], []
     for w in words:
         b = w.box
-        l = max(b.left, region.left)
-        t = max(b.top, region.top)
-        r = min(b.right, region.right)
-        bt = min(b.bottom, region.bottom)
-        if r <= l or bt <= t:
-            continue
-        if axis == "y":
-            starts.append(t - region.top)
-            ends.append(bt - region.top)
-            weights.append(r - l)
-        else:
-            starts.append(l - region.left)
-            ends.append(r - region.left)
-            weights.append(bt - t)
-    length = region.height if axis == "y" else region.width
+        l, t = max(b.left, region.left), max(b.top, region.top)
+        r, bt = min(b.right, region.right), min(b.bottom, region.bottom)
+        if r > l and bt > t:
+            s, e, weight = (t, bt, r - l) if along_y else (l, r, bt - t)
+            starts.append(s - origin)
+            ends.append(e - origin)
+            weights.append(weight)
     values = interval_profile(starts, ends, weights, length)
-    origin = region.top if axis == "y" else region.left
-    return Profile(origin=origin, values=values)
+    if not any(values):
+        raise EmptyBody(f"{'' if along_y else 'column '}projection profile is entirely zero")
+    covered = [i for i, v in enumerate(values) if v]
+    return [
+        origin + (a + 1 + b) // 2
+        for a, b in zip(covered, covered[1:])
+        if b - a > 1 and b - a - 1 > min_gap
+    ]
 
 
-def horizontal_profile(words: list[Word] | tuple[Word, ...], region: BoundingBox) -> Profile:
-    """values[y - region.top] = total width of word boxes covering row y."""
-    return _profile(words, region, "y")
-
-
-def vertical_profile(words: list[Word] | tuple[Word, ...], region: BoundingBox) -> Profile:
-    """values[x - region.left] = total height of word boxes covering column x."""
-    return _profile(words, region, "x")
-
-
-def _interior_zero_runs(values: list[int]) -> list[tuple[int, int]]:
-    """Maximal zero runs not touching either end of the profile."""
-    runs = []
-    n = len(values)
-    i = 0
-    while i < n:
-        if values[i] == 0:
-            j = i
-            while j < n and values[j] == 0:
-                j += 1
-            if i > 0 and j < n:
-                runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    return runs
-
-
-def segment_rows(profile: Profile) -> list[int]:
-    """Row borders at the midpoints of interior zero gaps (absolute y)."""
-    if not any(profile.values):
-        raise EmptyBody("projection profile is entirely zero")
-    return [profile.origin + (s + e) // 2 for s, e in _interior_zero_runs(profile.values)]
+def segment_rows(words: list[Word] | tuple[Word, ...], region: BoundingBox) -> list[int]:
+    """Row borders at the centres of every interior gap (absolute y)."""
+    return _gap_centers(words, region, "y", 0)
 
 
 def segment_columns(
@@ -190,15 +155,8 @@ def segment_columns(
     region: BoundingBox,
     d_column: float,
 ) -> list[int]:
-    """Column borders at centers of interior zero gaps longer than d_column."""
-    profile = vertical_profile(projection_words, region)
-    if not any(profile.values):
-        raise EmptyBody("column projection profile is entirely zero")
-    return [
-        profile.origin + (s + e) // 2
-        for s, e in _interior_zero_runs(profile.values)
-        if (e - s) > d_column
-    ]
+    """Column borders at the centres of interior gaps wider than d_column (absolute x)."""
+    return _gap_centers(projection_words, region, "x", d_column)
 
 
 def compute_column_threshold(
@@ -238,7 +196,7 @@ def build_booktabs_grid(
     ys = [region.top, *level_centers, mid_y, *sorted(row_borders), region.bottom]
     xs = [region.left, *sorted(col_borders), region.right]
     if any(b <= a for a, b in zip(ys, ys[1:])) or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise DegenerateGrid(f"non-increasing borders for triple at {triple.extent.as_tuple()}")
+        raise DegenerateGrid(f"non-increasing borders for triple at {region.as_tuple()}")
 
     n_rows, n_cols = len(ys) - 1, len(xs) - 1
     spans = []
@@ -264,6 +222,38 @@ def build_booktabs_grid(
     )
 
 
+def _booktabs_table(
+    layout: PageLayout, triple: RuleTriple, labeled: bool, gamma: float
+) -> RecognizedTable:
+    """The grid of a triple whose middle rule ends above its bottom rule."""
+    index = layout.word_index
+    levels = group_inner_rules(triple)
+    region = triple.region
+    body_region = BoundingBox(
+        region.left, triple.middle.box.bottom, region.right, triple.bottom.box.top
+    )
+    body_borders = segment_rows(index.touching(body_region.top, body_region.bottom), body_region)
+    lowest_band_top = levels[-1].band[1] if levels else triple.top.box.bottom
+    if lowest_band_top > triple.middle.box.top:
+        raise DegenerateGrid("no room for a header row between the inner rules and the middle rule")
+    lowest_band = BoundingBox(region.left, lowest_band_top, region.right, triple.middle.box.top)
+    table_words = [
+        w
+        for w in index.centered(region.top, region.bottom)
+        if contains_point(region, *w.box.center)
+    ]
+    projection_words = [
+        w
+        for w in table_words
+        if contains_point(body_region, *w.box.center)
+        or contains_point(lowest_band, *w.box.center)
+    ]
+    threshold = compute_column_threshold(layout, table_words, gamma)
+    col_borders = segment_columns(projection_words, region, threshold.d_column)
+    # the grid tiles region, so its words are exactly table_words
+    return build_booktabs_grid(triple, levels, body_borders, col_borders, labeled, table_words)
+
+
 def recognize_booktabs_tables(
     layout: PageLayout, cfg: RecognizerConfig
 ) -> tuple[list[RecognizedTable], list[str]]:
@@ -274,54 +264,18 @@ def recognize_booktabs_tables(
     tables: list[RecognizedTable] = []
     diagnostics: list[str] = []
     for triple in find_rule_triples(horizontals):
-        extent = triple.extent
-        labeled = has_table_label(index, extent, cfg)
-        if cfg.require_labels_booktabs and not labeled:
-            diagnostics.append(
-                f"booktabs candidate at {extent.as_tuple()} dropped: no table label"
-            )
-            continue
-        levels = group_inner_rules(triple)
         region = triple.region
-        if triple.middle.box.bottom >= triple.bottom.box.top:
-            diagnostics.append(
-                f"booktabs candidate at {extent.as_tuple()} dropped: no body region"
-            )
-            continue
-        body_region = BoundingBox(
-            region.left, triple.middle.box.bottom, region.right, triple.bottom.box.top
-        )
-        try:
-            body_words = index.touching(body_region.top, body_region.bottom)
-            body_borders = segment_rows(horizontal_profile(body_words, body_region))
-            lowest_band_top = levels[-1].band[1] if levels else triple.top.box.bottom
-            if lowest_band_top > triple.middle.box.top:
-                raise DegenerateGrid(
-                    "no room for a header row between the inner rules and the middle rule"
-                )
-            lowest_band = BoundingBox(
-                region.left, lowest_band_top, region.right, triple.middle.box.top
-            )
-            table_words = [
-                w
-                for w in index.centered(region.top, region.bottom)
-                if contains_point(region, *w.box.center)
-            ]
-            projection_words = [
-                w
-                for w in table_words
-                if contains_point(body_region, *w.box.center)
-                or contains_point(lowest_band, *w.box.center)
-            ]
-            threshold = compute_column_threshold(layout, table_words, cfg.gamma)
-            col_borders = segment_columns(projection_words, region, threshold.d_column)
-            # the grid tiles region, so its words are exactly table_words
-            table = build_booktabs_grid(
-                triple, levels, body_borders, col_borders, labeled, table_words
-            )
-        except (EmptyBody, InsufficientContext, DegenerateGrid) as exc:
-            diagnostics.append(f"booktabs candidate at {extent.as_tuple()} dropped: {exc}")
-            continue
-        tables.append(table)
+        labeled = has_table_label(index, region, cfg)
+        if cfg.require_labels_booktabs and not labeled:
+            reason = "no table label"
+        elif triple.middle.box.bottom >= triple.bottom.box.top:
+            reason = "no body region"
+        else:
+            try:
+                tables.append(_booktabs_table(layout, triple, labeled, cfg.gamma))
+                continue
+            except (EmptyBody, InsufficientContext, DegenerateGrid) as exc:
+                reason = str(exc)
+        diagnostics.append(f"booktabs candidate at {region.as_tuple()} dropped: {reason}")
     tables.sort(key=lambda t: (t.region.top, t.region.left))
     return tables, diagnostics

@@ -11,11 +11,9 @@ from tabgrid.booktabs import (
     compute_column_threshold,
     find_rule_triples,
     group_inner_rules,
-    horizontal_profile,
     recognize_booktabs_tables,
     segment_columns,
     segment_rows,
-    vertical_profile,
 )
 from tabgrid.dsu import UnionFind
 from tabgrid.errors import DegenerateGrid, EmptyBody, InsufficientContext
@@ -121,54 +119,49 @@ def test_no_inner_rules_single_header_row():
 
 
 # ---------------------------------------------------------------------------
-# projection profiles
-
-
-def test_horizontal_profile_example():
-    region = box(0, 0, 100, 40)
-    p = horizontal_profile([word(10, 10, 30, 20)], region)
-    assert p.origin == 0
-    assert len(p.values) == 40
-    assert all(p.values[y] == 20 for y in range(10, 20))
-    assert all(p.values[y] == 0 for y in list(range(0, 10)) + list(range(20, 40)))
-
-
-def test_profiles_clip_to_region():
-    # contributions are clipped to the region: a huge word counts only
-    # its in-region extent
-    region = box(10, 10, 50, 30)
-    p = horizontal_profile([word(0, 0, 100, 100)], region)
-    assert p.values == [40] * 20
-    v = vertical_profile([word(0, 0, 100, 100)], region)
-    assert v.values == [20] * 40
-
-
-def test_profiles_skip_words_outside_region():
-    region = box(0, 0, 100, 20)
-    assert horizontal_profile([word(200, 0, 220, 10)], region).values == [0] * 20
-    # a word that only touches the region's bottom edge covers none of its rows
-    assert horizontal_profile([word(10, 20, 30, 30)], region).values == [0] * 20
+# row and column gaps
 
 
 def test_segment_rows_midpoints():
     region = box(0, 0, 50, 30)
     words = [word(0, 0, 50, 10), word(0, 20, 50, 30)]
-    p = horizontal_profile(words, region)
-    assert segment_rows(p) == [15]
+    assert segment_rows(words, region) == [15]
 
 
 def test_segment_rows_ignores_boundary_gaps():
     region = box(0, 0, 50, 40)
     words = [word(0, 8, 50, 16), word(0, 24, 50, 32)]
-    p = horizontal_profile(words, region)
     # leading [0,8) and trailing [32,40) runs are not row gaps
-    assert segment_rows(p) == [20]
+    assert segment_rows(words, region) == [20]
 
 
 def test_segment_rows_empty_body():
-    p = horizontal_profile([], box(0, 0, 10, 10))
+    with pytest.raises(EmptyBody, match="^projection profile is entirely zero$"):
+        segment_rows([], box(0, 0, 10, 10))
+
+
+def test_segments_clip_words_to_region():
+    # a word reaching past the region's top covers only its in-region rows,
+    # and the gap's centre is taken in page coordinates
+    region = box(0, 10, 50, 40)
+    assert segment_rows([word(0, 0, 50, 15), word(0, 30, 50, 60)], region) == [22]
+    region = box(10, 0, 60, 30)
+    assert segment_columns([word(0, 0, 20, 30), word(40, 0, 100, 30)], region, 0) == [30]
+    # one word covering the whole region leaves no gap either way
+    assert segment_rows([word(0, 0, 100, 100)], box(10, 10, 50, 30)) == []
+    assert segment_columns([word(0, 0, 100, 100)], box(10, 10, 50, 30), 0) == []
+
+
+def test_segments_ignore_words_outside_region():
+    region = box(0, 0, 100, 20)
+    inside = [word(0, 0, 20, 20), word(60, 0, 100, 20)]
+    # below the region, across the column gap: ignored
+    assert segment_columns([*inside, word(30, 25, 50, 35)], region, 0) == [40]
     with pytest.raises(EmptyBody):
-        segment_rows(p)
+        segment_rows([word(200, 0, 220, 10)], region)
+    # a word that only touches the region's bottom edge covers none of its rows
+    with pytest.raises(EmptyBody):
+        segment_rows([word(10, 20, 30, 30)], region)
 
 
 def test_segment_columns_threshold():
@@ -182,8 +175,73 @@ def test_segment_columns_threshold():
 
 
 def test_segment_columns_empty():
-    with pytest.raises(EmptyBody):
+    with pytest.raises(EmptyBody, match="^column projection profile is entirely zero$"):
         segment_columns([], box(0, 0, 10, 10), 1.0)
+
+
+def reference_gap_centers(words, region, axis, min_gap):
+    """Pixel by pixel: which rows (or columns) of the region some word covers
+    with positive area inside it, then the centres of the uncovered runs
+    that touch neither end and are longer than min_gap; None if nothing is
+    covered."""
+    lo, hi = (region.top, region.bottom) if axis == "y" else (region.left, region.right)
+
+    def covered(p):
+        for w in words:
+            b = w.box
+            if axis == "y":
+                on, across = b.top <= p < b.bottom, (b.left, b.right, region.left, region.right)
+            else:
+                on, across = b.left <= p < b.right, (b.top, b.bottom, region.top, region.bottom)
+            if on and max(across[0], across[2]) < min(across[1], across[3]):
+                return True
+        return False
+
+    cover = [covered(p) for p in range(lo, hi)]
+    if not any(cover):
+        return None
+    centers, start = [], None
+    for p, c in zip(range(lo, hi), cover):
+        if not c and start is None:
+            start = p
+        elif c and start is not None:
+            if start > lo and p - start > min_gap:
+                centers.append((start + p) // 2)
+            start = None
+    return centers
+
+
+@st.composite
+def gap_cases(draw):
+    """A region and word boxes inside it, across its edges and outside it,
+    some of zero width or height, and a minimum gap."""
+    left, top = draw(st.integers(-20, 40)), draw(st.integers(-20, 40))
+    region = box(left, top, left + draw(st.integers(0, 60)), top + draw(st.integers(0, 60)))
+    coord_x = st.integers(region.left - 15, region.right + 15)
+    coord_y = st.integers(region.top - 15, region.bottom + 15)
+    words = []
+    for _ in range(draw(st.integers(0, 8))):
+        x0, x1 = sorted((draw(coord_x), draw(coord_x)))
+        y0, y1 = sorted((draw(coord_y), draw(coord_y)))
+        words.append(word(x0, y0, x1, y1))
+    min_gap = draw(st.one_of(st.integers(-2, 20), st.floats(-2, 20)))
+    return words, region, min_gap
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=gap_cases())
+def test_segments_equal_the_per_pixel_reference(case):
+    words, region, min_gap = case
+    for axis, segment in (
+        ("y", lambda: segment_rows(words, region)),
+        ("x", lambda: segment_columns(words, region, min_gap)),
+    ):
+        want = reference_gap_centers(words, region, axis, min_gap if axis == "x" else 0)
+        if want is None:
+            with pytest.raises(EmptyBody):
+                segment()
+        else:
+            assert segment() == want
 
 
 # ---------------------------------------------------------------------------
