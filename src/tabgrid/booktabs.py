@@ -1,17 +1,20 @@
 """Grid recognition for tables ruled only by horizontal lines.
 
 The target format is three aligned full-width rules (top, middle,
-bottom) with optional shorter grouping rules between top and middle.
-Rows come from the gaps of a text projection profile; columns from gaps
-wider than a threshold calibrated on the page's own word spacing.
+bottom) with optional shorter grouping rules between top and middle,
+found among the horizontal rulings that no accepted ruled table owns.
+Rows and columns are both cut at the gaps of a text projection profile
+inside the triple's region: rows at every gap, columns at gaps wider than
+a threshold calibrated on the page's own word spacing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DegenerateGrid, EmptyBody, InsufficientContext
-from .geometry import BoundingBox, contains_point, union_box
+from .geometry import BoundingBox, contains_point, expand, union_box
 from .kernels import interval_profile
 from .model import (
     PageLayout,
@@ -23,7 +26,7 @@ from .model import (
     Word,
     assign_words_to_cells,
 )
-from .separator import column_runs, has_table_label, split_at_gaps
+from .separator import BORDER_CLUSTER_TOL, column_runs, has_table_label, split_at_gaps
 
 
 @dataclass(frozen=True)
@@ -53,20 +56,23 @@ class ColumnThreshold:
     d_column: float
 
 
-def _aligned(a: Separator, b: Separator) -> bool:
-    tol = max(5.0, 0.02 * max(a.box.width, b.box.width))
+def _aligned(a: Separator, b: Separator, min_tol: float) -> bool:
+    tol = max(min_tol, 0.02 * max(a.box.width, b.box.width))
     return abs(a.box.left - b.box.left) <= tol and abs(a.box.right - b.box.right) <= tol
 
 
-def find_rule_triples(horizontals: list[Separator] | tuple[Separator, ...]) -> list[RuleTriple]:
+def find_rule_triples(
+    horizontals: list[Separator] | tuple[Separator, ...], cfg: RecognizerConfig
+) -> list[RuleTriple]:
     """Greedy top-down scan for aligned (top, middle, bottom) rule triples.
 
     Each two of the three rules must have left and right edges that agree
-    within max(5 px, 2 % of the wider rule's width).
+    within max(2 * separator_expand_px, 2 % of the wider rule's width).
     Rules strictly between top and middle that overlap the triple's
     x-extent become its inner (grouping) rules.
     """
     rules = sorted(horizontals, key=lambda s: (s.box.top, s.box.left, s.box.right))
+    min_tol = 2 * cfg.separator_expand_px
     used = [False] * len(rules)
     triples: list[RuleTriple] = []
     for ia, a in enumerate(rules):
@@ -74,12 +80,12 @@ def find_rule_triples(horizontals: list[Separator] | tuple[Separator, ...]) -> l
             continue
         picked = None
         for ib in range(ia + 1, len(rules)):
-            if used[ib] or not _aligned(a, rules[ib]):
+            if used[ib] or not _aligned(a, rules[ib], min_tol):
                 continue
             for ic in range(ib + 1, len(rules)):
                 if used[ic]:
                     continue
-                if _aligned(a, rules[ic]) and _aligned(rules[ib], rules[ic]):
+                if _aligned(a, rules[ic], min_tol) and _aligned(rules[ib], rules[ic], min_tol):
                     picked = (ib, ic)
                     break
             if picked:
@@ -235,7 +241,9 @@ def _booktabs_table(
     body_borders = segment_rows(index.touching(body_region.top, body_region.bottom), body_region)
     lowest_band_top = levels[-1].band[1] if levels else triple.top.box.bottom
     if lowest_band_top > triple.middle.box.top:
-        raise DegenerateGrid("no room for a header row between the inner rules and the middle rule")
+        raise DegenerateGrid(
+            "no room for a header row between the inner rules and the middle rule"
+        )
     lowest_band = BoundingBox(region.left, lowest_band_top, region.right, triple.middle.box.top)
     table_words = [
         w
@@ -254,16 +262,36 @@ def _booktabs_table(
     return build_booktabs_grid(triple, levels, body_borders, col_borders, labeled, table_words)
 
 
+def _free_rulings(
+    horizontals: list[Separator], ruled: list[BoundingBox] | tuple
+) -> list[Separator]:
+    """The rulings whose centre lies in no ruled region grown by
+    BORDER_CLUSTER_TOL; a ruling in one belongs to that ruled table."""
+    centers = [s.box.center for s in horizontals]
+    by_y = sorted(range(len(horizontals)), key=lambda i: centers[i][1])
+    ys = [centers[i][1] for i in by_y]
+    owned = set()
+    for r in ruled:
+        grown = expand(r, BORDER_CLUSTER_TOL)
+        for i in by_y[bisect_left(ys, grown.top) : bisect_left(ys, grown.bottom)]:
+            if contains_point(grown, *centers[i]):
+                owned.add(i)
+    return [s for i, s in enumerate(horizontals) if i not in owned]
+
+
 def recognize_booktabs_tables(
-    layout: PageLayout, cfg: RecognizerConfig
+    layout: PageLayout, cfg: RecognizerConfig, ruled: list[BoundingBox] | tuple = ()
 ) -> tuple[list[RecognizedTable], list[str]]:
-    horizontals = [
-        s for s in layout.separators if s.orientation is SeparatorOrientation.HORIZONTAL
-    ]
+    """Booktabs tables and why each other rule triple was dropped.  The
+    horizontal rulings of the ``ruled`` regions are not scanned."""
+    horizontals = _free_rulings(
+        [s for s in layout.separators if s.orientation is SeparatorOrientation.HORIZONTAL],
+        ruled,
+    )
     index = layout.word_index
     tables: list[RecognizedTable] = []
     diagnostics: list[str] = []
-    for triple in find_rule_triples(horizontals):
+    for triple in find_rule_triples(horizontals, cfg):
         region = triple.region
         labeled = has_table_label(index, region, cfg)
         if cfg.require_labels_booktabs and not labeled:

@@ -292,27 +292,21 @@ def tuple_set_f1(gt: TupleSet, pred: TupleSet) -> PRF:
     )
 
 
-def _check_unique_keys(sets: list[TupleSet], side: str) -> None:
-    seen = set()
-    for ts in sets:
-        key = (ts.file_id, ts.page_nr, ts.table_idx)
-        if key in seen:
-            raise DuplicateKey(f"{side} tuple sets share key {key}")
-        seen.add(key)
-
-
 def interpretation_score(gt_sets: list[TupleSet], pred_sets: list[TupleSet]) -> PRF:
     """Micro-pooled tuple PRF; per page, tuple sets pair up by a
     maximum-weight matching over their mutual tuple F1, and every tuple
     that no pair matches is a miss or spurious."""
-    _check_unique_keys(gt_sets, "ground-truth")
-    _check_unique_keys(pred_sets, "predicted")
-    by_page: dict[tuple[str, int], tuple[list[TupleSet], list[TupleSet]]] = {}
-    for side, sets in enumerate((gt_sets, pred_sets)):
-        for ts in sorted(sets, key=lambda ts: ts.table_idx):
-            by_page.setdefault((ts.file_id, ts.page_nr), ([], []))[side].append(ts)
+    by_page: dict[tuple[str, int], tuple[dict[int, TupleSet], dict[int, TupleSet]]] = {}
+    for side, (name, sets) in enumerate((("ground-truth", gt_sets), ("predicted", pred_sets))):
+        for ts in sets:
+            page = by_page.setdefault((ts.file_id, ts.page_nr), ({}, {}))[side]
+            if ts.table_idx in page:
+                key = (ts.file_id, ts.page_nr, ts.table_idx)
+                raise DuplicateKey(f"{name} tuple sets share key {key}")
+            page[ts.table_idx] = ts
     tp = 0
-    for gts, preds in by_page.values():
+    for gt_page, pred_page in by_page.values():
+        gts, preds = ([page[i] for i in sorted(page)] for page in (gt_page, pred_page))
         scores = {
             (gi, pi): tuple_set_f1(g, p) for gi, g in enumerate(gts) for pi, p in enumerate(preds)
         }

@@ -1,9 +1,10 @@
 """Page-level orchestration of the two recognizers.
 
-Ruled-grid candidates are accepted first; booktabs candidates whose
-region overlaps an accepted table are discarded.  Vertical pages are
-recognized on the transposed layout and the resulting boxes transposed
-back; grid indices stay in reading orientation.
+Ruled-grid candidates are accepted first.  The booktabs scan then skips
+the horizontal rulings that lie in an accepted ruled table, and drops the
+booktabs candidates whose region overlaps an accepted table.  Vertical
+pages are recognized on the transposed layout and the resulting boxes
+transposed back; grid indices stay in reading orientation.
 """
 
 from __future__ import annotations
@@ -78,12 +79,9 @@ def recognize_page(
     accepted: list[RecognizedTable] = []
     diagnostics: list[str] = []
 
-    for label, recognize in (
-        ("separator table", recognize_separator_tables),
-        ("booktabs candidate", recognize_booktabs_tables),
-    ):
-        tables, found = recognize(layout, cfg)
-        diagnostics.extend(found)
+    def accept(label: str, found: tuple[list[RecognizedTable], list[str]]) -> None:
+        tables, notes = found
+        diagnostics.extend(notes)
         for t in tables:
             clash = next((a for a in accepted if overlaps(t.region, a.region)), None)
             if clash is None:
@@ -94,5 +92,8 @@ def recognize_page(
                     f"accepted table at {clash.region.as_tuple()}"
                 )
 
+    accept("separator table", recognize_separator_tables(layout, cfg))
+    ruled = [a.region for a in accepted]
+    accept("booktabs candidate", recognize_booktabs_tables(layout, cfg, ruled))
     accepted.sort(key=lambda t: (t.region.top, t.region.left, t.region.bottom, t.region.right))
     return PageResult(tables=tuple(accepted), diagnostics=tuple(diagnostics))

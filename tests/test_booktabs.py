@@ -40,7 +40,7 @@ CFG = RecognizerConfig()
 
 def test_three_aligned_rules_form_one_triple():
     rules = [h_rule(100, 100, 500), h_rule(100, 150, 500), h_rule(100, 300, 500)]
-    triples = find_rule_triples(rules)
+    triples = find_rule_triples(rules, CFG)
     assert len(triples) == 1
     t = triples[0]
     assert t.top.box.center[1] == 100
@@ -57,7 +57,7 @@ def test_short_rules_between_top_and_middle_become_inner():
         h_rule(100, 150, 500),
         h_rule(100, 300, 500),
     ]
-    triples = find_rule_triples(rules)
+    triples = find_rule_triples(rules, CFG)
     assert len(triples) == 1
     assert len(triples[0].inner_rules) == 2
 
@@ -65,22 +65,27 @@ def test_short_rules_between_top_and_middle_become_inner():
 def test_misaligned_middle_rule_blocks_triple():
     # middle rule 40% narrower than the others: no compatible triple
     rules = [h_rule(100, 100, 500), h_rule(100, 150, 340), h_rule(100, 300, 500)]
-    assert find_rule_triples(rules) == []
+    assert find_rule_triples(rules, CFG) == []
 
 
 def test_alignment_tolerance_scales_with_width():
     # 2% of a 1000 px rule is 20 px: edges 15 px apart still align
     rules = [h_rule(0, 100, 1000), h_rule(15, 150, 995), h_rule(5, 300, 1000)]
-    assert len(find_rule_triples(rules)) == 1
-    # but on a 100 px rule the tolerance is max(5, 2) = 5: 15 px breaks it
+    assert len(find_rule_triples(rules, CFG)) == 1
+    # but on a 100 px rule the tolerance is max(2 * separator_expand_px, 2)
+    # = 10: 15 px breaks it, 10 px does not
     rules = [h_rule(0, 100, 100), h_rule(15, 150, 100), h_rule(0, 300, 100)]
-    assert find_rule_triples(rules) == []
+    assert find_rule_triples(rules, CFG) == []
+    rules = [h_rule(0, 100, 100), h_rule(10, 150, 100), h_rule(0, 300, 100)]
+    assert len(find_rule_triples(rules, CFG)) == 1
+    # the floor follows the ruled recognizer's expansion setting
+    assert find_rule_triples(rules, RecognizerConfig(separator_expand_px=4)) == []
 
 
 def test_greedy_scan_takes_first_compatible_pair():
     # four aligned rules: the first three are consumed, the fourth stays free
     rules = [h_rule(0, y, 400) for y in (100, 150, 300, 360)]
-    triples = find_rule_triples(rules)
+    triples = find_rule_triples(rules, CFG)
     assert len(triples) == 1
     assert triples[0].bottom.box.center[1] == 300
 
@@ -88,9 +93,32 @@ def test_greedy_scan_takes_first_compatible_pair():
 def test_two_stacked_tables_found_in_one_pass():
     rules = [h_rule(0, y, 400) for y in (100, 150, 300)]
     rules += [h_rule(0, y, 400) for y in (500, 540, 700)]
-    triples = find_rule_triples(rules)
+    triples = find_rule_triples(rules, CFG)
     assert len(triples) == 2
     assert [t.top.box.center[1] for t in triples] == [100, 500]
+
+
+@pytest.mark.parametrize(
+    "ruled, scanned",
+    [
+        ((0, 303, 400, 350), False),  # grown by 3 px, its top reaches the bottom rule's centre
+        ((0, 304, 400, 350), True),
+        ((0, 250, 400, 298), False),  # grown, its bottom passes the centre at y = 300
+        ((0, 250, 400, 297), True),  # the grown bottom edge itself is outside
+        ((203, 250, 300, 350), False),  # grown, its left edge reaches the centre at x = 200
+        ((204, 250, 300, 350), True),
+    ],
+)
+def test_rulings_whose_centre_a_ruled_region_holds_are_not_scanned(ruled, scanned):
+    rules = [h_rule(0, 100, 400), h_rule(0, 150, 400), h_rule(0, 300, 400)]
+    page = PageLayout(page_width=500, page_height=400, words=(), separators=tuple(rules))
+    # the full triple is a candidate, dropped for want of body words
+    diagnostic = (
+        "booktabs candidate at (0, 99, 400, 301) dropped: projection profile is entirely zero"
+    )
+    assert recognize_booktabs_tables(page, CFG) == ([], [diagnostic])
+    want = [diagnostic] if scanned else []
+    assert recognize_booktabs_tables(page, CFG, [box(*ruled)]) == ([], want)
 
 
 def test_inner_rules_cluster_into_levels():
@@ -103,6 +131,7 @@ def test_inner_rules_cluster_into_levels():
             h_rule(0, 160, 400),
             h_rule(0, 300, 400),
         ],
+        CFG,
     )[0]
     levels = group_inner_rules(t)
     assert len(levels) == 2
@@ -112,7 +141,7 @@ def test_inner_rules_cluster_into_levels():
 
 def test_no_inner_rules_single_header_row():
     t = find_rule_triples(
-        [h_rule(0, 100, 400), h_rule(0, 150, 400), h_rule(0, 300, 400)]
+        [h_rule(0, 100, 400), h_rule(0, 150, 400), h_rule(0, 300, 400)], CFG
     )[0]
     levels = group_inner_rules(t)
     assert levels == ()

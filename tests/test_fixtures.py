@@ -395,7 +395,7 @@ def test_build_corpus_bytes_are_pinned(tmp_path):
 
 
 # a changed digest means recognize, interpret or eval now write other bytes
-PINNED_CHAIN_DIGEST = "c4138796e4ae27cd8c8160caebde63abcc61abb6e8fa1098bc3b1d11fff33274"
+PINNED_CHAIN_DIGEST = "bde93b77ddc0e7f118fdd8471f15a33259f8a0ba239a51f39eb7921153dde99c"
 
 
 def test_chain_bytes_on_the_pinned_spec_are_pinned(tmp_path):
@@ -420,7 +420,7 @@ def test_chain_bytes_on_the_pinned_spec_are_pinned(tmp_path):
 
 # the same chain with every line_id set to null, so d_page rebuilds the lines;
 # the rebuilt lines give the same d_page here, hence the same bytes
-PINNED_NO_LINE_ID_CHAIN_DIGEST = "c4138796e4ae27cd8c8160caebde63abcc61abb6e8fa1098bc3b1d11fff33274"
+PINNED_NO_LINE_ID_CHAIN_DIGEST = "bde93b77ddc0e7f118fdd8471f15a33259f8a0ba239a51f39eb7921153dde99c"
 
 
 def test_chain_bytes_without_line_ids_are_pinned(tmp_path):
