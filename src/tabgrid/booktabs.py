@@ -11,6 +11,7 @@ a threshold calibrated on the page's own word spacing.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .errors import DegenerateGrid, EmptyBody, InsufficientContext
@@ -262,9 +263,7 @@ def _booktabs_table(
     return build_booktabs_grid(triple, levels, body_borders, col_borders, labeled, table_words)
 
 
-def _free_rulings(
-    horizontals: list[Separator], ruled: list[BoundingBox] | tuple
-) -> list[Separator]:
+def _free_rulings(horizontals: list[Separator], ruled: Sequence[BoundingBox]) -> list[Separator]:
     """The rulings whose centre lies in no ruled region grown by
     BORDER_CLUSTER_TOL; a ruling in one belongs to that ruled table."""
     centers = [s.box.center for s in horizontals]
@@ -280,7 +279,7 @@ def _free_rulings(
 
 
 def recognize_booktabs_tables(
-    layout: PageLayout, cfg: RecognizerConfig, ruled: list[BoundingBox] | tuple = ()
+    layout: PageLayout, cfg: RecognizerConfig, ruled: Sequence[BoundingBox] = ()
 ) -> tuple[list[RecognizedTable], list[str]]:
     """Booktabs tables and why each other rule triple was dropped.  The
     horizontal rulings of the ``ruled`` regions are not scanned."""
