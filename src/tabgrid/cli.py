@@ -77,15 +77,43 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, config_path=None)
     dump_json(out_dir / "run_manifest.json", manifest)
 
 
-def _json_files(directory: Path) -> list[Path]:
-    """The directory's ``*.json`` files, sorted; every reader skips the run manifest."""
+class _Input(NamedTuple):
+    """An input file, the key its name gives (None for no known form) and its bytes."""
+
+    path: Path
+    key: tuple | None
+    size: int
+
+    @property
+    def name(self) -> str:
+        return self.path.name
+
+
+def _scan(directory: Path, parse_name) -> list[_Input]:
+    """The inputs in ``directory``, in name order: its ``*.json`` files, or
+    links to them, but the run manifest, each keyed by ``parse_name``.
+
+    Two names that give one key raise ``DuplicateKey``: their files would be
+    written, or scored, as one.  Every reader checks that a file's name gives
+    the key it holds, so keys from names are keys from contents; names of no
+    known form are left to those readers.
+    """
     if not directory.is_dir():
         raise NotADirectoryError(f"not a directory: {directory}")
-    return sorted(
-        p
-        for p in directory.iterdir()
-        if p.suffix == ".json" and p.is_file() and p.name != "run_manifest.json"
-    )
+    with os.scandir(directory) as entries:
+        found = sorted(
+            (e.name, e.stat().st_size)  # a link's stat is the one that is_file made
+            for e in entries
+            if e.name.endswith(".json") and e.name not in (".json", "run_manifest.json")
+            and e.is_file()
+        )
+    items = [_Input(directory / name, parse_name(name), size) for name, size in found]
+    names: dict[tuple, str] = {}
+    for item in items:
+        if item.key is not None and names.setdefault(item.key, item.name) != item.name:
+            named = f"{names[item.key]} and {item.name} both name {_key_name(item.key)}"
+            raise DuplicateKey(f"{directory}: {named}")
+    return items
 
 
 # Forking two workers, handing out their chunks and reaping them costs about
@@ -113,14 +141,6 @@ def _attempt(work, item) -> tuple[str, str | None, bool, object]:
         return item.name, str(exc), False, None
     except Exception as exc:
         return item.name, f"{type(exc).__name__}: {exc}", True, None
-
-
-def _file_size(path: Path) -> int:
-    """Bytes in the file; 0 for one that its reader will report."""
-    try:
-        return path.stat().st_size
-    except OSError:
-        return 0
 
 
 def _chunks(sizes: list[int], n: int) -> list[list[int]]:
@@ -208,27 +228,27 @@ def _attempt_in_pool(items: list, work, workers: int, sizes: list[int]) -> list[
     ]
 
 
-def _attempt_all(items: list, work, max_workers: int, min_bytes: int, size) -> list[tuple]:
+def _attempt_all(items: list, work, max_workers: int, min_bytes: int) -> list[tuple]:
     """``_attempt`` over ``items``, in order, in up to ``max_workers``
     processes, but in this one unless every worker gets ``min_bytes`` of
-    input, counting ``size(item)`` bytes an item."""
+    input, counting ``item.size`` bytes an item."""
     if max_workers > 1:
-        sizes = [size(item) for item in items]
+        sizes = [item.size for item in items]
         workers = min(max_workers, len(items), sum(sizes) // min_bytes)
         if workers > 1:
             return _attempt_in_pool(items, work, workers, sizes)
     return [_attempt(work, item) for item in items]
 
 
-def _run_per_file(files: list[Path], work, max_workers: int) -> tuple[int, list]:
-    """Call ``work(path)`` for every file; one bad file never ends the run.
+def _run_per_file(files: list[_Input], work, max_workers: int) -> tuple[int, list]:
+    """Call ``work(item)`` for every file; one bad file never ends the run.
 
     Runs in worker processes when every worker gets ``MIN_BYTES_PER_WORKER``
     bytes of files.  Prints one sorted ``error: <file>: <msg>`` line per failed file
     and returns the exit code (0, 2 if any file is invalid input, 1 if any
     file crashed) and the values ``work`` returned, in file order.
     """
-    results = _attempt_all(files, work, max_workers, MIN_BYTES_PER_WORKER, _file_size)
+    results = _attempt_all(files, work, max_workers, MIN_BYTES_PER_WORKER)
     errors = sorted((name, message) for name, message, _, _ in results if message is not None)
     for name, message in errors:
         print(f"error: {name}: {message}", file=sys.stderr)
@@ -237,64 +257,39 @@ def _run_per_file(files: list[Path], work, max_workers: int) -> tuple[int, list]
     return (1 if crashed else 2 if errors else 0), values
 
 
-def _page_name(path: Path, kind: str) -> tuple[str, int]:
-    parsed = parse_layout_name(path.name)
-    if parsed is None:
-        raise TabgridError(f"{kind} file name not of the form <id>_page<NR>.json: {path.name}")
-    return parsed
-
-
 def _key_name(key: tuple) -> str:
     """``<id>_pageNN`` for a page key, ``<id>_pageNN_tableI`` for a tuple-set key."""
     name = format_layout_name(*key) if len(key) == 2 else format_tuple_name(*key)
     return name.removesuffix(".json")
 
 
-def _check_name(path: Path, named: tuple, held: tuple) -> None:
-    if named != held:
+def _named(item: _Input, kind: str, form: str = "<id>_page<NR>") -> tuple:
+    """The key that ``item``'s name gives; a name of no known form is a fault."""
+    if item.key is None:
+        raise TabgridError(f"{kind} file name not of the form {form}.json: {item.name}")
+    return item.key
+
+
+def _check_name(item: _Input, held: tuple) -> None:
+    if item.key != held:
         raise TabgridError(
-            f"file name does not match its content: {path.name} holds {_key_name(held)}"
+            f"file name does not match its content: {item.name} holds {_key_name(held)}"
         )
 
 
-def _keyed_files(directory: Path, parse_name) -> list[Path]:
-    """``_json_files(directory)``, unless two names give one key: their
-    files would be written, or scored, as one.
-
-    Every reader checks that a file's name gives the key it holds, so keys
-    from names are keys from contents; names of no known form are left to
-    those readers.
-    """
-    files = _json_files(directory)
-    names: dict[tuple, str] = {}
-    for path in files:
-        key = parse_name(path.name)
-        if key in names:
-            raise DuplicateKey(
-                f"{directory}: {names[key]} and {path.name} both name {_key_name(key)}"
-            )
-        if key is not None:
-            names[key] = path.name
-    return files
-
-
-def _read_page_tables(path: Path) -> PageTables:
+def _read_page_tables(item: _Input) -> PageTables:
     """A page tables file whose ``<id>_page<NR>`` name is the page it holds."""
-    named = _page_name(path, "table")
-    page = page_tables_from_dict(read_json(path))
-    _check_name(path, named, (page.file_id, page.page_nr))
+    _named(item, "table")
+    page = page_tables_from_dict(read_json(item.path))
+    _check_name(item, (page.file_id, page.page_nr))
     return page
 
 
-def _read_tuple_set(path: Path) -> TupleSet:
+def _read_tuple_set(item: _Input) -> TupleSet:
     """A tuple set whose ``<id>_page<NR>_table<IDX>`` name is the set it holds."""
-    named = parse_tuple_name(path.name)
-    if named is None:
-        raise TabgridError(
-            f"tuple file name not of the form <id>_page<NR>_table<IDX>.json: {path.name}"
-        )
-    ts = read_tuple_set(path)
-    _check_name(path, named, (ts.file_id, ts.page_nr, ts.table_idx))
+    _named(item, "tuple", "<id>_page<NR>_table<IDX>")
+    ts = read_tuple_set(item.path)
+    _check_name(item, (ts.file_id, ts.page_nr, ts.table_idx))
     return ts
 
 
@@ -307,12 +302,12 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     cfg = load_recognizer_config(args.config) if args.config else RecognizerConfig()
     orientation = PageOrientation(args.orientation)
-    files = _json_files(layout_dir)
+    files = _scan(layout_dir, parse_layout_name)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def recognize_file(path: Path) -> None:
-        file_id, page_nr = _page_name(path, "layout")
-        result = recognize_page(page_layout_from_dict(read_json(path)), cfg, orientation)
+    def recognize_file(item: _Input) -> None:
+        file_id, page_nr = _named(item, "layout")
+        result = recognize_page(page_layout_from_dict(read_json(item.path)), cfg, orientation)
         payload = page_tables_to_dict(
             PageTables(
                 file_id=file_id,
@@ -323,7 +318,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
             )
         )
         del result  # free the tables before serializing, the command's memory peak
-        dump_json(out_dir / path.name, payload)
+        dump_json(out_dir / item.name, payload)
 
     rc, _ = _run_per_file(files, recognize_file, args.max_workers)
     _write_manifest(
@@ -345,11 +340,11 @@ def _cmd_interpret(args: argparse.Namespace) -> int:
     tables_dir = Path(args.tables_dir)
     out_dir = Path(args.out_dir)
     meanings = load_meanings(args.rules)  # validated before any table is read
-    files = _keyed_files(tables_dir, parse_layout_name)
+    files = _scan(tables_dir, parse_layout_name)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def interpret_file(path: Path) -> int:
-        page = _read_page_tables(path)
+    def interpret_file(item: _Input) -> int:
+        page = _read_page_tables(item)
         written = 0
         for idx, table in enumerate(page.tables):
             ts = interpret_table(table, meanings, page.file_id, page.page_nr, idx)
@@ -382,34 +377,38 @@ def _check_strict(gt_keys, pred_keys) -> None:
         raise TabgridError("; ".join(lines))
 
 
-def _read_eval(read, path: Path):
-    """``read(path)``; a fault met in reading the file is raised as ``<path>: <reason>``."""
+def _read_eval(read, item: _Input):
+    """``read(item)``; a fault met in reading the file is raised as ``<path>: <reason>``."""
     try:
-        return read(path)
+        return read(item)
     except _INPUT_ERRORS as exc:
-        raise TabgridError(f"{path}: {exc}") from exc
+        raise TabgridError(f"{item.path}: {exc}") from exc
 
 
 class _PagePair(NamedTuple):
     """The ground-truth and predicted files of one page; either list may be empty."""
 
     name: str  # <id>_pageNN
-    gt: list[Path]
-    pred: list[Path]
+    gt: list[_Input]
+    pred: list[_Input]
+
+    @property
+    def size(self) -> int:
+        return sum(item.size for item in self.gt + self.pred)
 
 
 class _Unscored(Exception):
     """A page pair whose scoring failed unexpectedly, or whose worker died."""
 
 
-def _first_fault(parse_name, read, *sides: list[Path]) -> None:
+def _first_fault(read, *sides: list[_Input]) -> None:
     """Read each side's files in name order, each name, then its content,
     and raise the first fault met."""
     for files in sides:
-        for path in files:
-            if parse_name(path.name) is None:
-                read(path)  # raises the reader's own message, which names the file
-            _read_eval(read, path)
+        for item in files:
+            if item.key is None:
+                read(item)  # raises the reader's own message, which names the file
+            _read_eval(read, item)
 
 
 def _score_page_pairs(
@@ -428,41 +427,35 @@ def _score_page_pairs(
     ``_Unscored``; then invalid input raises the fault that ``_first_fault``
     meets, and ``--strict`` pairing of the keys is checked last.
     """
-    gt_files = _keyed_files(Path(args.gt_dir), parse_name)
+    gt_files = _scan(Path(args.gt_dir), parse_name)
     try:
-        pred_files = _keyed_files(Path(args.pred_dir), parse_name)
+        pred_files = _scan(Path(args.pred_dir), parse_name)
     except _INPUT_ERRORS:
-        _first_fault(parse_name, read, gt_files)
+        _first_fault(read, gt_files)
         raise
     if not gt_files and not pred_files:
         raise EmptyCorpus(f"no files to score in {args.gt_dir} or {args.pred_dir}")
     by_page: dict[tuple[str, int], tuple[list, list]] = {}
     for side, files in enumerate((gt_files, pred_files)):
-        for path in files:
-            if key := parse_name(path.name):  # _first_fault reports the others, in no pair
-                by_page.setdefault(key[:2], ([], []))[side].append(path)
+        for item in files:
+            if item.key:  # _first_fault reports the others, in no pair
+                by_page.setdefault(item.key[:2], ([], []))[side].append(item)
     pages = sorted(by_page)
 
     def score_pair(pair: _PagePair):
-        return score(*([_read_eval(read, p) for p in files] for files in (pair.gt, pair.pred)))
+        return score(*([_read_eval(read, i) for i in files] for files in (pair.gt, pair.pred)))
 
     pairs = [_PagePair(_key_name(page), *by_page[page]) for page in pages]
-    results = _attempt_all(
-        pairs,
-        score_pair,
-        args.max_workers,
-        MIN_PAIR_BYTES_PER_WORKER,
-        lambda pair: sum(map(_file_size, pair.gt + pair.pred)),
-    )
+    results = _attempt_all(pairs, score_pair, args.max_workers, MIN_PAIR_BYTES_PER_WORKER)
     for name, message, crashed, _ in results:
         if crashed:
             raise _Unscored(f"{name}: {message}")
     faults = [message for _, message, _, _ in results if message is not None]
     if faults or sum(len(p.gt) + len(p.pred) for p in pairs) < len(gt_files + pred_files):
-        _first_fault(parse_name, read, gt_files, pred_files)
+        _first_fault(read, gt_files, pred_files)
         raise TabgridError(faults[0])  # the file changed after its pair read it
     if args.strict:  # every name now gives a key
-        _check_strict(*({parse_name(p.name) for p in files} for files in (gt_files, pred_files)))
+        _check_strict(*({item.key for item in files} for files in (gt_files, pred_files)))
     return [(page, counts) for page, (_, _, _, counts) in zip(pages, results)]
 
 

@@ -10,6 +10,7 @@ transposed back; grid indices stay in reading orientation.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
 
 from .booktabs import recognize_booktabs_tables
@@ -77,19 +78,28 @@ def recognize_page(
         )
 
     accepted: list[RecognizedTable] = []
+    by_top: list[tuple[int, int]] = []  # (region.top, index in accepted), sorted
+    tallest = 0  # the greatest height in accepted
     diagnostics: list[str] = []
 
     def accept(label: str, found: tuple[list[RecognizedTable], list[str]]) -> None:
+        nonlocal tallest
         tables, notes = found
         diagnostics.extend(notes)
         for t in tables:
-            clash = next((a for a in accepted if overlaps(t.region, a.region)), None)
-            if clash is None:
+            # only a table whose rows meet the candidate's can overlap it, so
+            # only one whose top lies in (t.top - tallest, t.bottom)
+            lo = bisect_right(by_top, (t.region.top - tallest, len(accepted)))
+            hi = bisect_left(by_top, (t.region.bottom,))
+            hits = [i for _, i in by_top[lo:hi] if overlaps(t.region, accepted[i].region)]
+            if not hits:
+                insort(by_top, (t.region.top, len(accepted)))
                 accepted.append(t)
-            else:
+                tallest = max(tallest, t.region.height)
+            else:  # the first clash in acceptance order
                 diagnostics.append(
                     f"{label} at {t.region.as_tuple()} dropped: overlaps "
-                    f"accepted table at {clash.region.as_tuple()}"
+                    f"accepted table at {accepted[min(hits)].region.as_tuple()}"
                 )
 
     accept("separator table", recognize_separator_tables(layout, cfg))

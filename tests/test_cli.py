@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,13 @@ import pytest
 import tabgrid
 from tabgrid import __version__, cli
 from tabgrid.cli import main
-from tabgrid.corpusio import PageTables, dump_json, page_tables_from_dict, page_tables_to_dict
+from tabgrid.corpusio import (
+    PageTables,
+    dump_json,
+    page_tables_from_dict,
+    page_tables_to_dict,
+    parse_tuple_name,
+)
 from tabgrid.fixtures import default_meanings
 from tabgrid.geometry import box
 from tabgrid.interpret import meaning_to_dict
@@ -869,17 +876,82 @@ def test_file_named_for_another_page_is_rejected(tmp_path, capsys, mode):
     assert capsys.readouterr().err == f"error: {copy}: {message}"
 
 
-def test_interpret_rejects_two_names_for_one_page(tmp_path, capsys):
+def _command_inputs(tmp_path, capsys, command):
+    """The argv of ``command`` run on a generated corpus, and the directory
+    of the inputs it scans: the layouts, the tables or the predictions."""
     corpus, pred = _recognized(tmp_path, capsys)
-    source = sorted(pred.glob("ri*_page01.json"))[0]
-    copy = pred / source.name.replace("_page01", "_page1")
-    copy.write_bytes(source.read_bytes())
     out = tmp_path / "out"
-    assert main(["interpret", str(pred), str(corpus / "rules.json"), str(out)]) == 2
+    if command == "recognize":
+        inputs = corpus / "layouts"
+        return ["recognize", str(inputs), str(out)], inputs
+    if command == "interpret":
+        return ["interpret", str(pred), str(corpus / "rules.json"), str(out)], pred
+    return ["eval", "recognition", str(corpus / "recognition_gt"), str(pred)], pred
+
+
+@pytest.mark.parametrize("command", ["recognize", "interpret"])
+def test_per_file_commands_reject_two_names_for_one_page(tmp_path, capsys, command):
+    argv, inputs = _command_inputs(tmp_path, capsys, command)
+    source = sorted(inputs.glob("ri*_page01.json"))[0]
+    copy = inputs / source.name.replace("_page01", "_page1")
+    copy.write_bytes(source.read_bytes())
+    assert main(argv) == 2
     assert capsys.readouterr().err == (
-        f"error: {pred}: {source.name} and {copy.name} both name {source.stem}\n"
+        f"error: {inputs}: {source.name} and {copy.name} both name {source.stem}\n"
     )
-    assert not out.exists()  # rejected before any file is written
+    assert not (tmp_path / "out").exists()  # rejected before any file is written
+
+
+def _run_outputs(argv, capsys):
+    """The exit code, stdout and stderr of ``main(argv)``, and the files it wrote."""
+    rc = main(argv)
+    out = Path(argv[-1])
+    written = _outputs(out) if argv[0] != "eval" else None
+    if written is not None:
+        shutil.rmtree(out)
+    return rc, capsys.readouterr(), written
+
+
+@pytest.mark.parametrize("command", ["recognize", "interpret", "eval"])
+def test_scan_skips_a_directory_and_a_dangling_link_named_json(tmp_path, capsys, command):
+    argv, inputs = _command_inputs(tmp_path, capsys, command)
+    want = _run_outputs(argv, capsys)
+    (inputs / "x.json").mkdir()
+    (inputs / "y_page01.json").symlink_to(tmp_path / "absent.json")
+    assert _run_outputs(argv, capsys) == want
+    assert want[0] == 0 and want[1].err == ""
+
+
+@pytest.mark.parametrize("command", ["recognize", "interpret", "eval"])
+def test_scan_reads_a_link_to_an_input_file(tmp_path, capsys, command):
+    argv, inputs = _command_inputs(tmp_path, capsys, command)
+    want = _run_outputs(argv, capsys)
+    source = sorted(inputs.glob("ri*_page01.json"))[0]
+    elsewhere = source.rename(tmp_path / source.name)
+    assert _run_outputs(argv, capsys) != want  # the file is missed
+    source.symlink_to(elsewhere)
+    assert _run_outputs(argv, capsys) == want
+
+
+@pytest.mark.parametrize("command", ["recognize", "interpret", "eval"])
+def test_a_file_given_as_the_input_directory_is_exit_2(tmp_path, capsys, command):
+    argv, inputs = _command_inputs(tmp_path, capsys, command)
+    a_file = sorted(inputs.glob("*.json"))[0]
+    argv[argv.index(str(inputs))] = str(a_file)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: not a directory: {a_file}\n")
+
+
+def test_eval_strict_parses_each_file_name_once(tmp_path, capsys, monkeypatch):
+    argv, pred = _command_inputs(tmp_path, capsys, "eval")
+    gt = Path(argv[2])
+    parsed = []
+    monkeypatch.setattr(cli, "parse_layout_name", lambda name, real=cli.parse_layout_name: (
+        parsed.append(name) or real(name)
+    ))
+    assert main([*argv, "--strict"]) == 0
+    assert "F1=1.0000" in capsys.readouterr().out
+    assert sorted(parsed) == sorted(p.name for d in (gt, pred) for p in d.glob("*_page*.json"))
 
 
 def test_eval_names_both_files_of_one_key(tmp_path, capsys):
@@ -1432,7 +1504,7 @@ def test_eval_reports_a_crashed_pair_before_a_file_name_of_no_known_form(
         (gt / "notes.json").write_text("{}")
         victim = sorted(gt.glob("r*_page01*.json"))[3]
         if mode == "interpretation":
-            victim_gt = [cli._read_tuple_set(victim)]
+            victim_gt = [cli._read_tuple_set(cli._Input(victim, parse_tuple_name(victim.name), 0))]
         else:
             victim_gt = {0: page_tables_from_dict(json.loads(victim.read_text())).tables}
 

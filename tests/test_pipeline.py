@@ -226,13 +226,15 @@ def test_recognize_page_deterministic():
     assert a == b
 
 
-def _stack(rng: random.Random) -> tuple[PageLayout, list]:
-    """A ruled, a booktabs and a ruled fixture table, each page below the
-    one before, with their own lines; and the three ground-truth tables."""
+def _stack(rng: random.Random, n: int = 3) -> tuple[PageLayout, list]:
+    """``n`` fixture tables, by turns a ruled, a booktabs and a ruled one,
+    each page below the one before, with their own lines; and the ``n``
+    ground-truth tables."""
     words, seps, tables = [], [], []
     dy = lines = width = 0
-    for k, gen in enumerate((gen_bordered_page, gen_booktabs_page, gen_bordered_page)):
-        block = gen(rng, "s", 1, columns_mode="interpretation" if k == 2 else None)
+    for k in range(n):
+        gen = (gen_bordered_page, gen_booktabs_page)[k % 3 == 1]
+        block = gen(rng, "s", 1, columns_mode="interpretation" if k % 3 == 2 else None)
         words += [replace(w, box=_shifted(w.box, dy), line_id=w.line_id + lines)
                   for w in block.layout.words]
         seps += [replace(s, box=_shifted(s.box, dy)) for s in block.layout.separators]
@@ -256,6 +258,56 @@ def test_no_table_of_a_ruled_booktabs_ruled_stack_is_lost(seed, jitter):
     found = recognize_page(layout, corpus_recognizer_config()).tables
     lost = [t.source for t in want if not any(iou(t.region, f.region) >= 0.5 for f in found)]
     assert lost == []
+
+
+@pytest.mark.parametrize("n", [24, 48])
+def test_each_candidate_is_tested_only_against_the_tables_beside_it(monkeypatch, n):
+    layout, _ = _stack(random.Random(n), n)
+    calls = []
+    monkeypatch.setattr(pipeline, "overlaps", lambda a, b, real=pipeline.overlaps: (
+        calls.append(1) or real(a, b)
+    ))
+    found = recognize_page(layout, corpus_recognizer_config())
+    assert len(found.tables) == n and found.diagnostics == ()
+    # against every accepted table, the n candidates would take n(n - 1) / 2 tests
+    assert len(calls) <= 2 * n
+
+
+_REGIONS = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(0, 60), st.integers(1, 30), st.integers(1, 30)).map(
+        lambda r: _Region(r[0], r[1], r[0] + r[2], r[1] + r[3])
+    ),
+    max_size=12,
+)
+
+
+def _meet(a, b) -> bool:
+    """The boxes share positive area."""
+    return (
+        min(a.right, b.right) > max(a.left, b.left) and min(a.bottom, b.bottom) > max(a.top, b.top)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(ruled=_REGIONS, booktabs=_REGIONS)
+def test_accept_loop_keeps_and_drops_as_a_test_against_every_accepted_table(ruled, booktabs):
+    accepted, notes = [], []
+    for label, candidates in (("separator table", ruled), ("booktabs candidate", booktabs)):
+        for t in candidates:
+            clash = next((a for a in accepted if _meet(t.region, a.region)), None)
+            if clash is None:
+                accepted.append(t)
+            else:
+                notes.append(f"{label} at {t.region.as_tuple()} dropped: overlaps "
+                             f"accepted table at {clash.region.as_tuple()}")
+    layout = PageLayout(page_width=100, page_height=100, words=(), separators=())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "recognize_separator_tables", lambda layout, cfg: (ruled, []))
+        mp.setattr(pipeline, "recognize_booktabs_tables", lambda layout, cfg, r: (booktabs, []))
+        res = recognize_page(layout, CFG)
+    key = lambda t: (t.region.top, t.region.left, t.region.bottom, t.region.right)
+    assert res.tables == tuple(sorted(accepted, key=key))
+    assert res.diagnostics == tuple(notes)
 
 
 _TEXTS = st.sampled_from(["Table 1", "Table", "Compound", "IC50", "7.5", "ab", "x", ""])
