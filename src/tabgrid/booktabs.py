@@ -10,7 +10,7 @@ a threshold calibrated on the page's own word spacing.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -63,18 +63,26 @@ def _aligned(a: Separator, b: Separator, min_tol: float) -> bool:
 
 
 def find_rule_triples(
-    horizontals: list[Separator] | tuple[Separator, ...], cfg: RecognizerConfig
+    horizontals: Sequence[Separator], cfg: RecognizerConfig, ruled: Sequence[BoundingBox] = ()
 ) -> list[RuleTriple]:
     """Greedy top-down scan for aligned (top, middle, bottom) rule triples.
 
     Each two of the three rules must have left and right edges that agree
     within max(2 * separator_expand_px, 2 % of the wider rule's width).
     Rules strictly between top and middle that overlap the triple's
-    x-extent become its inner (grouping) rules.
+    x-extent become its inner (grouping) rules.  A ruling centred in a
+    ``ruled`` region grown by BORDER_CLUSTER_TOL is that table's and takes no part.
     """
     rules = sorted(horizontals, key=lambda s: (s.box.top, s.box.left, s.box.right))
     min_tol = 2 * cfg.separator_expand_px
+    centers = [s.box.center for s in rules]
+    by_y = sorted(range(len(rules)), key=lambda i: centers[i][1])
+    ys = [centers[i][1] for i in by_y]
     used = [False] * len(rules)
+    for r in ruled:
+        grown = expand(r, BORDER_CLUSTER_TOL)
+        for i in by_y[bisect_left(ys, grown.top) : bisect_left(ys, grown.bottom)]:
+            used[i] = used[i] or contains_point(grown, *centers[i])
     triples: list[RuleTriple] = []
     for ia, a in enumerate(rules):
         if used[ia]:
@@ -97,13 +105,11 @@ def find_rule_triples(
         b, c = rules[ib], rules[ic]
         used[ia] = used[ib] = used[ic] = True
         hull = union_box([a.box, b.box, c.box])
-        top_y, mid_y = a.box.center[1], b.box.center[1]
+        band = by_y[bisect_right(ys, centers[ia][1]) : bisect_left(ys, centers[ib][1])]
         inner = []
-        for ii, r in enumerate(rules):
-            if used[ii]:
-                continue
-            y = r.box.center[1]
-            if top_y < y < mid_y and r.box.left < hull.right and hull.left < r.box.right:
+        for ii in sorted(band):  # in top order, which the stable sort below keeps on ties
+            r = rules[ii]
+            if not used[ii] and r.box.left < hull.right and hull.left < r.box.right:
                 inner.append(r)
                 used[ii] = True
         inner.sort(key=lambda s: (s.box.top, s.box.left))
@@ -263,34 +269,18 @@ def _booktabs_table(
     return build_booktabs_grid(triple, levels, body_borders, col_borders, labeled, table_words)
 
 
-def _free_rulings(horizontals: list[Separator], ruled: Sequence[BoundingBox]) -> list[Separator]:
-    """The rulings whose centre lies in no ruled region grown by
-    BORDER_CLUSTER_TOL; a ruling in one belongs to that ruled table."""
-    centers = [s.box.center for s in horizontals]
-    by_y = sorted(range(len(horizontals)), key=lambda i: centers[i][1])
-    ys = [centers[i][1] for i in by_y]
-    owned = set()
-    for r in ruled:
-        grown = expand(r, BORDER_CLUSTER_TOL)
-        for i in by_y[bisect_left(ys, grown.top) : bisect_left(ys, grown.bottom)]:
-            if contains_point(grown, *centers[i]):
-                owned.add(i)
-    return [s for i, s in enumerate(horizontals) if i not in owned]
-
-
 def recognize_booktabs_tables(
     layout: PageLayout, cfg: RecognizerConfig, ruled: Sequence[BoundingBox] = ()
 ) -> tuple[list[RecognizedTable], list[str]]:
     """Booktabs tables and why each other rule triple was dropped.  The
     horizontal rulings of the ``ruled`` regions are not scanned."""
-    horizontals = _free_rulings(
-        [s for s in layout.separators if s.orientation is SeparatorOrientation.HORIZONTAL],
-        ruled,
-    )
+    horizontals = [
+        s for s in layout.separators if s.orientation is SeparatorOrientation.HORIZONTAL
+    ]
     index = layout.word_index
     tables: list[RecognizedTable] = []
     diagnostics: list[str] = []
-    for triple in find_rule_triples(horizontals, cfg):
+    for triple in find_rule_triples(horizontals, cfg, ruled):
         region = triple.region
         labeled = has_table_label(index, region, cfg)
         if cfg.require_labels_booktabs and not labeled:

@@ -116,43 +116,34 @@ class TableMatch:
 
 
 def _greedy_iou_pairs(
-    gt_boxes: list[Box], pred_boxes: list[Box], thresholds: tuple[float, ...]
-) -> list[list[tuple[int, int]]]:
-    """One greedy one-to-one pairing per threshold, by descending IoU (ties
-    by index), all taken from a single IoU matrix."""
+    gt_boxes: list[Box], pred_boxes: list[Box], floor: float
+) -> list[tuple[int, int, float]]:
+    """``(i, j, iou)`` of the greedy one-to-one pairing by descending IoU (ties
+    by index) of the pairs with IoU >= floor.  The pairing at a higher threshold
+    t runs on a prefix of the same candidates, so it is the pairs with iou >= t."""
     matrix = iou_matrix(gt_boxes, pred_boxes)
-    floor = min(thresholds)
     candidates = sorted(
         (-x, i, j) for i, row in enumerate(matrix) for j, x in enumerate(row) if x >= floor
     )
-    out = []
-    for threshold in thresholds:
-        used_gt: set[int] = set()
-        used_pred: set[int] = set()
-        pairs = []
-        for neg_iou, i, j in candidates:
-            if -neg_iou < threshold:
-                break
-            if i in used_gt or j in used_pred:
-                continue
+    used_gt, used_pred, pairs = set(), set(), []
+    for neg_iou, i, j in candidates:
+        if i not in used_gt and j not in used_pred:
             used_gt.add(i)
             used_pred.add(j)
-            pairs.append((i, j))
-        out.append(pairs)
-    return out
+            pairs.append((i, j, -neg_iou))
+    return pairs
 
 
 def match_tables(
     gt: list[RecognizedTable], pred: list[RecognizedTable], iou_min: float
 ) -> TableMatch:
     """Greedy one-to-one region matching by descending IoU (ties by index)."""
-    [pairs] = _greedy_iou_pairs(
-        [t.region.as_tuple() for t in gt], [t.region.as_tuple() for t in pred], (iou_min,)
-    )
+    boxes = [[t.region.as_tuple() for t in side] for side in (gt, pred)]
+    pairs = tuple(sorted((i, j) for i, j, _ in _greedy_iou_pairs(*boxes, iou_min)))
     used_gt = {i for i, _ in pairs}
     used_pred = {j for _, j in pairs}
     return TableMatch(
-        pairs=tuple(sorted(pairs)),
+        pairs=pairs,
         unmatched_gt=tuple(i for i in range(len(gt)) if i not in used_gt),
         unmatched_pred=tuple(j for j in range(len(pred)) if j not in used_pred),
     )
@@ -259,17 +250,12 @@ def corpus_average(per_document: list[PRF]) -> MacroPRF:
 def cell_f1_at_iou(
     gt_table: RecognizedTable, pred_table: RecognizedTable, thresholds: tuple[float, ...]
 ) -> dict[float, PRF]:
-    """Greedy one-to-one cell box matching at each IoU threshold."""
-    all_pairs = _greedy_iou_pairs(
-        [c.box.as_tuple() for c in gt_table.cells],
-        [c.box.as_tuple() for c in pred_table.cells],
-        thresholds,
-    )
-    n_gt, n_pred = len(gt_table.cells), len(pred_table.cells)
-    return {
-        t: PRF(tp=len(pairs), fp=n_pred - len(pairs), fn=n_gt - len(pairs))
-        for t, pairs in zip(thresholds, all_pairs)
-    }
+    """Greedy one-to-one cell box matching at each IoU threshold, from one pass."""
+    boxes = [[c.box.as_tuple() for c in t.cells] for t in (gt_table, pred_table)]
+    ious = [iou for _, _, iou in _greedy_iou_pairs(*boxes, min(thresholds))]
+    n_gt, n_pred = map(len, boxes)
+    tps = {t: sum(iou >= t for iou in ious) for t in thresholds}
+    return {t: PRF(tp=tp, fp=n_pred - tp, fn=n_gt - tp) for t, tp in tps.items()}
 
 
 def wavg_f1(f1_by_threshold: dict[float, float]) -> float:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from tabgrid.booktabs import (
     HeaderLevel,
     RuleTriple,
+    _aligned,
     build_booktabs_grid,
     compute_column_threshold,
     find_rule_triples,
@@ -18,8 +19,9 @@ from tabgrid.booktabs import (
 from tabgrid.dsu import UnionFind
 from tabgrid.errors import DegenerateGrid, EmptyBody, InsufficientContext
 from tabgrid.fixtures import gen_booktabs_page
-from tabgrid.geometry import box
+from tabgrid.geometry import box, contains_point, expand, union_box
 from tabgrid.model import PageLayout, RecognizerConfig, Separator, SeparatorOrientation, Word
+from tabgrid.separator import BORDER_CLUSTER_TOL
 
 
 def h_rule(x0, y, x1):
@@ -119,6 +121,85 @@ def test_rulings_whose_centre_a_ruled_region_holds_are_not_scanned(ruled, scanne
     assert recognize_booktabs_tables(page, CFG) == ([], [diagnostic])
     want = [diagnostic] if scanned else []
     assert recognize_booktabs_tables(page, CFG, [box(*ruled)]) == ([], want)
+
+
+def _reference_triples(horizontals, cfg, ruled):
+    """The scan without a shared index: the rulings centred in a grown ruled
+    region filtered out first, then every ruling tested for each triple's
+    inner rules."""
+    grown = [expand(r, BORDER_CLUSTER_TOL) for r in ruled]
+    free = [s for s in horizontals if not any(contains_point(g, *s.box.center) for g in grown)]
+    rules = sorted(free, key=lambda s: (s.box.top, s.box.left, s.box.right))
+    tol = 2 * cfg.separator_expand_px
+    used = [False] * len(rules)
+    triples = []
+    for ia, a in enumerate(rules):
+        if used[ia]:
+            continue
+        picked = next(
+            (
+                (ib, ic)
+                for ib in range(ia + 1, len(rules))
+                if not used[ib] and _aligned(a, rules[ib], tol)
+                for ic in range(ib + 1, len(rules))
+                if not used[ic]
+                and _aligned(a, rules[ic], tol)
+                and _aligned(rules[ib], rules[ic], tol)
+            ),
+            None,
+        )
+        if picked is None:
+            continue
+        b, c = rules[picked[0]], rules[picked[1]]
+        used[ia] = used[picked[0]] = used[picked[1]] = True
+        hull = union_box([a.box, b.box, c.box])
+        inner = []
+        for ii, r in enumerate(rules):
+            y = r.box.center[1]
+            if not used[ii] and a.box.center[1] < y < b.box.center[1] and (
+                r.box.left < hull.right and hull.left < r.box.right
+            ):
+                inner.append(r)
+                used[ii] = True
+        inner.sort(key=lambda s: (s.box.top, s.box.left))
+        triples.append(RuleTriple(top=a, middle=b, bottom=c, inner_rules=tuple(inner)))
+    return triples
+
+
+@st.composite
+def thick_rulings(draw) -> list[Separator]:
+    """Thick rulings on few tops and edges, some in pairs that share their
+    top and left edge but not their height or right edge, so that centre
+    order differs from top order and rulings tie on top, edges and centre."""
+    rules = []
+    for _ in range(draw(st.integers(0, 10))):
+        left, top = draw(st.sampled_from([0, 6, 30, 100])), draw(st.integers(0, 40))
+        for _ in range(draw(st.integers(1, 2))):
+            right, height = draw(st.sampled_from([120, 124, 200, 400])), draw(st.integers(1, 20))
+            rules.append(Separator(box=box(left, top, right, top + height),
+                                   orientation=SeparatorOrientation.HORIZONTAL))
+    return draw(st.permutations(rules))
+
+
+_RULED = st.lists(
+    st.builds(
+        lambda l, t, w, h: box(l, t, l + w, t + h),
+        st.integers(-5, 300), st.integers(-5, 60), st.integers(1, 400), st.integers(1, 30),
+    ),
+    max_size=3,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    rules=thick_rulings(),
+    ruled=_RULED,
+    cfg=st.sampled_from([CFG, RecognizerConfig(separator_expand_px=1)]),
+)
+def test_rule_triples_equal_a_scan_of_every_free_ruling(rules, ruled, cfg):
+    assert find_rule_triples(rules, cfg, ruled) == _reference_triples(rules, cfg, ruled)
+    if not ruled:
+        assert find_rule_triples(rules, cfg) == _reference_triples(rules, cfg, ())
 
 
 def test_inner_rules_cluster_into_levels():

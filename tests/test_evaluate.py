@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tabgrid.errors import DuplicateKey, EmptyCorpus
 from tabgrid.evaluate import (
     PRF,
+    TableMatch,
     adjacency_relations,
     cell_f1_at_iou,
     cell_score,
@@ -22,6 +23,7 @@ from tabgrid.evaluate import (
 from tabgrid.fixtures import gen_bordered_page
 from tabgrid.geometry import box
 from tabgrid.interpret import RowTuple, TupleSet
+from tabgrid.kernels import iou_matrix
 from tabgrid.model import Cell, RecognizedTable, TableSource
 
 
@@ -299,6 +301,61 @@ def test_cell_score_pools_pages_and_counts_unpaired_cells_at_every_threshold():
 
 def test_cell_score_without_pages_is_empty_counts():
     assert cell_score({}, {}, 0.5, (0.6, 0.7)) == {0.6: PRF(), 0.7: PRF()}
+
+
+def _pairs_at(gt_boxes, pred_boxes, t):
+    """The greedy one-to-one pairing by descending IoU (ties by index) run
+    at threshold t alone."""
+    matrix = iou_matrix([b.as_tuple() for b in gt_boxes], [b.as_tuple() for b in pred_boxes])
+    used_gt, used_pred, pairs = set(), set(), []
+    for _, i, j in sorted(
+        (-x, i, j) for i, row in enumerate(matrix) for j, x in enumerate(row) if x >= t
+    ):
+        if i not in used_gt and j not in used_pred:
+            used_gt.add(i)
+            used_pred.add(j)
+            pairs.append((i, j))
+    return sorted(pairs)
+
+
+# boxes of a few pixels, so that IoUs often equal a threshold exactly
+_TINY_BOXES = st.lists(
+    st.builds(
+        lambda l, t, w, h: box(l, t, l + w, t + h),
+        st.integers(0, 3), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3),
+    ),
+    max_size=6,
+)
+
+
+def _table(region, cell_boxes=()):
+    return RecognizedTable(
+        region=region, n_rows=1, n_cols=1, labeled=True, source=TableSource.SEPARATOR,
+        cells=tuple(_cell(b, 0, 0, 0, 0, "x") for b in cell_boxes),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gt=_TINY_BOXES,
+    pred=_TINY_BOXES,
+    thresholds=st.lists(
+        st.sampled_from([0.25, 0.5, 0.6, 0.75, 1.0]), min_size=1, max_size=4, unique=True
+    ),
+)
+def test_one_greedy_pass_scores_as_a_pass_per_threshold(gt, pred, thresholds):
+    page = box(0, 0, 10, 10)
+    by_t = cell_f1_at_iou(_table(page, gt), _table(page, pred), tuple(thresholds))
+    assert list(by_t) == thresholds
+    for t in thresholds:
+        pairs = _pairs_at(gt, pred, t)
+        assert by_t[t] == PRF(tp=len(pairs), fp=len(pred) - len(pairs), fn=len(gt) - len(pairs))
+        tables = [[_table(b) for b in side] for side in (gt, pred)]
+        assert match_tables(*tables, t) == TableMatch(
+            pairs=tuple(pairs),
+            unmatched_gt=tuple(i for i in range(len(gt)) if i not in {i for i, _ in pairs}),
+            unmatched_pred=tuple(j for j in range(len(pred)) if j not in {j for _, j in pairs}),
+        )
 
 
 # Tables on a coarse grid of origins and sizes, so that tables pair, pair

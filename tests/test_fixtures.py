@@ -11,7 +11,7 @@ import pytest
 
 from tabgrid.cli import main
 from tabgrid.errors import ConfigError
-from tabgrid.evaluate import recognition_score
+from tabgrid.evaluate import PRF, cell_score, interpretation_score, recognition_score
 from tabgrid.fixtures import (
     MergeSpec,
     build_corpus,
@@ -22,8 +22,14 @@ from tabgrid.fixtures import (
     generate_pages,
     shift_separators,
 )
-from tabgrid.interpret import header_row_count_for
-from tabgrid.model import RecognizerConfig, cell_grid, grid_is_tiled
+from tabgrid.interpret import header_row_count_for, interpret_table
+from tabgrid.model import (
+    RecognizerConfig,
+    cell_grid,
+    grid_is_tiled,
+    page_layout_from_dict,
+    page_layout_to_dict,
+)
 from tabgrid.pipeline import PageOrientation, recognize_page
 
 
@@ -446,3 +452,40 @@ def test_chain_bytes_without_line_ids_are_pinned(tmp_path):
     ) + reports
     assert len(files) == 22
     assert _pinned_digest(tmp_path, files) == PINNED_NO_LINE_ID_CHAIN_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# scores on jittered pages
+
+# 100 pages of seed 7 in the 2:2:1 mix of the CI's 500-page seed-7 spec; the
+# first 100 pages of that spec are all ruled and hold no tuple set
+JITTER_SPEC = _spec(
+    seed=7,
+    random={"bordered": {"count": 40}, "booktabs": {"count": 40}, "interpretation": {"count": 20}},
+)
+
+
+def test_scores_of_jittered_pages_are_pinned():
+    """Rulings moved by 0, 3, 5, 8 or 20 px lose tables and cells; a
+    recognizer that finds or loses one more changes these counts."""
+    rng = random.Random(3)
+    cfg, meanings = corpus_recognizer_config(), default_meanings()
+    recognition, gt_pages, pred_pages, gt_sets, pred_sets = PRF(), {}, {}, [], []
+    for page in sorted(generate_pages(JITTER_SPEC), key=lambda p: (p.file_id, p.page_nr)):
+        layout = shift_separators(page.layout, rng, rng.choice([0, 3, 5, 8, 20]))
+        # through the reader, as recognize reads it: it clips what left the page
+        layout = page_layout_from_dict(page_layout_to_dict(layout))
+        key = (page.file_id, page.page_nr)
+        gt_pages[key], pred_pages[key] = page.gt.tables, list(recognize_page(layout, cfg).tables)
+        recognition += recognition_score(gt_pages[key], pred_pages[key])
+        gt_sets += page.tuple_sets
+        tuple_sets = (interpret_table(t, meanings, *key, i) for i, t in enumerate(pred_pages[key]))
+        pred_sets += [ts for ts in tuple_sets if ts.tuples]
+    assert recognition == PRF(tp=3189, fp=19, fn=495)
+    assert cell_score(gt_pages, pred_pages, 0.5, (0.6, 0.7, 0.8, 0.9)) == {
+        0.6: PRF(tp=2029, fp=144, fn=460),
+        0.7: PRF(tp=1874, fp=299, fn=615),
+        0.8: PRF(tp=1636, fp=537, fn=853),
+        0.9: PRF(tp=1186, fp=987, fn=1303),
+    }
+    assert interpretation_score(gt_sets, pred_sets) == PRF(tp=83, fp=0, fn=9)

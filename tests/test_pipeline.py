@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tabgrid.errors import TabgridError
@@ -23,10 +23,12 @@ from tabgrid.model import (
     Word,
     grid_is_tiled,
     page_layout_from_dict,
+    page_layout_to_dict,
 )
 from tabgrid import pipeline
 from tabgrid.pipeline import (
     PageOrientation,
+    PageResult,
     recognize_page,
     transpose_layout,
     transpose_table,
@@ -74,22 +76,6 @@ def test_transpose_table_keeps_grid_indices():
         assert b.box.as_tuple() == (a.box.top, a.box.left, a.box.bottom, a.box.right)
         assert a.content == b.content
     assert transpose_table(tt) == t
-
-
-def test_vertical_page_equals_standard_on_transposed_layout():
-    rng = random.Random(6)
-    for _ in range(10):
-        page = gen_booktabs_page(rng, "p", 1) if rng.random() < 0.5 else gen_bordered_page(rng, "p", 1)
-        rotated = transpose_layout(page.layout)
-        vres = recognize_page(rotated, CFG, PageOrientation.VERTICAL)
-        sres = recognize_page(page.layout, CFG, PageOrientation.STANDARD)
-        assert len(vres.tables) == len(sres.tables) == 1
-        # vertical recognition reports boxes in the rotated frame but the
-        # same reading-order grid
-        v, s = vres.tables[0], sres.tables[0]
-        assert transpose_table(v).region == s.region
-        assert (v.n_rows, v.n_cols) == (s.n_rows, s.n_cols)
-        assert [c.content for c in v.cells] == [c.content for c in s.cells]
 
 
 def test_separator_table_suppresses_overlapping_booktabs_candidate():
@@ -168,8 +154,8 @@ def test_two_tables_on_one_page_sorted_reading_order():
     assert got == want
 
 
-def _shifted(b, dy):
-    return box(b.left, b.top + dy, b.right, b.bottom + dy)
+def _shifted(b, dy, dx=0):
+    return box(b.left + dx, b.top + dy, b.right + dx, b.bottom + dy)
 
 
 def test_three_ruled_and_three_booktabs_tables_on_one_page_each_recovered_exactly():
@@ -226,22 +212,23 @@ def test_recognize_page_deterministic():
     assert a == b
 
 
-def _stack(rng: random.Random, n: int = 3) -> tuple[PageLayout, list]:
+def _stack(rng: random.Random, n: int = 3, dx: int = 0) -> tuple[PageLayout, list]:
     """``n`` fixture tables, by turns a ruled, a booktabs and a ruled one,
-    each page below the one before, with their own lines; and the ``n``
-    ground-truth tables."""
+    each page below the one before and ``dx`` px left of it, with their own
+    lines; and the ``n`` ground-truth tables."""
     words, seps, tables = [], [], []
     dy = lines = width = 0
     for k in range(n):
         gen = (gen_bordered_page, gen_booktabs_page)[k % 3 == 1]
         block = gen(rng, "s", 1, columns_mode="interpretation" if k % 3 == 2 else None)
-        words += [replace(w, box=_shifted(w.box, dy), line_id=w.line_id + lines)
+        x = dx * (n - 1 - k)
+        words += [replace(w, box=_shifted(w.box, dy, x), line_id=w.line_id + lines)
                   for w in block.layout.words]
-        seps += [replace(s, box=_shifted(s.box, dy)) for s in block.layout.separators]
-        tables += [replace(t, region=_shifted(t.region, dy)) for t in block.gt.tables]
+        seps += [replace(s, box=_shifted(s.box, dy, x)) for s in block.layout.separators]
+        tables += [replace(t, region=_shifted(t.region, dy, x)) for t in block.gt.tables]
         lines += 1 + max(w.line_id for w in block.layout.words)
         dy += block.layout.page_height
-        width = max(width, block.layout.page_width)
+        width = max(width, x + block.layout.page_width)
     return PageLayout(width, dy, tuple(words), tuple(seps)), tables
 
 
@@ -315,28 +302,33 @@ _TEXTS = st.sampled_from(["Table 1", "Table", "Compound", "IC50", "7.5", "ab", "
 
 @st.composite
 def layout_dicts(draw) -> dict:
-    """Layout JSON of words and rulings on a few shared grid lines, so that
-    rulings meet and form tables; some boxes run past the page edge."""
-    width, height = draw(st.integers(40, 300)), draw(st.integers(40, 300))
-    xs = draw(st.lists(st.integers(-10, width + 10), min_size=1, max_size=6))
-    ys = draw(st.lists(st.integers(-10, height + 10), min_size=1, max_size=6))
-    words = []
-    for _ in range(draw(st.integers(0, 25))):
-        left, top = draw(st.integers(-5, width)), draw(st.integers(-5, height))
-        word = {"box": [left, top, left + draw(st.integers(1, 40)), top + draw(st.integers(1, 12))],
-                "text": draw(_TEXTS)}
-        if draw(st.booleans()):
-            word["line_id"] = draw(st.integers(0, 8))
-        words.append(word)
-    separators = []
-    for _ in range(draw(st.integers(0, 12))):
-        if draw(st.booleans()):
-            x0, x1, y = sorted(draw(st.sampled_from(xs)) for _ in "ab") + [draw(st.sampled_from(ys))]
-            separators.append({"box": [x0, y, x1 + 2, y + 1], "orientation": "h"})
-        else:
-            y0, y1, x = sorted(draw(st.sampled_from(ys)) for _ in "ab") + [draw(st.sampled_from(xs))]
-            separators.append({"box": [x, y0, x + 1, y1 + 2], "orientation": "v"})
-    return {"page_width": width, "page_height": height, "words": words,
+    """Layout JSON of one to three blocks stacked top to bottom, each of
+    words and rulings on a few shared grid lines of its own, so that rulings
+    meet and form tables; some boxes run past their block or the page edge."""
+    width = draw(st.integers(40, 300))
+    words, separators, top = [], [], 0
+    for k in range(draw(st.integers(1, 3))):
+        height = draw(st.integers(40, 300))
+        xs = draw(st.lists(st.integers(-10, width + 10), min_size=1, max_size=6))
+        ys = draw(st.lists(st.integers(top - 10, top + height + 10), min_size=1, max_size=6))
+        for _ in range(draw(st.integers(0, 25))):
+            left, y = draw(st.integers(-5, width)), top + draw(st.integers(-5, height))
+            right, bottom = left + draw(st.integers(1, 40)), y + draw(st.integers(1, 12))
+            word = {"box": [left, y, right, bottom], "text": draw(_TEXTS)}
+            if draw(st.booleans()):
+                word["line_id"] = 9 * k + draw(st.integers(0, 8))
+            words.append(word)
+        for _ in range(draw(st.integers(0, 12))):
+            if draw(st.booleans()):
+                x0, x1 = sorted(draw(st.sampled_from(xs)) for _ in "ab")
+                y = draw(st.sampled_from(ys))
+                separators.append({"box": [x0, y, x1 + 2, y + 1], "orientation": "h"})
+            else:
+                y0, y1 = sorted(draw(st.sampled_from(ys)) for _ in "ab")
+                x = draw(st.sampled_from(xs))
+                separators.append({"box": [x, y0, x + 1, y1 + 2], "orientation": "v"})
+        top += height
+    return {"page_width": width, "page_height": top, "words": words,
             "separators": separators}
 
 
@@ -355,3 +347,31 @@ def test_random_layouts_give_tiled_tables_the_same_way_twice_or_a_tabgrid_error(
                 continue
             assert runs[0] == runs[1]
             assert all(grid_is_tiled(t) for t in runs[0].tables)
+
+
+def _outcome(layout, cfg, orientation):
+    try:
+        return recognize_page(layout, cfg, orientation)
+    except TabgridError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=layout_dicts())
+@example(doc=page_layout_to_dict(gen_booktabs_page(random.Random(6), "p", 1).layout))
+@example(doc=page_layout_to_dict(_stack(random.Random(6), dx=300)[0]))
+def test_vertical_page_equals_standard_on_transposed_layout(doc):
+    layout = page_layout_from_dict(doc)
+    for cfg in CONFIGS:
+        sres = _outcome(layout, cfg, PageOrientation.STANDARD)
+        vres = _outcome(transpose_layout(layout), cfg, PageOrientation.VERTICAL)
+        if not isinstance(sres, PageResult):
+            assert vres == sres
+            continue
+        # the same tables with their boxes transposed back and their grid
+        # indices in reading orientation, in the standard result's order,
+        # which is (left, top) order on the vertical page
+        assert vres.tables == tuple(transpose_table(t) for t in sres.tables)
+        assert vres.diagnostics == sres.diagnostics
+        key = lambda t: (t.region.left, t.region.top, t.region.right, t.region.bottom)
+        assert list(vres.tables) == sorted(vres.tables, key=key)
