@@ -45,13 +45,15 @@ from .evaluate import (
     wavg_f1,
 )
 from .fields import load
-from .interpret import TupleSet, interpret_table, load_meanings
+from .interpret import interpret_table, load_meanings
 from .model import (
+    PageOrientation,
     RecognizerConfig,
+    TupleSet,
     load_recognizer_config,
     page_layout_from_dict,
 )
-from .pipeline import PageOrientation, recognize_page
+from .pipeline import recognize_page
 
 _INPUT_ERRORS = (TabgridError, json.JSONDecodeError, UnicodeDecodeError, OSError)
 

@@ -17,11 +17,16 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import LayoutError
+from .errors import ConfigError, LayoutError
 from .fields import expect, one_of
-from .interpret import TupleSet, tuple_set_from_dict, tuple_set_to_dict
-from .model import RecognizedTable, recognized_table_from_dict, recognized_table_to_dict
-from .pipeline import PageOrientation
+from .model import (
+    PageOrientation,
+    RecognizedTable,
+    RowTuple,
+    TupleSet,
+    recognized_table_from_dict,
+    recognized_table_to_dict,
+)
 
 _LAYOUT_RE = re.compile(r"^(?P<fid>.+)_page(?P<page>\d+)\.json$")
 _TUPLE_RE = re.compile(r"^(?P<fid>.+)_page(?P<page>\d+)_table(?P<idx>\d+)\.json$")
@@ -67,7 +72,7 @@ class PageTables:
     file_id: str
     page_nr: int
     tables: list[RecognizedTable] = field(default_factory=list)
-    orientation: str = "standard"
+    orientation: str = PageOrientation.STANDARD.value
     diagnostics: list[str] = field(default_factory=list)
     # parallel to tables; fixture ground truth marks tables a
     # label-requiring configuration is expected to skip
@@ -110,7 +115,8 @@ def page_tables_from_dict(d: dict) -> PageTables:
             page_nr=expect(d["page_nr"], "page_nr", "integer"),
             tables=tables,
             orientation=one_of(
-                expect(d.get("orientation", "standard"), "orientation", "string"),
+                expect(d.get("orientation", PageOrientation.STANDARD.value), "orientation",
+                       "string"),
                 "orientation", _ORIENTATIONS,
             ),
             diagnostics=[
@@ -120,6 +126,42 @@ def page_tables_from_dict(d: dict) -> PageTables:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise LayoutError(f"bad page tables entry: {exc}") from exc
+
+
+def tuple_set_to_dict(ts: TupleSet) -> dict:
+    return {
+        "file_id": ts.file_id,
+        "page_nr": ts.page_nr,
+        "table_idx": ts.table_idx,
+        "tuples": [{"row": t.row, "values": dict(t.values)} for t in ts.tuples],
+    }
+
+
+def tuple_set_from_dict(d: dict) -> TupleSet:
+    if not isinstance(d, dict):
+        raise ConfigError("tuple set JSON must be an object")
+    try:
+        tuples = []
+        for i, t in enumerate(expect(d.get("tuples", []), "tuples", "list")):
+            if type(t) is not dict:
+                expect(t, f"tuples[{i}]", "object")
+            row, values = t["row"], t["values"]
+            if type(row) is not int or type(values) is not dict:
+                expect(row, f"tuples[{i}].row", "integer")
+                expect(values, f"tuples[{i}].values", "object")
+            for k, v in values.items():
+                if type(k) is not str or type(v) is not str:
+                    expect(k, f"tuples[{i}].values key", "string")
+                    expect(v, f"tuples[{i}].values[{k!r}]", "string")
+            tuples.append(RowTuple(row=row, values=values))
+        return TupleSet(
+            file_id=expect(d["file_id"], "file_id", "string"),
+            page_nr=expect(d["page_nr"], "page_nr", "integer"),
+            table_idx=expect(d["table_idx"], "table_idx", "integer"),
+            tuples=tuples,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad tuple set entry: {exc}") from exc
 
 
 def write_tuple_set(out_dir: Path, ts: TupleSet) -> Path:

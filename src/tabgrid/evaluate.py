@@ -17,10 +17,9 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 
 from .errors import DuplicateKey, EmptyCorpus
-from .interpret import TupleSet
 from .kernels import Box, iou_matrix
 from .matching import WeightedBipartiteGraph, max_weight_matching
-from .model import RecognizedTable
+from .model import RecognizedTable, TupleSet
 
 
 @dataclass(frozen=True)

@@ -29,21 +29,17 @@ from .corpusio import (
     write_tuple_set,
 )
 from .geometry import BoundingBox
-from .interpret import (
-    DataType,
-    MeaningConfig,
-    RowTuple,
-    TupleSet,
-    header_row_count_for,
-    meaning_to_dict,
-)
+from .interpret import DataType, MeaningConfig, header_row_count_for, meaning_to_dict
 from .model import (
     PageLayout,
+    PageOrientation,
     RecognizedTable,
     RecognizerConfig,
+    RowTuple,
     Separator,
     SeparatorOrientation,
     TableSource,
+    TupleSet,
     Word,
     assign_words_to_cells,
     page_layout_to_dict,
@@ -544,9 +540,8 @@ def shift_separators(layout: PageLayout, rng: random.Random, magnitude: int) -> 
 
 
 def _transpose_fixture(page: FixturePage) -> FixturePage:
-    gt = replace(
-        page.gt, tables=[transpose_table(t) for t in page.gt.tables], orientation="vertical"
-    )
+    tables = [transpose_table(t) for t in page.gt.tables]
+    gt = replace(page.gt, tables=tables, orientation=PageOrientation.VERTICAL.value)
     return replace(page, layout=transpose_layout(page.layout), gt=gt)
 
 
@@ -564,7 +559,9 @@ def _page_from_spec(rng: random.Random, entry: object, where: str) -> FixturePag
         raise FieldError(must_be(f"{where}.file_id", "a non-empty string", file_id))
     page_nr = expect(entry.get("page_nr"), f"{where}.page_nr", "integer", 0)
     orientation = one_of(
-        entry.get("orientation", "standard"), f"{where}.orientation", ("standard", "vertical")
+        entry.get("orientation", PageOrientation.STANDARD.value),
+        f"{where}.orientation",
+        tuple(o.value for o in PageOrientation),
     )
     rows, cols = entry.get("rows"), entry.get("cols")
     interpretation = expect(
@@ -597,7 +594,7 @@ def _page_from_spec(rng: random.Random, entry: object, where: str) -> FixturePag
                 level = expect(level, f"{at}[{i}]", "list")
                 levels.append([_cmidrule(r, f"{at}[{i}][{j}]") for j, r in enumerate(level)])
         page = gen_booktabs_page(rng, file_id, page_nr, cmidrule_levels=levels, **common)
-    if orientation == "vertical":
+    if orientation == PageOrientation.VERTICAL.value:
         page = _transpose_fixture(page)
     return page
 

@@ -16,14 +16,14 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, InvalidPattern
 from .fields import FieldError, expect, keywords, known, load, must_be, one_of
 from .kernels import levenshtein_codes
 from .matching import Matching, WeightedBipartiteGraph, max_weight_matching
-from .model import RecognizedTable, TableSource
+from .model import RecognizedTable, RowTuple, TableSource, TupleSet
 
 
 class DataType(enum.Enum):
@@ -81,20 +81,6 @@ class AffinityScores:
     title_regex: float
     title_keyword: float
     combined: float
-
-
-@dataclass
-class RowTuple:
-    row: int
-    values: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass
-class TupleSet:
-    file_id: str
-    page_nr: int
-    table_idx: int
-    tuples: list[RowTuple] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -324,38 +310,3 @@ def meaning_to_dict(m: MeaningConfig) -> dict:
             out[key] = v.value if isinstance(v, DataType) else list(v) if type(v) is tuple else v
     return out
 
-
-def tuple_set_to_dict(ts: TupleSet) -> dict:
-    return {
-        "file_id": ts.file_id,
-        "page_nr": ts.page_nr,
-        "table_idx": ts.table_idx,
-        "tuples": [{"row": t.row, "values": dict(t.values)} for t in ts.tuples],
-    }
-
-
-def tuple_set_from_dict(d: dict) -> TupleSet:
-    if not isinstance(d, dict):
-        raise ConfigError("tuple set JSON must be an object")
-    try:
-        tuples = []
-        for i, t in enumerate(expect(d.get("tuples", []), "tuples", "list")):
-            if type(t) is not dict:
-                expect(t, f"tuples[{i}]", "object")
-            row, values = t["row"], t["values"]
-            if type(row) is not int or type(values) is not dict:
-                expect(row, f"tuples[{i}].row", "integer")
-                expect(values, f"tuples[{i}].values", "object")
-            for k, v in values.items():
-                if type(k) is not str or type(v) is not str:
-                    expect(k, f"tuples[{i}].values key", "string")
-                    expect(v, f"tuples[{i}].values[{k!r}]", "string")
-            tuples.append(RowTuple(row=row, values=values))
-        return TupleSet(
-            file_id=expect(d["file_id"], "file_id", "string"),
-            page_nr=expect(d["page_nr"], "page_nr", "integer"),
-            table_idx=expect(d["table_idx"], "table_idx", "integer"),
-            tuples=tuples,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad tuple set entry: {exc}") from exc

@@ -1,4 +1,5 @@
-"""Core data model: pages, words, separators, cells, recognized tables.
+"""Core data model: pages, words, separators, cells, recognized tables,
+tuple sets.
 
 All geometry is integer pixels with exclusive right/bottom edges.  JSON
 ingestion clamps every box to the page rectangle, strips control
@@ -12,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
 from typing import NoReturn
@@ -142,6 +143,11 @@ class TableSource(enum.Enum):
     BOOKTABS = "booktabs"
 
 
+class PageOrientation(enum.Enum):
+    STANDARD = "standard"
+    VERTICAL = "vertical"
+
+
 @dataclass(frozen=True)
 class Cell:
     box: BoundingBox
@@ -254,6 +260,20 @@ def assign_words_to_cells(
         )
         for (rs, re_, cs, ce), ws in zip(spans, mine)
     ]
+
+
+@dataclass
+class RowTuple:
+    row: int
+    values: dict[str, str] = field(default_factory=dict)
+
+
+@dataclass
+class TupleSet:
+    file_id: str
+    page_nr: int
+    table_idx: int
+    tuples: list[RowTuple] = field(default_factory=list)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ transposed back; grid indices stay in reading orientation.
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
 
@@ -17,17 +16,13 @@ from .booktabs import recognize_booktabs_tables
 from .geometry import overlaps, transpose_box
 from .model import (
     PageLayout,
+    PageOrientation,
     RecognizedTable,
     RecognizerConfig,
     transpose_separator,
     transpose_word,
 )
 from .separator import recognize_separator_tables
-
-
-class PageOrientation(enum.Enum):
-    STANDARD = "standard"
-    VERTICAL = "vertical"
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,17 @@ import re
 from pathlib import Path
 
 from tabgrid.cli import main
-from tabgrid.corpusio import dump_json, page_tables_from_dict, page_tables_to_dict
+from tabgrid.corpusio import (
+    dump_json,
+    page_tables_from_dict,
+    page_tables_to_dict,
+    tuple_set_from_dict,
+    tuple_set_to_dict,
+)
 from tabgrid.fixtures import generate_pages
 from tabgrid.interpret import (
     meaning_to_dict,
     meanings_from_json,
-    tuple_set_from_dict,
-    tuple_set_to_dict,
 )
 from tabgrid.model import (
     page_layout_from_dict,

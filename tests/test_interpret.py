@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tabgrid.corpusio import tuple_set_from_dict, tuple_set_to_dict
 from tabgrid.errors import ConfigError, InvalidPattern
 from tabgrid.fixtures import default_meanings, gen_booktabs_page, gen_bordered_page
 from tabgrid.geometry import box
@@ -21,8 +22,6 @@ from tabgrid.interpret import (
     meanings_from_json,
     regex_score,
     title_keyword_score,
-    tuple_set_from_dict,
-    tuple_set_to_dict,
 )
 from tabgrid.model import Cell, RecognizedTable, TableSource
 
