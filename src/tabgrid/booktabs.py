@@ -10,6 +10,7 @@ a threshold calibrated on the page's own word spacing.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -83,15 +84,26 @@ def find_rule_triples(
         grown = expand(r, BORDER_CLUSTER_TOL)
         for i in by_y[bisect_left(ys, grown.top) : bisect_left(ys, grown.bottom)]:
             used[i] = used[i] or contains_point(grown, *centers[i])
+    # a rule aligned with a has its left edge within reach of a's, so near[a's
+    # bucket of left edges]: the free rules of that bucket and the two beside it
+    free = [i for i, u in enumerate(used) if not u]
+    reach = math.ceil(max([1, min_tol] + [0.02 * rules[i].box.width for i in free]))
+    near: dict[int, list[int]] = {}
+    for i in free:
+        k = rules[i].box.left // reach
+        for key in (k - 1, k, k + 1):
+            near.setdefault(key, []).append(i)
     triples: list[RuleTriple] = []
     for ia, a in enumerate(rules):
         if used[ia]:
             continue
+        window = near[a.box.left // reach]
         picked = None
-        for ib in range(ia + 1, len(rules)):
+        for p in range(bisect_right(window, ia), len(window)):
+            ib = window[p]
             if used[ib] or not _aligned(a, rules[ib], min_tol):
                 continue
-            for ic in range(ib + 1, len(rules)):
+            for ic in map(window.__getitem__, range(p + 1, len(window))):
                 if used[ic]:
                     continue
                 if _aligned(a, rules[ic], min_tol) and _aligned(rules[ib], rules[ic], min_tol):

@@ -115,8 +115,7 @@ def page_tables_from_dict(d: dict) -> PageTables:
             page_nr=expect(d["page_nr"], "page_nr", "integer"),
             tables=tables,
             orientation=one_of(
-                expect(d.get("orientation", PageOrientation.STANDARD.value), "orientation",
-                       "string"),
+                expect(d.get("orientation", PageTables.orientation), "orientation", "string"),
                 "orientation", _ORIENTATIONS,
             ),
             diagnostics=[

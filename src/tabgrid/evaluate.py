@@ -13,6 +13,7 @@ tuple sets, micro-pooled.  Every pooled score is a sum of ``PRF`` counts.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
 
@@ -119,11 +120,27 @@ def _greedy_iou_pairs(
 ) -> list[tuple[int, int, float]]:
     """``(i, j, iou)`` of the greedy one-to-one pairing by descending IoU (ties
     by index) of the pairs with IoU >= floor.  The pairing at a higher threshold
-    t runs on a prefix of the same candidates, so it is the pairs with iou >= t."""
-    matrix = iou_matrix(gt_boxes, pred_boxes)
-    candidates = sorted(
-        (-x, i, j) for i, row in enumerate(matrix) for j, x in enumerate(row) if x >= floor
-    )
+    t runs on a prefix of the same candidates, so it is the pairs with iou >= t.
+    Only boxes that overlap reach a floor > 0 (a floor <= 0 raises ValueError),
+    so the ground-truth boxes of one top meet only the predicted boxes whose top
+    lies in (that top - the tallest predicted height, their lowest bottom)."""
+    if not floor > 0:
+        raise ValueError(f"the IoU floor must be positive, got {floor}")
+    by_top = sorted(range(len(pred_boxes)), key=lambda j: pred_boxes[j][1])
+    tops = [pred_boxes[j][1] for j in by_top]
+    tallest = max((b[3] - b[1] for b in pred_boxes), default=0)
+    rows_at: dict[int, list[int]] = {}
+    for i, b in enumerate(gt_boxes):
+        rows_at.setdefault(b[1], []).append(i)
+    candidates = []
+    for top, rows in rows_at.items():
+        lo = bisect_right(tops, top - tallest)
+        cols = by_top[lo : bisect_left(tops, max(gt_boxes[i][3] for i in rows))]
+        matrix = iou_matrix([gt_boxes[i] for i in rows], [pred_boxes[j] for j in cols])
+        candidates += [
+            (-x, i, j) for i, row in zip(rows, matrix) for j, x in zip(cols, row) if x >= floor
+        ]
+    candidates.sort()
     used_gt, used_pred, pairs = set(), set(), []
     for neg_iou, i, j in candidates:
         if i not in used_gt and j not in used_pred:

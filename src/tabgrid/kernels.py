@@ -17,14 +17,26 @@ Box = Sequence[int]  # (left, top, right, bottom)
 
 
 def levenshtein_codes(a: Sequence, b: Sequence) -> int:
-    """Unit-cost edit distance between two sequences (strings, code lists)."""
-    prev = list(range(len(b) + 1))
-    for i, x in enumerate(a, 1):
-        cur = [i]
-        for j, y in enumerate(b):
-            cur.append(min(prev[j] + (x != y), prev[j + 1] + 1, cur[j] + 1))
-        prev = cur
-    return prev[-1]
+    """Unit-cost edit distance between two sequences of hashable items, bit-parallel
+    (Myers 1999; Hyyrö 2001): bit i of each integer is row i of a column of the table."""
+    if len(a) < len(b):
+        a, b = b, a
+    peq: dict = {}  # item -> the bits of a's positions that hold it
+    for i, x in enumerate(a):
+        peq[x] = peq.get(x, 0) | 1 << i
+    full, last = (1 << len(a)) - 1, 1 << len(a) >> 1  # every row's bit; the last row's
+    pv, mv, dist = full, 0, len(a)  # vertical +1 / -1 deltas; the last row's value
+    for y in b:
+        eq = peq.get(y, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        dist += (ph & last != 0) - (mh & last != 0)
+        ph = ph << 1 | 1
+        pv = (mh << 1 | ~(xv | ph)) & full
+        mv = ph & xv
+    return dist
 
 
 def hungarian_min(cost: Sequence[Sequence[float]]) -> list[int]:

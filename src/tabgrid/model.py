@@ -1,5 +1,4 @@
-"""Core data model: pages, words, separators, cells, recognized tables,
-tuple sets.
+"""Core data model: pages, words, separators, cells, recognized tables, tuple sets.
 
 All geometry is integer pixels with exclusive right/bottom edges.  JSON
 ingestion clamps every box to the page rectangle, strips control

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabgrid import booktabs
 from tabgrid.booktabs import (
     HeaderLevel,
     RuleTriple,
@@ -200,6 +201,42 @@ def test_rule_triples_equal_a_scan_of_every_free_ruling(rules, ruled, cfg):
     assert find_rule_triples(rules, cfg, ruled) == _reference_triples(rules, cfg, ruled)
     if not ruled:
         assert find_rule_triples(rules, cfg) == _reference_triples(rules, cfg, ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rules=st.lists(
+        st.builds(
+            lambda l, t, w: h_rule(l, t, l + w),
+            st.integers(0, 60), st.integers(2, 200), st.sampled_from([40, 98, 100, 102, 500, 520]),
+        ),
+        max_size=14,
+    ),
+    cfg=st.sampled_from([CFG, RecognizerConfig(separator_expand_px=0)]),
+)
+def test_rule_triples_equal_the_scan_on_rules_at_the_edge_of_alignment(rules, cfg):
+    """Left edges a few pixels apart, on both sides of every tolerance, so
+    that aligned rules also fall into neighbouring buckets of left edges."""
+    assert find_rule_triples(rules, cfg) == _reference_triples(rules, cfg, ())
+
+
+@pytest.mark.parametrize("n", [250, 500])
+def test_unaligned_rulings_are_tested_only_against_their_neighbours(monkeypatch, n):
+    """A staircase of rulings 100 px wide, each 20 px right of the one above,
+    holds no aligned pair; a scan of every later ruling tests n(n - 1) / 2."""
+    def staircase(k):
+        return [h_rule(20 * i, 10 * i + 5, 20 * i + 100) for i in range(k)]
+
+    calls = []
+    monkeypatch.setattr(booktabs, "_aligned", lambda a, b, tol, real=_aligned: (
+        calls.append(1) or real(a, b, tol)
+    ))
+    counts = []
+    for k in (n, 2 * n):
+        calls.clear()
+        assert find_rule_triples(staircase(k), CFG) == []
+        counts.append(len(calls))
+    assert counts[1] <= 2.2 * counts[0]
 
 
 def test_inner_rules_cluster_into_levels():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabgrid import evaluate
 from tabgrid.errors import DuplicateKey, EmptyCorpus
 from tabgrid.evaluate import (
     PRF,
@@ -356,6 +357,54 @@ def test_one_greedy_pass_scores_as_a_pass_per_threshold(gt, pred, thresholds):
             unmatched_gt=tuple(i for i in range(len(gt)) if i not in {i for i, _ in pairs}),
             unmatched_pred=tuple(j for j in range(len(pred)) if j not in {j for _, j in pairs}),
         )
+
+
+# boxes on few tops and of many heights, so that boxes share tops and a
+# band of predicted tops holds boxes that meet and boxes that do not
+_BANDED_BOXES = st.lists(
+    st.builds(
+        lambda l, t, w, h: box(l, t, l + w, t + h),
+        st.integers(0, 12), st.sampled_from([0, 4, 5, 9, 20, 21, 40]),
+        st.integers(1, 12), st.sampled_from([1, 4, 5, 15, 30]),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gt=_BANDED_BOXES, pred=_BANDED_BOXES, t=st.sampled_from([0.01, 0.2, 0.5, 1.0]))
+def test_pairing_equals_the_pairing_over_the_full_matrix(gt, pred, t):
+    tables = [[_table(b) for b in side] for side in (gt, pred)]
+    assert match_tables(*tables, t).pairs == tuple(_pairs_at(gt, pred, t))
+
+
+@pytest.mark.parametrize("floor", [0.0, -0.5, float("nan")])
+def test_a_floor_that_would_pair_boxes_that_do_not_meet_is_rejected(floor):
+    a, b = _grid_table([["a"]]), _grid_table([["b"]], origin=(500, 0))
+    with pytest.raises(ValueError, match="IoU floor must be positive"):
+        match_tables([a], [b], floor)
+    with pytest.raises(ValueError, match="IoU floor must be positive"):
+        cell_f1_at_iou(a, b, (floor,))
+
+
+def test_cell_ious_grow_with_the_cells_of_a_row_band(monkeypatch):
+    """The IoUs computed for one n x n pair, at n and 2n: about 8 times as
+    many, where the full matrix holds 16 times as many."""
+    computed = []
+
+    def counted(a, b):
+        computed.append(len(a) * len(b))
+        return iou_matrix(a, b)
+
+    monkeypatch.setattr(evaluate, "iou_matrix", counted)
+    counts = []
+    for n in (20, 40):
+        computed.clear()
+        gt = _grid_table([["x"] * n] * n)
+        pred = _grid_table([["x"] * n] * n, origin=(3, 2))
+        assert cell_f1_at_iou(gt, pred, (0.6, 0.9))[0.6].tp == n * n
+        counts.append(sum(computed))
+    assert counts[1] <= 9 * counts[0]
 
 
 # Tables on a coarse grid of origins and sizes, so that tables pair, pair

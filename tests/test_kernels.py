@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabgrid import kernels
 
@@ -82,6 +84,21 @@ def test_levenshtein_random_vs_reference():
         a = _codes(rng, rng.randrange(0, 13))
         b = _codes(rng, rng.randrange(0, 13))
         assert kernels.levenshtein_codes(a, b) == ref_levenshtein(a, b)
+
+
+_SEQUENCE_PAIRS = st.one_of(
+    st.tuples(st.text(max_size=70), st.text(max_size=70)),
+    st.tuples(st.text("ab", max_size=70), st.text("ab", max_size=70)),
+    st.tuples(st.lists(st.integers(-2, 2), max_size=70), st.lists(st.integers(-2, 2), max_size=70)),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SEQUENCE_PAIRS)
+def test_levenshtein_equals_the_full_table(pair):
+    """Strings and int lists, empty ones and ones longer than a machine word."""
+    a, b = pair
+    assert kernels.levenshtein_codes(a, b) == ref_levenshtein(a, b)
 
 
 def test_hungarian_matches_bruteforce():

@@ -58,6 +58,28 @@ def test_cli_import_loads_every_traced_module_and_nothing_unused():
     assert proc.stdout.decode() == f"{traced}\n"
 
 
+# for each module, the modules above it in the layering, which it must not load
+_LAYERS = {
+    "tabgrid.corpusio": ["pipeline", "booktabs", "separator", "interpret", "matching", "evaluate"],
+    "tabgrid.evaluate": ["pipeline", "booktabs", "separator", "interpret"],
+    "tabgrid.interpret": ["pipeline", "booktabs", "separator", "evaluate"],
+    "tabgrid.pipeline": ["interpret", "matching", "evaluate", "corpusio"],
+}
+
+
+def test_each_module_loads_no_module_above_it():
+    """Reading a corpus loads no recognizer, interpreter or scorer; scoring
+    loads no recognizer or interpreter; recognizing and interpreting load
+    neither each other nor the scorer.  Each import runs in a new interpreter."""
+    loaded = {}
+    for module, above in _LAYERS.items():
+        check = f"import sys, {module}; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"
+        proc = _python("-S", "-c", check, *(f"tabgrid.{m}" for m in above))
+        assert proc.returncode == 0, proc.stderr
+        loaded[module] = proc.stdout.decode().strip()
+    assert loaded == dict.fromkeys(_LAYERS, "[]")
+
+
 def _tables_dir(tmp_path, pages):
     """``pages`` page tables files of one empty page each, a document apiece."""
     directory = tmp_path / "tables"
