@@ -84,8 +84,8 @@ def find_rule_triples(
         grown = expand(r, BORDER_CLUSTER_TOL)
         for i in by_y[bisect_left(ys, grown.top) : bisect_left(ys, grown.bottom)]:
             used[i] = used[i] or contains_point(grown, *centers[i])
-    # a rule aligned with a has its left edge within reach of a's, so near[a's
-    # bucket of left edges]: the free rules of that bucket and the two beside it
+    # an aligned rule's left edge lies within reach of a's, so in near[a's bucket]:
+    # the free rules of that bucket of left edges and the two beside it, in top order
     free = [i for i, u in enumerate(used) if not u]
     reach = math.ceil(max([1, min_tol] + [0.02 * rules[i].box.width for i in free]))
     near: dict[int, list[int]] = {}

@@ -309,4 +309,3 @@ def meaning_to_dict(m: MeaningConfig) -> dict:
         if key in _REQUIRED_FIELDS or (v is not None and v != ()):
             out[key] = v.value if isinstance(v, DataType) else list(v) if type(v) is tuple else v
     return out
-
