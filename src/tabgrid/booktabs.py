@@ -27,8 +27,10 @@ from .model import (
     TableSource,
     Word,
     assign_words_to_cells,
+    column_runs,
+    grid_table,
 )
-from .separator import BORDER_CLUSTER_TOL, column_runs, has_table_label, split_at_gaps
+from .separator import BORDER_CLUSTER_TOL, has_table_label, split_at_gaps
 
 
 @dataclass(frozen=True)
@@ -236,15 +238,7 @@ def build_booktabs_grid(
         spans += [(r, r, cs, ce) for cs, ce in column_runs(n_cols, joined)]
 
     cells = assign_words_to_cells(spans, words, ys, xs)
-    return RecognizedTable(
-        region=region,
-        n_rows=n_rows,
-        n_cols=n_cols,
-        cells=tuple(cells),
-        labeled=labeled,
-        source=TableSource.BOOKTABS,
-        header_row_count=len(levels) + 1,
-    )
+    return grid_table(cells, TableSource.BOOKTABS, labeled, header_row_count=len(levels) + 1)
 
 
 def _booktabs_table(

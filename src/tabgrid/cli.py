@@ -479,7 +479,7 @@ def _score_tables(args: argparse.Namespace, score) -> list[tuple[tuple[str, int]
 def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str]:
     per_doc: dict[str, PRF] = {}
     for (fid, _), prf in _score_tables(
-        args, lambda gt, pred: recognition_score(gt, pred, args.iou_min)
+        args, lambda gt, pred: recognition_score({0: gt}, {0: pred}, args.iou_min)
     ):
         per_doc[fid] = per_doc.get(fid, PRF()) + prf
     corpus = corpus_average(per_doc.values())

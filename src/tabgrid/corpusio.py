@@ -81,6 +81,10 @@ class PageTables:
     def __post_init__(self) -> None:
         if not self.expected_missed:
             self.expected_missed = [False] * len(self.tables)
+        elif len(self.expected_missed) != len(self.tables):
+            raise ValueError(
+                f"{len(self.expected_missed)} expected_missed flags for {len(self.tables)} tables"
+            )
 
 
 def page_tables_to_dict(doc: PageTables) -> dict:

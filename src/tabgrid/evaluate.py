@@ -180,15 +180,6 @@ def scored_tables(
     )
 
 
-PageTableMap = dict[int, list[RecognizedTable]]
-
-
-def _as_page_map(doc: PageTableMap | list[RecognizedTable]) -> PageTableMap:
-    if isinstance(doc, dict):
-        return doc
-    return {0: list(doc)}
-
-
 def _paired_tables(gt_pages: dict, pred_pages: dict, iou_min: float):
     """For every page key on either side: the ``(gt, pred)`` table pairs
     that ``match_tables`` makes, then the unpaired ground-truth tables
@@ -210,15 +201,13 @@ def _multiset_prf(gt: Counter, pred: Counter) -> PRF:
 
 
 def recognition_score(
-    gt_doc: PageTableMap | list[RecognizedTable],
-    pred_doc: PageTableMap | list[RecognizedTable],
+    gt_pages: dict[int, list[RecognizedTable]],
+    pred_pages: dict[int, list[RecognizedTable]],
     iou_min: float = 0.5,
 ) -> PRF:
     """Adjacency-relation PRF for one document (tables aligned per page)."""
     total = PRF()
-    for pairs, missed, spurious in _paired_tables(
-        _as_page_map(gt_doc), _as_page_map(pred_doc), iou_min
-    ):
+    for pairs, missed, spurious in _paired_tables(gt_pages, pred_pages, iou_min):
         for gt, pred in pairs:
             total += _multiset_prf(
                 Counter(adjacency_relations(gt)), Counter(adjacency_relations(pred))

@@ -42,11 +42,13 @@ from .model import (
     TupleSet,
     Word,
     assign_words_to_cells,
+    column_runs,
+    grid_table,
     page_layout_to_dict,
     recognizer_config_to_dict,
+    transpose_layout,
+    transpose_table,
 )
-from .pipeline import transpose_layout, transpose_table
-from .separator import column_runs
 
 WORD_HEIGHT = 16
 # share of blank cells in a bordered table outside interpretation mode
@@ -265,18 +267,9 @@ def gen_bordered_page(
             # keep the word inside even the narrowest merged cell
             words.append(_word(rng, box.left + 8, wy, text, 100 + rs, right=box.right - 8))
     cells = assign_words_to_cells(spans, words, rb, cb)
+    table = grid_table(cells, TableSource.SEPARATOR, labeled)
 
     words.extend(_label_words(rng, x0, rb[0], page_nr, labeled, line_id=99))
-
-    table = RecognizedTable(
-        region=BoundingBox(cb[0], rb[0], cb[-1], rb[-1]),
-        n_rows=rows,
-        n_cols=cols,
-        cells=tuple(cells),
-        labeled=labeled,
-        source=TableSource.SEPARATOR,
-        header_row_count=0,
-    )
     layout = PageLayout(
         page_width=max(cb[-1] + 80, 1000),
         page_height=max(rb[-1] + 120, 1000),
@@ -425,15 +418,7 @@ def gen_booktabs_page(
         joined = {j for a, b in (cmidrule_levels[r] if r < n_levels else ()) for j in range(a, b)}
         spans += [(r, r, a, b) for a, b in column_runs(cols, joined)]
     cells = assign_words_to_cells(spans, words, row_borders, col_borders)
-    table = RecognizedTable(
-        region=region,
-        n_rows=n_header + rows,
-        n_cols=cols,
-        cells=tuple(cells),
-        labeled=labeled,
-        source=TableSource.BOOKTABS,
-        header_row_count=n_header,
-    )
+    table = grid_table(cells, TableSource.BOOKTABS, labeled, n_header)
     layout = PageLayout(
         page_width=max(rule_r + 80, 1000),
         page_height=max(bottom_y + 120, 1200),

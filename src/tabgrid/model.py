@@ -20,7 +20,7 @@ from typing import NoReturn
 from .dsu import linked_groups
 from .errors import ConfigError, LayoutError
 from .fields import expect, keywords, known, load, must_be, one_of
-from .geometry import BoundingBox, transpose_box
+from .geometry import BoundingBox, transpose_box, union_box
 
 DEFAULT_LABEL_KEYWORDS = ("table", "tab.")
 
@@ -261,6 +261,34 @@ def assign_words_to_cells(
     ]
 
 
+def column_runs(n_cols: int, joined: set[int]) -> list[tuple[int, int]]:
+    """Maximal runs ``(first, last)`` of the columns ``0 .. n_cols - 1``;
+    column ``j + 1`` continues the run of column ``j`` iff ``j`` is in ``joined``."""
+    runs = []
+    first = 0
+    for j in range(n_cols):
+        if j + 1 == n_cols or j not in joined:
+            runs.append((first, j))
+            first = j + 1
+    return runs
+
+
+def grid_table(
+    cells: list[Cell], source: TableSource, labeled: bool = False, header_row_count: int = 0
+) -> RecognizedTable:
+    """The table that ``cells`` tile: its region is their hull, and it has
+    as many rows and columns as their largest indices give."""
+    return RecognizedTable(
+        region=union_box([c.box for c in cells]),
+        n_rows=max(c.row_end for c in cells) + 1,
+        n_cols=max(c.col_end for c in cells) + 1,
+        cells=tuple(cells),
+        labeled=labeled,
+        source=source,
+        header_row_count=header_row_count,
+    )
+
+
 @dataclass
 class RowTuple:
     row: int
@@ -489,6 +517,35 @@ def transpose_separator(s: Separator) -> Separator:
         else SeparatorOrientation.HORIZONTAL
     )
     return Separator(box=transpose_box(s.box), orientation=flipped)
+
+
+def transpose_layout(layout: PageLayout) -> PageLayout:
+    """Mirror the page across the main diagonal, flipping separator
+    orientations; applying it twice returns the original layout."""
+    return PageLayout(
+        page_width=layout.page_height,
+        page_height=layout.page_width,
+        words=tuple(transpose_word(w) for w in layout.words),
+        separators=tuple(transpose_separator(s) for s in layout.separators),
+        non_text_regions=tuple(transpose_box(b) for b in layout.non_text_regions),
+    )
+
+
+def transpose_table(table: RecognizedTable) -> RecognizedTable:
+    """Transpose all boxes back to page coordinates; indices keep the
+    reading orientation the grid was recognized in."""
+    return replace(
+        table,
+        region=transpose_box(table.region),
+        cells=tuple(
+            replace(
+                c,
+                box=transpose_box(c.box),
+                words=tuple(transpose_word(w) for w in c.words),
+            )
+            for c in table.cells
+        ),
+    )
 
 
 # the JSON kind of each RecognizerConfig field, by its annotation

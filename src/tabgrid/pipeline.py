@@ -10,17 +10,17 @@ transposed back; grid indices stay in reading orientation.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .booktabs import recognize_booktabs_tables
-from .geometry import overlaps, transpose_box
+from .geometry import overlaps
 from .model import (
     PageLayout,
     PageOrientation,
     RecognizedTable,
     RecognizerConfig,
-    transpose_separator,
-    transpose_word,
+    transpose_layout,
+    transpose_table,
 )
 from .separator import recognize_separator_tables
 
@@ -29,35 +29,6 @@ from .separator import recognize_separator_tables
 class PageResult:
     tables: tuple[RecognizedTable, ...]
     diagnostics: tuple[str, ...]
-
-
-def transpose_layout(layout: PageLayout) -> PageLayout:
-    """Mirror the page across the main diagonal, flipping separator
-    orientations; applying it twice returns the original layout."""
-    return PageLayout(
-        page_width=layout.page_height,
-        page_height=layout.page_width,
-        words=tuple(transpose_word(w) for w in layout.words),
-        separators=tuple(transpose_separator(s) for s in layout.separators),
-        non_text_regions=tuple(transpose_box(b) for b in layout.non_text_regions),
-    )
-
-
-def transpose_table(table: RecognizedTable) -> RecognizedTable:
-    """Transpose all boxes back to page coordinates; indices keep the
-    reading orientation the grid was recognized in."""
-    return replace(
-        table,
-        region=transpose_box(table.region),
-        cells=tuple(
-            replace(
-                c,
-                box=transpose_box(c.box),
-                words=tuple(transpose_word(w) for w in c.words),
-            )
-            for c in table.cells
-        ),
-    )
 
 
 def recognize_page(

@@ -11,6 +11,7 @@ ruling above it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 from .dsu import linked_groups
@@ -26,6 +27,8 @@ from .model import (
     Word,
     WordIndex,
     assign_words_to_cells,
+    column_runs,
+    grid_table,
 )
 
 # Rulings whose centers land this close together, in a chain, are one
@@ -146,16 +149,19 @@ def _middle(a: int, b: int) -> tuple[float, float]:
     return a + inset, b - inset
 
 
-def column_runs(n_cols: int, joined: set[int]) -> list[tuple[int, int]]:
-    """Maximal runs ``(first, last)`` of the columns ``0 .. n_cols - 1``;
-    column ``j + 1`` continues the run of column ``j`` iff ``j`` is in ``joined``."""
-    runs = []
-    first = 0
-    for j in range(n_cols):
-        if j + 1 == n_cols or j not in joined:
-            runs.append((first, j))
-            first = j + 1
-    return runs
+def _by_border(
+    borders: tuple[int, ...], rulings: list[Separator], vertical: bool
+) -> list[list[Separator]]:
+    """For each border, the rulings whose extent across the borders meets
+    its probe strip (border - PROBE_HALF_WIDTH, border + PROBE_HALF_WIDTH);
+    each extent is bisected into the increasing borders once."""
+    near: list[list[Separator]] = [[] for _ in borders]
+    for s in rulings:
+        lo, hi = (s.box.left, s.box.right) if vertical else (s.box.top, s.box.bottom)
+        first = bisect_right(borders, lo - PROBE_HALF_WIDTH)
+        for k in range(first, bisect_left(borders, hi + PROBE_HALF_WIDTH)):
+            near[k].append(s)
+    return near
 
 
 def refine_grid(
@@ -172,7 +178,9 @@ def refine_grid(
     """
     rb, cb = grid.row_borders, grid.col_borders
     n_rows, n_cols = len(rb) - 1, len(cb) - 1
-    verticals, horizontals = cluster.verticals, cluster.horizontals
+    # a probe at a border can only hit the rulings that meet its strip
+    at_col = _by_border(cb, cluster.verticals, vertical=True)
+    at_row = _by_border(rb, cluster.horizontals, vertical=False)
     half = PROBE_HALF_WIDTH
 
     runs = []
@@ -181,7 +189,7 @@ def refine_grid(
         joined = {
             j
             for j in range(n_cols - 1)
-            if not _strip_hits_separator(verticals, cb[j + 1] - half, cb[j + 1] + half, t, b)
+            if not _strip_hits_separator(at_col[j + 1], cb[j + 1] - half, cb[j + 1] + half, t, b)
         }
         runs.append(column_runs(n_cols, joined))
     # joins_below[i]: the runs of row i whose cell continues into row i + 1
@@ -190,7 +198,7 @@ def refine_grid(
             (cs, ce)
             for cs, ce in set(runs[i]) & set(runs[i + 1])
             if not _strip_hits_separator(
-                horizontals, *_middle(cb[cs], cb[ce + 1]), rb[i + 1] - half, rb[i + 1] + half
+                at_row[i + 1], *_middle(cb[cs], cb[ce + 1]), rb[i + 1] - half, rb[i + 1] + half
             )
         }
         for i in range(n_rows - 1)
@@ -205,17 +213,7 @@ def refine_grid(
             while (cs, ce) in joins_below[re_]:
                 re_ += 1
             spans.append((i, re_, cs, ce))
-    cells = assign_words_to_cells(spans, words, rb, cb)
-
-    return RecognizedTable(
-        region=BoundingBox(cb[0], rb[0], cb[-1], rb[-1]),
-        n_rows=n_rows,
-        n_cols=n_cols,
-        cells=tuple(cells),
-        labeled=False,
-        source=TableSource.SEPARATOR,
-        header_row_count=0,
-    )
+    return grid_table(assign_words_to_cells(spans, words, rb, cb), TableSource.SEPARATOR)
 
 
 def recognize_separator_tables(

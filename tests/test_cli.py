@@ -1565,7 +1565,7 @@ from tabgrid import cli
 real = cli.recognition_score
 
 def dying(gt, pred, *args):
-    if not pred:  # the page whose prediction is missing
+    if not pred[0]:  # the page whose prediction is missing
         os._exit(3)
     return real(gt, pred, *args)
 

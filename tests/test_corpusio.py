@@ -192,6 +192,15 @@ def test_expected_missed_defaults_to_all_false():
     assert doc.expected_missed == [False]
 
 
+@pytest.mark.parametrize("missed", [[True], [False, True, False]], ids=["short", "long"])
+def test_expected_missed_of_another_length_rejected(missed):
+    """A flag list that does not match the tables would drop a table from the
+    written file, or leave a table without its flag."""
+    with pytest.raises(ValueError, match="expected_missed"):
+        PageTables(file_id="d", page_nr=0, tables=[_tiny_table(), _tiny_table()],
+                   expected_missed=missed)
+
+
 def test_page_tables_from_dict_defaults():
     back = page_tables_from_dict({"file_id": "d", "page_nr": 1})
     assert back.tables == []

@@ -246,12 +246,6 @@ def test_recognition_score_multi_page_document():
     assert prf.tp == 1 and prf.fn == 1
 
 
-def test_recognition_score_accepts_bare_lists():
-    t = _grid_table([["a", "b"]])
-    prf = recognition_score([t], [t])
-    assert prf.tp == 1 and prf.fp == 0 and prf.fn == 0
-
-
 # ---------------------------------------------------------------------------
 # cell-level scoring
 
@@ -426,7 +420,9 @@ page_maps = st.dictionaries(st.integers(1, 4), st.lists(tables(), max_size=3), m
 @settings(max_examples=200, deadline=None)
 @given(gt=page_maps, pred=page_maps)
 def test_recognition_score_is_the_sum_of_its_pages(gt, pred):
-    per_page = [recognition_score(gt.get(nr, []), pred.get(nr, [])) for nr in gt.keys() | pred]
+    per_page = [
+        recognition_score({0: gt.get(nr, [])}, {0: pred.get(nr, [])}) for nr in gt.keys() | pred
+    ]
     assert recognition_score(gt, pred) == sum(per_page, PRF())
 
 

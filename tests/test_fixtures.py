@@ -186,7 +186,7 @@ def test_docs_fixture_page_scores_its_own_ground_truth():
     }
     (page,) = generate_pages(_spec(seed=7, pages=[doc_a]))
     got = recognize_page(page.layout, corpus_recognizer_config(), PageOrientation.VERTICAL)
-    assert recognition_score(page.gt.tables, list(got.tables)).f1 == 1.0
+    assert recognition_score({0: page.gt.tables}, {0: list(got.tables)}).f1 == 1.0
 
 
 def test_merges_that_share_a_cell_rejected():
@@ -477,7 +477,7 @@ def test_scores_of_jittered_pages_are_pinned():
         layout = page_layout_from_dict(page_layout_to_dict(layout))
         key = (page.file_id, page.page_nr)
         gt_pages[key], pred_pages[key] = page.gt.tables, list(recognize_page(layout, cfg).tables)
-        recognition += recognition_score(gt_pages[key], pred_pages[key])
+        recognition += recognition_score({0: gt_pages[key]}, {0: pred_pages[key]})
         gt_sets += page.tuple_sets
         tuple_sets = (interpret_table(t, meanings, *key, i) for i, t in enumerate(pred_pages[key]))
         pred_sets += [ts for ts in tuple_sets if ts.tuples]

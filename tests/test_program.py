@@ -62,6 +62,7 @@ def test_cli_import_loads_every_traced_module_and_nothing_unused():
 _LAYERS = {
     "tabgrid.corpusio": ["pipeline", "booktabs", "separator", "interpret", "matching", "evaluate"],
     "tabgrid.evaluate": ["pipeline", "booktabs", "separator", "interpret"],
+    "tabgrid.fixtures": ["pipeline", "booktabs", "separator", "evaluate"],
     "tabgrid.interpret": ["pipeline", "booktabs", "separator", "evaluate"],
     "tabgrid.pipeline": ["interpret", "matching", "evaluate", "corpusio"],
 }
@@ -69,8 +70,9 @@ _LAYERS = {
 
 def test_each_module_loads_no_module_above_it():
     """Reading a corpus loads no recognizer, interpreter or scorer; scoring
-    loads no recognizer or interpreter; recognizing and interpreting load
-    neither each other nor the scorer.  Each import runs in a new interpreter."""
+    loads no recognizer or interpreter; generating fixtures loads no
+    recognizer or scorer; recognizing and interpreting load neither each
+    other nor the scorer.  Each import runs in a new interpreter."""
     loaded = {}
     for module, above in _LAYERS.items():
         check = f"import sys, {module}; print(sorted(set(sys.argv[1:]) & set(sys.modules)))"

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tabgrid import separator
 from tabgrid.dsu import UnionFind
 from tabgrid.errors import DegenerateGrid
 from tabgrid.fixtures import gen_bordered_page
@@ -19,6 +20,7 @@ from tabgrid.separator import (
     RoughGrid,
     SeparatorCluster,
     _sort_key,
+    _strip_hits_separator,
     column_runs,
     estimate_grid,
     has_table_label,
@@ -398,6 +400,26 @@ def test_refine_grid_matches_union_find(case):
     table = refine_grid(grid, cluster)
     got = [(c.row_start, c.row_end, c.col_start, c.col_end, c.box.as_tuple()) for c in table.cells]
     assert got == refine_grid_oracle(grid, cluster)
+
+
+def test_grid_probes_grow_with_the_rulings_on_their_border(monkeypatch):
+    """The rulings probed for one n x n table, at n and 2n: about 4 times as
+    many, one per probe, where probing every ruling gives 8 times as many."""
+    probed = []
+
+    def counted(separators, *strip):
+        probed.append(len(separators))
+        return _strip_hits_separator(separators, *strip)
+
+    monkeypatch.setattr(separator, "_strip_hits_separator", counted)
+    counts = []
+    for n in (30, 60):
+        probed.clear()
+        page = gen_bordered_page(random.Random(1), "s", 1, rows=n, cols=n, merges=[])
+        (table,), _ = recognize_separator_tables(page.layout, RecognizerConfig())
+        assert len(table.cells) == n * n
+        counts.append(sum(probed))
+    assert counts[1] <= 4.5 * counts[0]
 
 
 def test_column_runs_examples():
