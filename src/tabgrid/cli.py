@@ -135,12 +135,13 @@ def _cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _attempt(work, item) -> tuple[str, str | None, bool, object]:
-    """``(item.name, message, crashed, value)`` of ``work(item)``; never raises."""
+def _attempt(work, item) -> tuple[str, Exception | str | None, bool, object]:
+    """``(item.name, fault, crashed, value)`` of ``work(item)``; never raises.
+    The fault is the invalid-input exception raised, or a crash's message."""
     try:
         return item.name, None, False, work(item)
     except _INPUT_ERRORS as exc:
-        return item.name, str(exc), False, None
+        return item.name, exc, False, None
     except Exception as exc:
         return item.name, f"{type(exc).__name__}: {exc}", True, None
 
@@ -171,9 +172,9 @@ def _attempt_in_pool(items: list, work, workers: int, sizes: list[int]) -> list[
     one byte each, so a worker that finishes early takes more.  Each worker
     sends one pickle of ``(index, result)`` pairs when the pipe is empty.
     ``work`` reaches the workers through fork, so it need not pickle; what
-    it returns does.  If a worker dies, every item from the first one
-    without a result on is reported as crashed.  No worker outlives this
-    call.
+    it returns or raises as invalid input does.  If a worker dies, every
+    item from the first one without a result on is reported as crashed.
+    No worker outlives this call.
     """
     import pickle
     import signal
@@ -251,11 +252,11 @@ def _run_per_file(files: list[_Input], work, max_workers: int) -> tuple[int, lis
     file crashed) and the values ``work`` returned, in file order.
     """
     results = _attempt_all(files, work, max_workers, MIN_BYTES_PER_WORKER)
-    errors = sorted((name, message) for name, message, _, _ in results if message is not None)
+    errors = sorted((name, str(fault)) for name, fault, _, _ in results if fault is not None)
     for name, message in errors:
         print(f"error: {name}: {message}", file=sys.stderr)
     crashed = any(crash for _, _, crash, _ in results)
-    values = [value for _, message, _, value in results if message is None]
+    values = [value for _, fault, _, value in results if fault is None]
     return (1 if crashed else 2 if errors else 0), values
 
 
@@ -379,12 +380,15 @@ def _check_strict(gt_keys, pred_keys) -> None:
         raise TabgridError("; ".join(lines))
 
 
-def _read_eval(read, item: _Input):
-    """``read(item)``; a fault met in reading the file is raised as ``<path>: <reason>``."""
+def _read_eval(read, item: _Input, side: int):
+    """``read(item)``, whose fault is placed at ``(side, item.name)``: a name of no
+    known form as the reader words it, any other as ``<path>: <reason>``."""
     try:
         return read(item)
     except _INPUT_ERRORS as exc:
-        raise TabgridError(f"{item.path}: {exc}") from exc
+        fault = exc if item.key is None else TabgridError(f"{item.path}: {exc}")
+        fault.place = (side, item.name)
+        raise fault
 
 
 class _PagePair(NamedTuple):
@@ -403,16 +407,6 @@ class _Unscored(Exception):
     """A page pair whose scoring failed unexpectedly, or whose worker died."""
 
 
-def _first_fault(read, *sides: list[_Input]) -> None:
-    """Read each side's files in name order, each name, then its content,
-    and raise the first fault met."""
-    for files in sides:
-        for item in files:
-            if item.key is None:
-                read(item)  # raises the reader's own message, which names the file
-            _read_eval(read, item)
-
-
 def _score_page_pairs(
     args: argparse.Namespace, parse_name, read, score
 ) -> list[tuple[tuple[str, int], object]]:
@@ -426,36 +420,40 @@ def _score_page_pairs(
     holds.  Each pair is read and scored on its own, in worker processes
     when every worker gets ``MIN_PAIR_BYTES_PER_WORKER`` bytes of files, and
     only its counts come back.  A pair that fails unexpectedly raises
-    ``_Unscored``; then invalid input raises the fault that ``_first_fault``
-    meets, and ``--strict`` pairing of the keys is checked last.
+    ``_Unscored``; then the lowest-placed fault is raised (a fault of scoring
+    has no place, so it ranks last), and ``--strict`` pairing is checked last.
     """
     gt_files = _scan(Path(args.gt_dir), parse_name)
     try:
         pred_files = _scan(Path(args.pred_dir), parse_name)
     except _INPUT_ERRORS:
-        _first_fault(read, gt_files)
+        for item in gt_files:
+            _read_eval(read, item, 0)
         raise
     if not gt_files and not pred_files:
         raise EmptyCorpus(f"no files to score in {args.gt_dir} or {args.pred_dir}")
     by_page: dict[tuple[str, int], tuple[list, list]] = {}
+    faults = []  # of names of no known form, then of the pairs
     for side, files in enumerate((gt_files, pred_files)):
         for item in files:
-            if item.key:  # _first_fault reports the others, in no pair
+            if item.key:
                 by_page.setdefault(item.key[:2], ([], []))[side].append(item)
+            else:  # rejected from its name alone
+                faults.append(_attempt(lambda item: _read_eval(read, item, side), item)[1])
     pages = sorted(by_page)
 
     def score_pair(pair: _PagePair):
-        return score(*([_read_eval(read, i) for i in files] for files in (pair.gt, pair.pred)))
+        sides = enumerate((pair.gt, pair.pred))
+        return score(*([_read_eval(read, item, side) for item in files] for side, files in sides))
 
     pairs = [_PagePair(_key_name(page), *by_page[page]) for page in pages]
     results = _attempt_all(pairs, score_pair, args.max_workers, MIN_PAIR_BYTES_PER_WORKER)
-    for name, message, crashed, _ in results:
+    for name, fault, crashed, _ in results:
         if crashed:
-            raise _Unscored(f"{name}: {message}")
-    faults = [message for _, message, _, _ in results if message is not None]
-    if faults or sum(len(p.gt) + len(p.pred) for p in pairs) < len(gt_files + pred_files):
-        _first_fault(read, gt_files, pred_files)
-        raise TabgridError(faults[0])  # the file changed after its pair read it
+            raise _Unscored(f"{name}: {fault}")
+    faults += [fault for _, fault, _, _ in results if fault is not None]
+    if faults:  # min keeps the first of equal places: scoring faults in page order
+        raise min(faults, key=lambda fault: getattr(fault, "place", (2,)))
     if args.strict:  # every name now gives a key
         _check_strict(*({item.key for item in files} for files in (gt_files, pred_files)))
     return [(page, counts) for page, (_, _, _, counts) in zip(pages, results)]

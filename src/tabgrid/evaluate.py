@@ -123,23 +123,30 @@ def _greedy_iou_pairs(
     t runs on a prefix of the same candidates, so it is the pairs with iou >= t.
     Only boxes that overlap reach a floor > 0 (a floor <= 0 raises ValueError),
     so the ground-truth boxes of one top meet only the predicted boxes whose top
-    lies in (that top - the tallest predicted height, their lowest bottom)."""
+    lies in (that top - the tallest predicted height, their lowest bottom), and
+    of those, a box meets only the ones whose left lies in (its left - the
+    widest predicted width, its right)."""
     if not floor > 0:
         raise ValueError(f"the IoU floor must be positive, got {floor}")
     by_top = sorted(range(len(pred_boxes)), key=lambda j: pred_boxes[j][1])
     tops = [pred_boxes[j][1] for j in by_top]
     tallest = max((b[3] - b[1] for b in pred_boxes), default=0)
+    widest = max((b[2] - b[0] for b in pred_boxes), default=0)
     rows_at: dict[int, list[int]] = {}
     for i, b in enumerate(gt_boxes):
         rows_at.setdefault(b[1], []).append(i)
     candidates = []
     for top, rows in rows_at.items():
         lo = bisect_right(tops, top - tallest)
-        cols = by_top[lo : bisect_left(tops, max(gt_boxes[i][3] for i in rows))]
-        matrix = iou_matrix([gt_boxes[i] for i in rows], [pred_boxes[j] for j in cols])
-        candidates += [
-            (-x, i, j) for i, row in zip(rows, matrix) for j, x in zip(cols, row) if x >= floor
-        ]
+        band = by_top[lo : bisect_left(tops, max(gt_boxes[i][3] for i in rows))]
+        band.sort(key=lambda j: pred_boxes[j][0])
+        lefts = [pred_boxes[j][0] for j in band]
+        boxes = [pred_boxes[j] for j in band]
+        for i in rows:
+            g = gt_boxes[i]
+            start, stop = bisect_right(lefts, g[0] - widest), bisect_left(lefts, g[2])
+            [row] = iou_matrix((g,), boxes[start:stop])
+            candidates += [(-x, i, j) for j, x in zip(band[start:stop], row) if x >= floor]
     candidates.sort()
     used_gt, used_pred, pairs = set(), set(), []
     for neg_iou, i, j in candidates:

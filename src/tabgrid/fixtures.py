@@ -29,13 +29,12 @@ from .corpusio import (
     write_tuple_set,
 )
 from .geometry import BoundingBox
-from .interpret import DataType, MeaningConfig, header_row_count_for, meaning_to_dict
+from .interpret import DataType, MeaningConfig, meaning_to_dict, tuple_set_of
 from .model import (
     PageLayout,
     PageOrientation,
     RecognizedTable,
     RecognizerConfig,
-    RowTuple,
     Separator,
     SeparatorOrientation,
     TableSource,
@@ -481,30 +480,18 @@ def _interpretation_columns(rng: random.Random, cols: int) -> dict:
     }
 
 
-def _tuple_gt(
-    table: RecognizedTable, plan: dict, file_id: str, page_nr: int, table_idx: int
-) -> TupleSet:
-    grid = table.grid
-    n_header = header_row_count_for(table)
-    ts = TupleSet(file_id=file_id, page_nr=page_nr, table_idx=table_idx)
-    for i in range(n_header, table.n_rows):
-        values = {
-            name: grid[i][col].content
-            for col, name in sorted(plan["meaning_of_col"].items())
-        }
-        ts.tuples.append(RowTuple(row=i - n_header, values=values))
-    return ts
-
-
 def _one_table_page(
     file_id: str, page_nr: int, layout: PageLayout, table: RecognizedTable, plan: dict | None
 ) -> FixturePage:
     """The fixture page for one table: its ground truth marks an unlabeled
-    table as expected missed, and an interpretation ``plan`` adds tuples."""
+    table as expected missed, and an interpretation ``plan`` adds the tuples
+    of a labeled one."""
     gt = PageTables(
         file_id=file_id, page_nr=page_nr, tables=[table], expected_missed=[not table.labeled]
     )
-    tuple_sets = [] if plan is None else [_tuple_gt(table, plan, file_id, page_nr, 0)]
+    tuple_sets = []
+    if plan is not None and table.labeled:
+        tuple_sets.append(tuple_set_of(table, plan["meaning_of_col"], file_id, page_nr))
     return FixturePage(file_id, page_nr, layout, gt, tuple_sets)
 
 

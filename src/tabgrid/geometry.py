@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernels import iou_matrix
+from .kernels import box_iou
 
 
 @dataclass(frozen=True, order=True)
@@ -56,7 +56,7 @@ def intersection_area(a: BoundingBox, b: BoundingBox) -> int:
 
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Intersection over union; 0.0 when the boxes do not overlap."""
-    return iou_matrix([a.as_tuple()], [b.as_tuple()])[0][0]
+    return box_iou(a.as_tuple(), b.as_tuple())
 
 
 def expand(b: BoundingBox, margin: int) -> BoundingBox:

@@ -195,19 +195,28 @@ def interpret_table(
     page_nr: int = 0,
     table_idx: int = 0,
 ) -> TupleSet:
-    """One tuple per body row with the matched meanings' cell strings."""
-    views, matching = match_meanings(table, meanings)
-    result = TupleSet(file_id=file_id, page_nr=page_nr, table_idx=table_idx)
-    if not matching.pairs:
-        return result
+    """The tuples of the columns that the meanings are matched to."""
+    _, matching = match_meanings(table, meanings)
     by_column = {ri: meanings[li].name for li, ri in matching.pairs}
-    for i in range(table.n_rows - header_row_count_for(table)):
-        values = {}
-        for cv in views:
-            name = by_column.get(cv.index)
-            if name is not None:
-                values[name] = cv.body_cells[i]
-        result.tuples.append(RowTuple(row=i, values=values))
+    return tuple_set_of(table, by_column, file_id, page_nr, table_idx)
+
+
+def tuple_set_of(
+    table: RecognizedTable,
+    meaning_of_col: dict[int, str],
+    file_id: str = "",
+    page_nr: int = 0,
+    table_idx: int = 0,
+) -> TupleSet:
+    """One tuple per body row, numbered from 0, with the content of each column
+    that ``meaning_of_col`` gives a meaning, in column order; none without one."""
+    result = TupleSet(file_id=file_id, page_nr=page_nr, table_idx=table_idx)
+    if meaning_of_col:
+        columns = sorted(meaning_of_col.items())
+        result.tuples.extend(
+            RowTuple(row=i, values={name: row[j].content for j, name in columns})
+            for i, row in enumerate(table.grid[header_row_count_for(table):])
+        )
     return result
 
 

@@ -109,21 +109,19 @@ def interval_profile(
     return list(accumulate(diff[:length]))
 
 
+def box_iou(a: Box, b: Box) -> float:
+    """IoU of two (l, t, r, b) boxes; 0.0 when they do not overlap."""
+    al, at, ar, ab = a
+    bl, bt, br, bb = b
+    iw = (ar if ar < br else br) - (al if al > bl else bl)
+    ih = (ab if ab < bb else bb) - (at if at > bt else bt)
+    if iw > 0 and ih > 0:
+        # both boxes then have positive area, so the union does too
+        inter = iw * ih
+        return inter / ((ar - al) * (ab - at) + (br - bl) * (bb - bt) - inter)
+    return 0.0
+
+
 def iou_matrix(a: Sequence[Box], b: Sequence[Box]) -> list[list[float]]:
     """Pairwise IoU between two lists of (l, t, r, b) boxes; rows follow a."""
-    areas_b = [(r - l) * (bt - t) for l, t, r, bt in b]
-    out = []
-    for al, at, ar, ab in a:
-        area_a = (ar - al) * (ab - at)
-        row = []
-        for (bl, bt, br, bb), area_b in zip(b, areas_b):
-            iw = (ar if ar < br else br) - (al if al > bl else bl)
-            ih = (ab if ab < bb else bb) - (at if at > bt else bt)
-            if iw > 0 and ih > 0:
-                # both boxes then have positive area, so the union does too
-                inter = iw * ih
-                row.append(inter / (area_a + area_b - inter))
-            else:
-                row.append(0.0)
-        out.append(row)
-    return out
+    return [[box_iou(x, y) for y in b] for x in a]

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import tabgrid
-from tabgrid import __version__, cli
+from tabgrid import __version__, cli, corpusio
 from tabgrid.cli import main
 from tabgrid.corpusio import (
     PageTables,
@@ -1704,3 +1704,54 @@ def test_eval_names_the_ground_truth_file_when_the_prediction_dir_is_missing(tmp
     argv = ["eval", "cells", str(corpus / "recognition_gt"), str(tmp_path / "absent")]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {bad}: page tables JSON must be an object\n"
+
+
+
+@pytest.mark.parametrize("mode", ["recognition", "cells", "interpretation"])
+def test_eval_reads_each_file_once_when_one_is_faulty(tmp_path, monkeypatch, capsys, mode):
+    corpus, pred = _recognized(tmp_path, capsys)
+    gt = corpus / "recognition_gt"
+    if mode == "interpretation":
+        gt, tuples = corpus / "interpretation_gt", tmp_path / "tuples"
+        assert main(["interpret", str(pred), str(corpus / "rules.json"), str(tuples)]) == 0
+        pred = tuples
+    files = sorted(p for d in (gt, pred) for p in d.glob("*_page*.json"))
+    bad = sorted(pred.glob("*_page01*.json"))[1]
+    bad.write_text("{not json")
+    reads = []
+
+    def counted(path, real=corpusio.read_json):
+        reads.append(Path(path))
+        return real(path)
+
+    monkeypatch.setattr(cli, "read_json", counted)
+    monkeypatch.setattr(corpusio, "read_json", counted)  # the binding read_tuple_set calls
+    capsys.readouterr()
+    assert main(["eval", mode, str(gt), str(pred)]) == 2
+    reason = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    assert capsys.readouterr() == ("", f"error: {bad}: {reason}\n")
+    assert sorted(reads) == files
+
+
+def test_an_unlabeled_table_the_config_skips_has_no_tuple_ground_truth(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    dump_json(spec, {"seed": 5, "pages": [
+        {"kind": "bordered", "file_id": "a", "page_nr": 1, "labeled": False,
+         "interpretation": True},
+        {"kind": "booktabs", "file_id": "b", "page_nr": 1, "interpretation": True},
+    ]})
+    corpus, pred, tuples = tmp_path / "corpus", tmp_path / "pred", tmp_path / "tuples"
+    assert main(["gen-fixtures", str(spec), str(corpus)]) == 0
+    assert main([
+        "recognize", str(corpus / "layouts"), str(pred),
+        "--config", str(corpus / "recognizer_config.json"),
+    ]) == 0
+    assert main(["interpret", str(pred), str(corpus / "rules.json"), str(tuples)]) == 0
+    capsys.readouterr()
+    argv = ["eval", "recognition", str(corpus / "recognition_gt"), str(pred), "--strict"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("F1=1.0000")
+    argv = ["eval", "interpretation", str(corpus / "interpretation_gt"), str(tuples), "--strict"]
+    assert main(argv) == 0
+    out = "interpretation: P=1.0000 R=1.0000 F1=1.0000 (tp=7 fp=0 fn=0)\n"
+    assert capsys.readouterr() == (out, "")

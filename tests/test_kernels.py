@@ -159,5 +159,6 @@ def test_iou_matrix_reference():
         for i in range(len(a)):
             for j in range(len(b)):
                 assert got[i][j] == pytest.approx(ref_iou(a[i], b[j]), abs=1e-12)
+                assert got[i][j] == kernels.box_iou(a[i], b[j])
     # zero-area boxes that share an edge have no union
     assert kernels.iou_matrix([(5, 0, 5, 10)], [(5, 0, 5, 10), (0, 0, 5, 10)]) == [[0.0, 0.0]]
