@@ -41,7 +41,6 @@ from .evaluate import (
     corpus_average,
     interpretation_score,
     recognition_score,
-    scored_tables,
     wavg_f1,
 )
 from .fields import load
@@ -461,15 +460,10 @@ def _score_page_pairs(
 
 def _score_tables(args: argparse.Namespace, score) -> list[tuple[tuple[str, int], object]]:
     """``_score_page_pairs`` of tables files, with ``score(gt_tables,
-    pred_tables)`` over the tables of a page that ``scored_tables`` keeps."""
+    pred_tables)`` over all the tables of a page."""
 
     def score_page(gt: list[PageTables], pred: list[PageTables]):
-        return score(*scored_tables(
-            [t for page in gt for t in page.tables],
-            [m for page in gt for m in page.expected_missed],
-            [t for page in pred for t in page.tables],
-            args.iou_min,
-        ))
+        return score(*([t for page in side for t in page.tables] for side in (gt, pred)))
 
     return _score_page_pairs(args, parse_layout_name, _read_page_tables, score_page)
 

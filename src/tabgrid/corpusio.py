@@ -74,31 +74,14 @@ class PageTables:
     tables: list[RecognizedTable] = field(default_factory=list)
     orientation: str = PageOrientation.STANDARD.value
     diagnostics: list[str] = field(default_factory=list)
-    # parallel to tables; fixture ground truth marks tables a
-    # label-requiring configuration is expected to skip
-    expected_missed: list[bool] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.expected_missed:
-            self.expected_missed = [False] * len(self.tables)
-        elif len(self.expected_missed) != len(self.tables):
-            raise ValueError(
-                f"{len(self.expected_missed)} expected_missed flags for {len(self.tables)} tables"
-            )
 
 
 def page_tables_to_dict(doc: PageTables) -> dict:
-    tables = []
-    for t, missed in zip(doc.tables, doc.expected_missed):
-        entry = recognized_table_to_dict(t)
-        if missed:
-            entry["expected_missed"] = True
-        tables.append(entry)
     return {
         "file_id": doc.file_id,
         "page_nr": doc.page_nr,
         "orientation": doc.orientation,
-        "tables": tables,
+        "tables": [recognized_table_to_dict(t) for t in doc.tables],
         "diagnostics": list(doc.diagnostics),
     }
 
@@ -109,10 +92,6 @@ def page_tables_from_dict(d: dict) -> PageTables:
     try:
         raw_tables = expect(d.get("tables", []), "tables", "list")
         tables = [recognized_table_from_dict(t) for t in raw_tables]
-        missed = [
-            expect(t.get("expected_missed", False), f"tables[{i}].expected_missed", "boolean")
-            for i, t in enumerate(raw_tables)
-        ]
         diagnostics = expect(d.get("diagnostics", []), "diagnostics", "list")
         return PageTables(
             file_id=expect(d["file_id"], "file_id", "string"),
@@ -125,7 +104,6 @@ def page_tables_from_dict(d: dict) -> PageTables:
             diagnostics=[
                 expect(x, f"diagnostics[{i}]", "string") for i, x in enumerate(diagnostics)
             ],
-            expected_missed=missed,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise LayoutError(f"bad page tables entry: {exc}") from exc

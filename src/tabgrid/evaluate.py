@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import asdict, dataclass
+from math import fsum
 
 from .errors import DuplicateKey, EmptyCorpus
 from .kernels import Box, iou_matrix
@@ -172,31 +173,18 @@ def match_tables(
     )
 
 
-def scored_tables(
-    gt: list[RecognizedTable], missed: list[bool], pred: list[RecognizedTable], iou_min: float
-) -> tuple[list[RecognizedTable], list[RecognizedTable]]:
-    """The tables of one page that a score counts: the ground truth not
-    marked expected-missed, and the predictions that ``match_tables`` does
-    not pair with a marked table, so neither finding nor missing one counts."""
-    if not any(missed):
-        return gt, pred
-    found = {j for i, j in match_tables(gt, pred, iou_min).pairs if missed[i]}
-    return (
-        [t for t, marked in zip(gt, missed) if not marked],
-        [t for j, t in enumerate(pred) if j not in found],
-    )
-
-
 def _paired_tables(gt_pages: dict, pred_pages: dict, iou_min: float):
     """For every page key on either side: the ``(gt, pred)`` table pairs
     that ``match_tables`` makes, then the unpaired ground-truth tables
-    (misses) and the unpaired predicted tables (spurious)."""
+    (misses) and the unpaired predicted tables (spurious).  A ground-truth
+    table marked ``expected_missed`` counts neither way: its pair is left
+    out, and so is the table when it stays unpaired."""
     for page in sorted(set(gt_pages) | set(pred_pages)):
         gt, pred = gt_pages.get(page, []), pred_pages.get(page, [])
         match = match_tables(gt, pred, iou_min)
         yield (
-            [(gt[i], pred[j]) for i, j in match.pairs],
-            [gt[i] for i in match.unmatched_gt],
+            [(gt[i], pred[j]) for i, j in match.pairs if not gt[i].expected_missed],
+            [gt[i] for i in match.unmatched_gt if not gt[i].expected_missed],
             [pred[j] for j in match.unmatched_pred],
         )
 
@@ -253,9 +241,9 @@ def corpus_average(per_document: list[PRF]) -> MacroPRF:
         raise EmptyCorpus("no documents to average")
     n = len(per_document)
     return MacroPRF(
-        precision=sum(d.precision for d in per_document) / n,
-        recall=sum(d.recall for d in per_document) / n,
-        f1=sum(d.f1 for d in per_document) / n,
+        precision=fsum(d.precision for d in per_document) / n,
+        recall=fsum(d.recall for d in per_document) / n,
+        f1=fsum(d.f1 for d in per_document) / n,
     )
 
 
@@ -274,8 +262,7 @@ def wavg_f1(f1_by_threshold: dict[float, float]) -> float:
     """Threshold-weighted average: sum(t * F1_t) / sum(t); empty -> 0.0."""
     if not f1_by_threshold:
         return 0.0
-    total = sum(f1_by_threshold)
-    return sum(t * f1 for t, f1 in f1_by_threshold.items()) / total
+    return fsum(t * f1 for t, f1 in f1_by_threshold.items()) / fsum(f1_by_threshold)
 
 
 def _canon(values: dict[str, str]) -> tuple[tuple[str, str], ...]:

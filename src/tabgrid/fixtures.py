@@ -486,9 +486,8 @@ def _one_table_page(
     """The fixture page for one table: its ground truth marks an unlabeled
     table as expected missed, and an interpretation ``plan`` adds the tuples
     of a labeled one."""
-    gt = PageTables(
-        file_id=file_id, page_nr=page_nr, tables=[table], expected_missed=[not table.labeled]
-    )
+    marked = table if table.labeled else replace(table, expected_missed=True)
+    gt = PageTables(file_id=file_id, page_nr=page_nr, tables=[marked])
     tuple_sets = []
     if plan is not None and table.labeled:
         tuple_sets.append(tuple_set_of(table, plan["meaning_of_col"], file_id, page_nr))

@@ -179,6 +179,9 @@ class RecognizedTable:
     labeled: bool
     source: TableSource
     header_row_count: int = 0
+    # fixture ground truth marks a table a label-requiring config is
+    # expected to skip; scores count it neither way
+    expected_missed: bool = False
 
     def __post_init__(self) -> None:
         if self.n_rows < 1 or self.n_cols < 1:
@@ -463,6 +466,7 @@ def recognized_table_to_dict(table: RecognizedTable) -> dict:
             }
             for c in table.cells
         ],
+        **({"expected_missed": True} if table.expected_missed else {}),
     }
 
 
@@ -499,6 +503,7 @@ def recognized_table_from_dict(d: dict) -> RecognizedTable:
             expect(d.get("labeled", False), "labeled", "boolean"),
             TableSource(one_of(d.get("source", "separator"), "source", _SOURCES)),
             expect(d.get("header_row_count", 0), "header_row_count", "integer"),
+            expect(d.get("expected_missed", False), "expected_missed", "boolean"),
         )
         table.grid  # raises unless the cells tile the grid; kept for later use
         return table

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from tabgrid.errors import DuplicateKey, EmptyCorpus
 from tabgrid.evaluate import (
     PRF,
     TableMatch,
+    _paired_tables,
     adjacency_relations,
     cell_f1_at_iou,
     cell_score,
@@ -17,15 +19,15 @@ from tabgrid.evaluate import (
     interpretation_score,
     match_tables,
     recognition_score,
-    scored_tables,
     tuple_set_f1,
     wavg_f1,
 )
-from tabgrid.fixtures import gen_bordered_page
+from tabgrid.fixtures import corpus_recognizer_config, gen_booktabs_page, gen_bordered_page
 from tabgrid.geometry import box
 from tabgrid.interpret import RowTuple, TupleSet
 from tabgrid.kernels import box_iou, iou_matrix
-from tabgrid.model import Cell, RecognizedTable, TableSource
+from tabgrid.model import Cell, RecognizedTable, RecognizerConfig, TableSource
+from tabgrid.pipeline import recognize_page
 
 
 def _cell(b, rs, re, cs, ce, text):
@@ -544,12 +546,79 @@ def test_interpretation_score_duplicate_key_rejected():
 
 
 def test_scored_tables_leave_out_marked_tables_and_the_predictions_paired_with_them():
-    kept, marked = _grid_table([["a"]]), _grid_table([["b"]], origin=(0, 100))
-    near_kept = _grid_table([["a"]], origin=(5, 0))
-    near_marked = _grid_table([["b"]], origin=(5, 100))
-    apart = _grid_table([["c"]], origin=(0, 300))
+    rows = [["a", "b"], ["c", "d"]]  # four relations and four cells a table
+    kept = _grid_table(rows)
+    marked = replace(_grid_table(rows, origin=(0, 100)), expected_missed=True)
+    near_kept, near_marked = _grid_table(rows, origin=(5, 0)), _grid_table(rows, origin=(5, 100))
+    apart = _grid_table(rows, origin=(0, 300))
     pred = [near_marked, apart, near_kept]
-    assert scored_tables([kept, marked], [False, True], pred, 0.5) == ([kept], [apart, near_kept])
-    assert scored_tables([kept, marked], [False, False], pred, 0.5) == ([kept, marked], pred)
+
+    def scores(gt, iou_min):
+        return (recognition_score({0: gt}, {0: pred}, iou_min),
+                cell_score({0: gt}, {0: pred}, iou_min, (0.5,))[0.5])
+
+    # the marked table and near_marked count neither way; apart is spurious
+    assert scores([kept, marked], 0.5) == (PRF(tp=4, fp=4), PRF(tp=4, fp=4))
+    unmarked = replace(marked, expected_missed=False)
+    assert scores([kept, unmarked], 0.5) == (PRF(tp=8, fp=4), PRF(tp=8, fp=4))
     # a prediction that does not reach --iou-min with the marked table still counts
-    assert scored_tables([marked], [True], pred, 0.95) == ([], pred)
+    assert scores([marked], 0.95) == (PRF(fp=12), PRF(fp=12))
+
+
+@pytest.mark.parametrize("gen", [gen_bordered_page, gen_booktabs_page])
+@pytest.mark.parametrize(
+    "config, n_found",
+    [(RecognizerConfig(), 1), (corpus_recognizer_config(), 0)],
+    ids=["found", "skipped"],
+)
+def test_library_scores_leave_out_a_marked_table_as_eval_does(gen, config, n_found):
+    page = gen(random.Random(4), "u", 1, labeled=False)
+    gt, pred = page.gt.tables, recognize_page(page.layout, config).tables
+    assert [t.expected_missed for t in gt] == [True] and len(pred) == n_found
+    assert recognition_score({0: gt}, {0: pred}) == PRF()
+    thresholds = (0.5, 0.6, 0.7, 0.8, 0.9)
+    assert cell_score({0: gt}, {0: pred}, 0.5, thresholds) == dict.fromkeys(thresholds, PRF())
+
+
+def _two_pass_paired_tables(gt, pred, iou_min):
+    """The rule that one pairing replaces: leave out the marked ground truth
+    and each prediction paired with it, then pair the rest again."""
+    found = {j for i, j in match_tables(gt, pred, iou_min).pairs if gt[i].expected_missed}
+    gt = [t for t in gt if not t.expected_missed]
+    pred = [t for j, t in enumerate(pred) if j not in found]
+    match = match_tables(gt, pred, iou_min)
+    return (
+        [(gt[i], pred[j]) for i, j in match.pairs],
+        [gt[i] for i in match.unmatched_gt],
+        [pred[j] for j in match.unmatched_pred],
+    )
+
+
+_SMALL_BOXES = st.builds(
+    lambda l, t, w, h: box(l, t, l + w, t + h),
+    st.integers(0, 12), st.integers(0, 12), st.integers(1, 12), st.integers(1, 12),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    gt=st.lists(st.tuples(_SMALL_BOXES, st.booleans()), max_size=5),
+    pred=st.lists(_SMALL_BOXES, max_size=5),
+    iou_min=st.sampled_from([0.1, 0.3, 0.5, 0.7]),
+)
+def test_one_pairing_leaves_out_what_the_two_pass_rule_did(gt, pred, iou_min):
+    def named(b, name, marked=False):  # a distinct content, so no two tables are equal
+        return replace(_table(b), cells=(_cell(b, 0, 0, 0, 0, name),), expected_missed=marked)
+
+    gt = [named(b, f"g{k}", m) for k, (b, m) in enumerate(gt)]
+    pred = [named(b, f"p{k}") for k, b in enumerate(pred)]
+    [one_pass] = _paired_tables({0: gt}, {0: pred}, iou_min)
+    assert tuple(one_pass) == _two_pass_paired_tables(gt, pred, iou_min)
+
+
+def test_averages_are_exactly_rounded_sums():
+    """``fsum``, so that every Python rounds alike: the builtin ``sum``
+    rounds each step on Pythons before 3.12."""
+    assert corpus_average([PRF(tp=1, fp=9)] * 10).precision == 0.1
+    f1s = dict.fromkeys((0.6, 0.7, 0.8, 0.9), 0.9724310776942355)
+    assert wavg_f1(f1s) == 0.9724310776942356

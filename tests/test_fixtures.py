@@ -236,9 +236,9 @@ def test_overlapping_cmidrules_in_one_level_rejected():
 def test_unlabeled_page_marks_expected_missed():
     rng = random.Random(2)
     page = gen_bordered_page(rng, "u", 1, rows=2, cols=2, labeled=False)
-    assert page.gt.expected_missed == [True]
+    assert page.gt.tables[0].expected_missed is True
     labeled = gen_bordered_page(random.Random(2), "u", 1, rows=2, cols=2, labeled=True)
-    assert labeled.gt.expected_missed == [False]
+    assert labeled.gt.tables[0].expected_missed is False
 
 
 def test_vertical_orientation_transposes_layout_not_grid():

@@ -305,7 +305,7 @@ STRICT_PAGE_TABLES = [
     ("page-nr-float", _with(_page_tables(), ("page_nr",), 1.5),
      "bad page tables entry: page_nr must be an integer, got 1.5"),
     ("expected-missed-string", _with(_page_tables(), ("tables", 0, "expected_missed"), "false"),
-     "bad page tables entry: tables[0].expected_missed must be a boolean, got 'false'"),
+     "bad table entry: expected_missed must be a boolean, got 'false'"),
 ]
 
 
@@ -366,7 +366,7 @@ def test_plain_strings_still_read():
 
 def test_plain_flags_and_integers_still_read():
     doc = _with(_page_tables(), ("tables", 0, "expected_missed"), True)
-    assert page_tables_from_dict(doc).expected_missed == [True]
+    assert page_tables_from_dict(doc).tables[0].expected_missed is True
     table = recognized_table_from_dict(_with(_table(), ("labeled",), False))
     assert table.labeled is False and table.header_row_count == 0
     layout = page_layout_from_dict(_with(_page(), ("words", 0, "line_id"), None))
