@@ -17,6 +17,8 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple, NoReturn
 
@@ -31,7 +33,7 @@ from .corpusio import (
     parse_layout_name,
     parse_tuple_name,
     read_json,
-    read_tuple_set,
+    tuple_set_from_dict,
     write_tuple_set,
 )
 from .errors import ConfigError, DuplicateKey, EmptyCorpus, TabgridError
@@ -48,7 +50,6 @@ from .interpret import interpret_table, load_meanings
 from .model import (
     PageOrientation,
     RecognizerConfig,
-    TupleSet,
     load_recognizer_config,
     page_layout_from_dict,
 )
@@ -242,23 +243,6 @@ def _attempt_all(items: list, work, max_workers: int, min_bytes: int) -> list[tu
     return [_attempt(work, item) for item in items]
 
 
-def _run_per_file(files: list[_Input], work, max_workers: int) -> tuple[int, list]:
-    """Call ``work(item)`` for every file; one bad file never ends the run.
-
-    Runs in worker processes when every worker gets ``MIN_BYTES_PER_WORKER``
-    bytes of files.  Prints one sorted ``error: <file>: <msg>`` line per failed file
-    and returns the exit code (0, 2 if any file is invalid input, 1 if any
-    file crashed) and the values ``work`` returned, in file order.
-    """
-    results = _attempt_all(files, work, max_workers, MIN_BYTES_PER_WORKER)
-    errors = sorted((name, str(fault)) for name, fault, _, _ in results if fault is not None)
-    for name, message in errors:
-        print(f"error: {name}: {message}", file=sys.stderr)
-    crashed = any(crash for _, _, crash, _ in results)
-    values = [value for _, fault, _, value in results if fault is None]
-    return (1 if crashed else 2 if errors else 0), values
-
-
 def _key_name(key: tuple) -> str:
     """``<id>_pageNN`` for a page key, ``<id>_pageNN_tableI`` for a tuple-set key."""
     name = format_layout_name(*key) if len(key) == 2 else format_tuple_name(*key)
@@ -272,96 +256,94 @@ def _named(item: _Input, kind: str, form: str = "<id>_page<NR>") -> tuple:
     return item.key
 
 
-def _check_name(item: _Input, held: tuple) -> None:
-    if item.key != held:
+def _read_keyed(kind: str, form: str, from_dict, key_of, item: _Input):
+    """``from_dict`` of the JSON in ``item``, whose name has the form ``form``
+    and gives the key that ``key_of`` finds in what the file holds."""
+    _named(item, kind, form)
+    value = from_dict(read_json(item.path))
+    if item.key != (held := key_of(value)):
         raise TabgridError(
             f"file name does not match its content: {item.name} holds {_key_name(held)}"
         )
+    return value
 
 
-def _read_page_tables(item: _Input) -> PageTables:
-    """A page tables file whose ``<id>_page<NR>`` name is the page it holds."""
-    _named(item, "table")
-    page = page_tables_from_dict(read_json(item.path))
-    _check_name(item, (page.file_id, page.page_nr))
-    return page
+_read_page_tables = partial(
+    _read_keyed, "table", "<id>_page<NR>", page_tables_from_dict, attrgetter("file_id", "page_nr")
+)
+_read_tuple_set = partial(
+    _read_keyed, "tuple", "<id>_page<NR>_table<IDX>", tuple_set_from_dict,
+    attrgetter("file_id", "page_nr", "table_idx"),
+)
 
 
-def _read_tuple_set(item: _Input) -> TupleSet:
-    """A tuple set whose ``<id>_page<NR>_table<IDX>`` name is the set it holds."""
-    _named(item, "tuple", "<id>_page<NR>_table<IDX>")
-    ts = read_tuple_set(item.path)
-    _check_name(item, (ts.file_id, ts.page_nr, ts.table_idx))
-    return ts
+def _fill_dir(args: argparse.Namespace, in_dir: Path, work, inputs: dict, config):
+    """Run the stage ``work`` on each ``<id>_page<NR>.json`` file of ``in_dir``,
+    in worker processes when each gets ``MIN_BYTES_PER_WORKER`` bytes of files;
+    one bad file never ends the run.  ``work`` writes into ``args.out_dir``,
+    which may not be ``in_dir``; the run manifest comes last.  Prints one sorted
+    ``error: <file>: <msg>`` line per failed file, and returns the exit code (0;
+    2 if any file is invalid input; 1 if any crashed), the values ``work``
+    returned, in file order, and the file count."""
+    out_dir = Path(args.out_dir)
+    files = _scan(in_dir, parse_layout_name)
+    if out_dir.is_dir() and os.path.samefile(in_dir, out_dir):
+        raise TabgridError(f"the output directory is the input directory: {out_dir}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    results = _attempt_all(files, work, args.max_workers, MIN_BYTES_PER_WORKER)
+    errors = sorted((name, str(fault)) for name, fault, _, _ in results if fault is not None)
+    for name, message in errors:
+        print(f"error: {name}: {message}", file=sys.stderr)
+    _write_manifest(out_dir, args.command, inputs, config)
+    crashed = any(crash for _, _, crash, _ in results)
+    values = [value for _, fault, _, value in results if fault is None]
+    return (1 if crashed else 2 if errors else 0), values, len(files)
 
 
 # ---------------------------------------------------------------------------
-# recognize
+# recognize and interpret: the stage of one file, and its command
+
+
+def _recognize_file(item: _Input, out_dir: Path, cfg: RecognizerConfig, orientation) -> None:
+    file_id, page_nr = _named(item, "layout")
+    result = recognize_page(page_layout_from_dict(read_json(item.path)), cfg, orientation)
+    payload = page_tables_to_dict(
+        PageTables(file_id, page_nr, [*result.tables], orientation.value, [*result.diagnostics])
+    )
+    del result  # free the tables before serializing, the command's memory peak
+    dump_json(out_dir / item.name, payload)
+
+
+def _interpret_file(item: _Input, out_dir: Path, meanings) -> int:
+    """Writes each tuple set as soon as it is made; returns how many."""
+    page = _read_page_tables(item)
+    written = 0
+    for idx, table in enumerate(page.tables):
+        ts = interpret_table(table, meanings, page.file_id, page.page_nr, idx)
+        if ts.tuples:
+            write_tuple_set(out_dir, ts)
+            written += 1
+    return written
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
-    layout_dir = Path(args.layout_dir)
-    out_dir = Path(args.out_dir)
     cfg = load_recognizer_config(args.config) if args.config else RecognizerConfig()
     orientation = PageOrientation(args.orientation)
-    files = _scan(layout_dir, parse_layout_name)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def recognize_file(item: _Input) -> None:
-        file_id, page_nr = _named(item, "layout")
-        result = recognize_page(page_layout_from_dict(read_json(item.path)), cfg, orientation)
-        payload = page_tables_to_dict(
-            PageTables(
-                file_id=file_id,
-                page_nr=page_nr,
-                tables=list(result.tables),
-                orientation=orientation.value,
-                diagnostics=list(result.diagnostics),
-            )
-        )
-        del result  # free the tables before serializing, the command's memory peak
-        dump_json(out_dir / item.name, payload)
-
-    rc, _ = _run_per_file(files, recognize_file, args.max_workers)
-    _write_manifest(
-        out_dir,
-        "recognize",
-        {"layout_dir": layout_dir, "out_dir": out_dir, "orientation": args.orientation},
-        args.config,
-    )
+    layout_dir, out_dir = Path(args.layout_dir), Path(args.out_dir)
+    inputs = {"layout_dir": layout_dir, "out_dir": out_dir, "orientation": args.orientation}
+    work = partial(_recognize_file, out_dir=out_dir, cfg=cfg, orientation=orientation)
+    rc, _, pages = _fill_dir(args, layout_dir, work, inputs, args.config)
     if rc == 0:
-        print(f"recognized {len(files)} page(s) -> {out_dir}")
+        print(f"recognized {pages} page(s) -> {out_dir}")
     return rc
 
 
-# ---------------------------------------------------------------------------
-# interpret
-
-
 def _cmd_interpret(args: argparse.Namespace) -> int:
-    tables_dir = Path(args.tables_dir)
-    out_dir = Path(args.out_dir)
     meanings = load_meanings(args.rules)  # validated before any table is read
-    files = _scan(tables_dir, parse_layout_name)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    def interpret_file(item: _Input) -> int:
-        page = _read_page_tables(item)
-        written = 0
-        for idx, table in enumerate(page.tables):
-            ts = interpret_table(table, meanings, page.file_id, page.page_nr, idx)
-            if ts.tuples:
-                write_tuple_set(out_dir, ts)
-                written += 1
-        return written
-
-    rc, written = _run_per_file(files, interpret_file, args.max_workers)
-    _write_manifest(
-        out_dir,
-        "interpret",
-        {"tables_dir": tables_dir, "out_dir": out_dir, "rules": args.rules},
-        args.rules,
-    )
+    tables_dir, out_dir = Path(args.tables_dir), Path(args.out_dir)
+    inputs = {"tables_dir": tables_dir, "out_dir": out_dir, "rules": args.rules}
+    work = partial(_interpret_file, out_dir=out_dir, meanings=meanings)
+    rc, written, _ = _fill_dir(args, tables_dir, work, inputs, args.rules)
     if rc == 0:
         print(f"wrote {sum(written)} tuple set(s) -> {out_dir}")
     return rc
@@ -458,21 +440,17 @@ def _score_page_pairs(
     return [(page, counts) for page, (_, _, _, counts) in zip(pages, results)]
 
 
-def _score_tables(args: argparse.Namespace, score) -> list[tuple[tuple[str, int], object]]:
-    """``_score_page_pairs`` of tables files, with ``score(gt_tables,
-    pred_tables)`` over all the tables of a page."""
-
-    def score_page(gt: list[PageTables], pred: list[PageTables]):
-        return score(*([t for page in side for t in page.tables] for side in (gt, pred)))
-
-    return _score_page_pairs(args, parse_layout_name, _read_page_tables, score_page)
+def _page_map(pages: list[PageTables]) -> dict[int, list]:
+    """One page's tables, from its tables files, as the map the scores take."""
+    return {0: [table for page in pages for table in page.tables]}
 
 
 def _eval_recognition(args: argparse.Namespace) -> tuple[dict, str]:
+    def score(gt: list[PageTables], pred: list[PageTables]) -> PRF:
+        return recognition_score(_page_map(gt), _page_map(pred), args.iou_min)
+
     per_doc: dict[str, PRF] = {}
-    for (fid, _), prf in _score_tables(
-        args, lambda gt, pred: recognition_score({0: gt}, {0: pred}, args.iou_min)
-    ):
+    for (fid, _), prf in _score_page_pairs(args, parse_layout_name, _read_page_tables, score):
         per_doc[fid] = per_doc.get(fid, PRF()) + prf
     corpus = corpus_average(per_doc.values())
 
@@ -506,10 +484,12 @@ def _parse_cell_thresholds(text: str) -> tuple[float, ...]:
 
 def _eval_cells(args: argparse.Namespace) -> tuple[dict, str]:
     thresholds = _parse_cell_thresholds(args.cell_thresholds)
+
+    def score(gt: list[PageTables], pred: list[PageTables]) -> dict[float, PRF]:
+        return cell_score(_page_map(gt), _page_map(pred), args.iou_min, thresholds)
+
     by_t = dict.fromkeys(thresholds, PRF())
-    for _, counts in _score_tables(
-        args, lambda gt, pred: cell_score({0: gt}, {0: pred}, args.iou_min, thresholds)
-    ):
+    for _, counts in _score_page_pairs(args, parse_layout_name, _read_page_tables, score):
         for t, prf in counts.items():
             by_t[t] += prf
     wavg = wavg_f1({t: prf.f1 for t, prf in by_t.items()})
@@ -533,13 +513,11 @@ def _eval_interpretation(args: argparse.Namespace) -> tuple[dict, str]:
 def _cmd_eval(args: argparse.Namespace) -> int:
     if not 0.0 < args.iou_min <= 1.0:
         raise ConfigError(f"--iou-min must be in (0, 1], got {args.iou_min}")
+    evaluate = dict(
+        recognition=_eval_recognition, cells=_eval_cells, interpretation=_eval_interpretation
+    )[args.mode]
     try:
-        if args.mode == "recognition":
-            report, text = _eval_recognition(args)
-        elif args.mode == "cells":
-            report, text = _eval_cells(args)
-        else:
-            report, text = _eval_interpretation(args)
+        report, text = evaluate(args)
     except _Unscored as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -228,6 +228,49 @@ def test_run_manifest_shape(tmp_path, capsys):
     assert "generated_at" in manifest
 
 
+def _manifest(directory: Path) -> tuple:
+    """The command, inputs and config digest of ``directory``'s run manifest."""
+    manifest = json.loads((directory / "run_manifest.json").read_text())
+    assert set(manifest) == {"command", "inputs", "config_sha256", "version", "generated_at"}
+    assert manifest["version"] == __version__
+    return manifest["command"], manifest["inputs"], manifest["config_sha256"]
+
+
+def test_run_manifest_of_every_command_that_writes_one(tmp_path, capsys):
+    import hashlib
+
+    corpus = _make_corpus(tmp_path)
+    spec, layouts = tmp_path / "spec.json", corpus / "layouts"
+    config, rules = corpus / "recognizer_config.json", corpus / "rules.json"
+    pred, vertical, tuples = tmp_path / "pred", tmp_path / "vertical", tmp_path / "tuples"
+    assert main(["recognize", str(layouts), str(pred), "--config", str(config)]) == 0
+    assert main(["recognize", str(layouts), str(vertical), "--orientation", "vertical"]) == 0
+    assert main(["interpret", str(pred), str(rules), str(tuples)]) == 0
+    capsys.readouterr()
+
+    def digest(path: Path) -> str:
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    assert _manifest(corpus) == (
+        "gen-fixtures", {"spec": str(spec), "out_dir": str(corpus)}, digest(spec)
+    )
+    assert _manifest(pred) == (
+        "recognize",
+        {"layout_dir": str(layouts), "out_dir": str(pred), "orientation": "standard"},
+        digest(config),
+    )
+    assert _manifest(vertical) == (
+        "recognize",
+        {"layout_dir": str(layouts), "out_dir": str(vertical), "orientation": "vertical"},
+        None,  # no --config given
+    )
+    assert _manifest(tuples) == (
+        "interpret",
+        {"tables_dir": str(pred), "out_dir": str(tuples), "rules": str(rules)},
+        digest(rules),
+    )
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error reporting
 
@@ -731,6 +774,30 @@ def test_interpret_crash_is_reported_and_run_completes(tmp_path, monkeypatch, ca
     assert (out / "run_manifest.json").is_file()
 
 
+def test_interpret_keeps_what_a_page_wrote_before_a_crash(tmp_path, monkeypatch, capsys):
+    corpus, pred = _recognized(tmp_path, capsys)
+    first = sorted(pred.glob("ri*_page*.json"))[0]
+    table = page_tables_from_dict(json.loads(first.read_text())).tables[0]
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    dump_json(tables / "two_page01.json", page_tables_to_dict(PageTables("two", 1, [table] * 2)))
+    real = cli.interpret_table
+
+    def flaky(table, meanings, file_id, page_nr, table_idx):
+        if table_idx == 1:
+            raise RuntimeError("boom")
+        return real(table, meanings, file_id, page_nr, table_idx)
+
+    monkeypatch.setattr(cli, "interpret_table", flaky)
+    out = tmp_path / "tuples"
+    assert main(["interpret", str(tables), str(corpus / "rules.json"), str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: two_page01.json: RuntimeError: boom\n")
+    assert list(_tuple_files(out)) == ["two_page01_table0.json"]  # written before the crash
+    monkeypatch.setattr(cli, "interpret_table", real)
+    assert main(["interpret", str(tables), str(corpus / "rules.json"), str(out)]) == 0
+    assert len(_tuple_files(out)) == 2  # both tables give tuples
+
+
 def test_interpret_writes_no_tuple_set_for_a_table_without_body_rows(tmp_path, capsys):
     header = [
         Cell(box=box(j * 50, 0, j * 50 + 50, 20), row_start=0, row_end=0, col_start=j,
@@ -900,6 +967,27 @@ def test_per_file_commands_reject_two_names_for_one_page(tmp_path, capsys, comma
         f"error: {inputs}: {source.name} and {copy.name} both name {source.stem}\n"
     )
     assert not (tmp_path / "out").exists()  # rejected before any file is written
+
+
+@pytest.mark.parametrize(
+    "command, link", [("recognize", False), ("recognize", True), ("interpret", False)]
+)
+def test_per_file_commands_refuse_to_write_into_their_input_directory(
+    tmp_path, capsys, command, link
+):
+    argv, inputs = _command_inputs(tmp_path, capsys, command)
+    out = inputs
+    if link:
+        out = tmp_path / "link"
+        out.symlink_to(inputs, target_is_directory=True)
+    argv[-1] = str(out)
+    before = {p.name: p.read_bytes() for p in inputs.iterdir()}
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: the output directory is the input directory: {out}\n"
+    )
+    # every input keeps its bytes, and no file (a manifest, say) is added or replaced
+    assert {p.name: p.read_bytes() for p in inputs.iterdir()} == before
 
 
 def _run_outputs(argv, capsys):
