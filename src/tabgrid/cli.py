@@ -79,6 +79,12 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, config_path=None)
     dump_json(out_dir / "run_manifest.json", manifest)
 
 
+def _refuse_filled(out_dir: Path) -> None:
+    """An earlier run's files left in ``out_dir`` would read as this run's."""
+    if out_dir.is_dir() and any(out_dir.iterdir()):
+        raise TabgridError(f"the output directory is not empty: {out_dir}")
+
+
 class _Input(NamedTuple):
     """An input file, the key its name gives (None for no known form) and its bytes."""
 
@@ -281,14 +287,15 @@ def _fill_dir(args: argparse.Namespace, in_dir: Path, work, inputs: dict, config
     """Run the stage ``work`` on each ``<id>_page<NR>.json`` file of ``in_dir``,
     in worker processes when each gets ``MIN_BYTES_PER_WORKER`` bytes of files;
     one bad file never ends the run.  ``work`` writes into ``args.out_dir``,
-    which may not be ``in_dir``; the run manifest comes last.  Prints one sorted
-    ``error: <file>: <msg>`` line per failed file, and returns the exit code (0;
-    2 if any file is invalid input; 1 if any crashed), the values ``work``
-    returned, in file order, and the file count."""
+    which must be new or empty and is not ``in_dir``; the run manifest comes
+    last.  Prints one sorted ``error: <file>: <msg>`` line per failed file, and
+    returns the exit code (0; 2 if any file is invalid input; 1 if any
+    crashed), the values ``work`` returned, in file order, and the file count."""
     out_dir = Path(args.out_dir)
     files = _scan(in_dir, parse_layout_name)
     if out_dir.is_dir() and os.path.samefile(in_dir, out_dir):
         raise TabgridError(f"the output directory is the input directory: {out_dir}")
+    _refuse_filled(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = _attempt_all(files, work, args.max_workers, MIN_BYTES_PER_WORKER)
     errors = sorted((name, str(fault)) for name, fault, _, _ in results if fault is not None)
@@ -536,6 +543,7 @@ def _cmd_gen_fixtures(args: argparse.Namespace) -> int:
 
     spec = load(args.spec, "fixture spec")
     out_dir = Path(args.out_dir)
+    _refuse_filled(out_dir)
     summary = build_corpus(spec, out_dir)
     _write_manifest(out_dir, "gen-fixtures", {"spec": args.spec, "out_dir": out_dir}, args.spec)
     print(

@@ -498,16 +498,57 @@ def _one_table_page(
 # perturbation and corpus assembly
 
 
+def _moved(b: BoundingBox, dx: int, dy: int) -> BoundingBox:
+    return BoundingBox(b.left + dx, b.top + dy, b.right + dx, b.bottom + dy)
+
+
 def shift_separators(layout: PageLayout, rng: random.Random, magnitude: int) -> PageLayout:
     """Translate every ruling independently by up to ``magnitude`` px per axis."""
     moved = []
     for sep in layout.separators:
         dx = rng.randint(-magnitude, magnitude)
         dy = rng.randint(-magnitude, magnitude)
-        b = sep.box
-        box = BoundingBox(b.left + dx, b.top + dy, b.right + dx, b.bottom + dy)
-        moved.append(replace(sep, box=box))
+        moved.append(replace(sep, box=_moved(sep.box, dx, dy)))
     return replace(layout, separators=tuple(moved))
+
+
+def move_page(page: FixturePage, dx: int, dy: int, lines: int = 0) -> FixturePage:
+    """The page with every box, its ground truth's too, moved by ``(dx, dy)`` and grown as
+    much, and every line id, its cell words' too, raised by ``lines`` (``None`` stays)."""
+    def words(ws: tuple[Word, ...]) -> tuple[Word, ...]:
+        ids = (None if w.line_id is None else w.line_id + lines for w in ws)
+        return tuple(replace(w, box=_moved(w.box, dx, dy), line_id=i) for w, i in zip(ws, ids))
+
+    def table(t: RecognizedTable) -> RecognizedTable:
+        cells = tuple(replace(c, box=_moved(c.box, dx, dy), words=words(c.words)) for c in t.cells)
+        return replace(t, region=_moved(t.region, dx, dy), cells=cells)
+
+    old = page.layout
+    layout = PageLayout(
+        old.page_width + dx, old.page_height + dy, words(old.words),
+        tuple(replace(s, box=_moved(s.box, dx, dy)) for s in old.separators),
+        tuple(_moved(r, dx, dy) for r in old.non_text_regions),
+    )
+    return replace(page, layout=layout, gt=replace(page.gt, tables=[*map(table, page.gt.tables)]))
+
+
+def stack_pages(pages: list[FixturePage], file_id: str, page_nr: int) -> FixturePage:
+    """``pages`` top to bottom on one page, each moved down by the heights above it and its
+    line ids raised past theirs; each tuple set points at its table on the page."""
+    words, separators, regions, tables, tuple_sets = [], [], [], [], []
+    height = width = base = 0
+    for page in pages:
+        page = move_page(page, 0, height, base)
+        words += page.layout.words
+        base = max({w.line_id for w in page.layout.words} - {None}, default=base - 1) + 1
+        separators += page.layout.separators
+        regions += page.layout.non_text_regions
+        tuple_sets += [TupleSet(file_id, page_nr, len(tables) + ts.table_idx, ts.tuples)
+                       for ts in page.tuple_sets]
+        tables += page.gt.tables
+        height, width = page.layout.page_height, max(width, page.layout.page_width)
+    layout = PageLayout(width, height, tuple(words), tuple(separators), tuple(regions))
+    return FixturePage(file_id, page_nr, layout, PageTables(file_id, page_nr, tables), tuple_sets)
 
 
 def _transpose_fixture(page: FixturePage) -> FixturePage:

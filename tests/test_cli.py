@@ -21,10 +21,16 @@ from tabgrid.corpusio import (
     page_tables_to_dict,
     parse_tuple_name,
 )
-from tabgrid.fixtures import default_meanings
+from tabgrid.fixtures import FixturePage, default_meanings, stack_pages
 from tabgrid.geometry import box
 from tabgrid.interpret import meaning_to_dict
-from tabgrid.model import Cell, RecognizedTable, TableSource, page_layout_from_dict
+from tabgrid.model import (
+    Cell,
+    RecognizedTable,
+    TableSource,
+    page_layout_from_dict,
+    page_layout_to_dict,
+)
 
 
 SPEC = {
@@ -794,8 +800,9 @@ def test_interpret_keeps_what_a_page_wrote_before_a_crash(tmp_path, monkeypatch,
     assert capsys.readouterr() == ("", "error: two_page01.json: RuntimeError: boom\n")
     assert list(_tuple_files(out)) == ["two_page01_table0.json"]  # written before the crash
     monkeypatch.setattr(cli, "interpret_table", real)
-    assert main(["interpret", str(tables), str(corpus / "rules.json"), str(out)]) == 0
-    assert len(_tuple_files(out)) == 2  # both tables give tuples
+    again = tmp_path / "again"  # a rerun into ``out`` is refused: it holds the first run's files
+    assert main(["interpret", str(tables), str(corpus / "rules.json"), str(again)]) == 0
+    assert len(_tuple_files(again)) == 2  # both tables give tuples
 
 
 def test_interpret_writes_no_tuple_set_for_a_table_without_body_rows(tmp_path, capsys):
@@ -988,6 +995,31 @@ def test_per_file_commands_refuse_to_write_into_their_input_directory(
     )
     # every input keeps its bytes, and no file (a manifest, say) is added or replaced
     assert {p.name: p.read_bytes() for p in inputs.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["recognize", "interpret", "gen-fixtures"])
+def test_a_rerun_into_the_directory_of_an_earlier_run_is_refused(tmp_path, capsys, command):
+    if command == "gen-fixtures":
+        spec = tmp_path / "spec.json"
+        dump_json(spec, SPEC)
+        argv = ["gen-fixtures", str(spec), str(tmp_path / "out")]
+        assert main(argv) == 0
+        dump_json(spec, {**SPEC, "random": {"bordered": {"count": 1}}})
+    else:
+        argv, inputs = _command_inputs(tmp_path, capsys, command)
+        assert main(argv) == 0
+        sorted(inputs.glob("*_page01.json"))[0].unlink()
+    # the smaller rerun would leave files of the first run beside its own
+    out = Path(argv[-1])
+    files = lambda: {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    before = files()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: the output directory is not empty: {out}\n")
+    assert files() == before
+    out = tmp_path / "empty"
+    out.mkdir()
+    assert main([*argv[:-1], str(out)]) == 0  # an empty directory is fine
 
 
 def _run_outputs(argv, capsys):
@@ -1289,34 +1321,15 @@ def test_worker_processes_give_the_serial_outputs_and_errors(
     assert len(tuple_files) == PER_KIND
 
 
-def _stacked_page(paths: list[Path]) -> dict:
-    """One layout holding the pages of ``paths``, each below the one before."""
-    page = {"page_width": 0, "page_height": 0, "words": [], "separators": [],
-            "non_text_regions": []}
-    lines = 0
-
-    def moved(box):
-        dy = page["page_height"]
-        return [box[0], box[1] + dy, box[2], box[3] + dy]
-
-    for path in paths:
-        part = json.loads(path.read_text())
-        for w in part["words"]:
-            line_id = None if w["line_id"] is None else w["line_id"] + lines
-            page["words"].append({**w, "box": moved(w["box"]), "line_id": line_id})
-        page["separators"] += [{**s, "box": moved(s["box"])} for s in part["separators"]]
-        page["non_text_regions"] += [moved(r) for r in part["non_text_regions"]]
-        lines += 1 + max((w["line_id"] or 0 for w in part["words"]), default=0)
-        page["page_width"] = max(page["page_width"], part["page_width"])
-        page["page_height"] += part["page_height"]
-    return page
-
-
 def test_large_multi_table_page_gives_the_serial_bytes(tmp_path, monkeypatch, capsys, pools):
     corpus = _pool_corpus(tmp_path)
     layouts = corpus / "layouts"
-    stacked = sorted(layouts.glob("*.json"))[::3]
-    dump_json(layouts / "stacked_page01.json", _stacked_page(stacked))
+    parts = [
+        FixturePage("", 0, page_layout_from_dict(json.loads(p.read_text())), PageTables("", 0))
+        for p in sorted(layouts.glob("*.json"))[::3]
+    ]
+    stacked = stack_pages(parts, "stacked", 1).layout
+    dump_json(layouts / "stacked_page01.json", page_layout_to_dict(stacked))
     sizes = {p.name: p.stat().st_size for p in layouts.glob("*.json")}
     assert max(sizes, key=sizes.get) == "stacked_page01.json"
     config = str(corpus / "recognizer_config.json")
@@ -1812,8 +1825,7 @@ def test_eval_reads_each_file_once_when_one_is_faulty(tmp_path, monkeypatch, cap
         reads.append(Path(path))
         return real(path)
 
-    monkeypatch.setattr(cli, "read_json", counted)
-    monkeypatch.setattr(corpusio, "read_json", counted)  # the binding read_tuple_set calls
+    monkeypatch.setattr(cli, "read_json", counted)  # eval reads every file through it
     capsys.readouterr()
     assert main(["eval", mode, str(gt), str(pred)]) == 2
     reason = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"

@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from tabgrid.cli import main
+from tabgrid.corpusio import page_tables_to_dict
 from tabgrid.errors import ConfigError
 from tabgrid.evaluate import PRF, cell_score, interpretation_score, recognition_score
 from tabgrid.fixtures import (
@@ -20,11 +23,15 @@ from tabgrid.fixtures import (
     gen_bordered_page,
     gen_booktabs_page,
     generate_pages,
+    move_page,
     shift_separators,
+    stack_pages,
 )
+from tabgrid.geometry import BoundingBox
 from tabgrid.interpret import header_row_count_for, interpret_table
 from tabgrid.model import (
     RecognizerConfig,
+    TableSource,
     cell_grid,
     grid_is_tiled,
     page_layout_from_dict,
@@ -320,7 +327,7 @@ def test_default_meanings_shapes():
 
 
 # ---------------------------------------------------------------------------
-# separator jitter helper
+# separator jitter
 
 
 def test_shift_separators_bounded_and_deterministic():
@@ -339,6 +346,148 @@ def test_shift_separators_bounded_and_deterministic():
 def test_shift_zero_magnitude_is_identity():
     page = gen_bordered_page(random.Random(4), "j", 1, rows=2, cols=2)
     assert shift_separators(page.layout, random.Random(1), 0) == page.layout
+
+
+# ---------------------------------------------------------------------------
+# moving and stacking pages
+
+
+def test_move_page_moves_every_box_and_grows_the_page():
+    rng = random.Random(4)
+    pages = [
+        gen_bordered_page(rng, "m", 1, labeled=False),
+        gen_booktabs_page(rng, "m", 1, columns_mode="interpretation"),
+    ]
+    assert pages[0].gt.tables[0].expected_missed and pages[1].tuple_sets
+    at = lambda b: (b.left + 7, b.top + 11, b.right + 7, b.bottom + 11)
+    same = BoundingBox.as_tuple
+
+    def words(ws, box):
+        return [(box(w.box), w.text, w.line_id) for w in ws]
+
+    for page in pages:
+        regions = (BoundingBox(1, 2, 3, 4),)
+        page = replace(page, layout=replace(page.layout, non_text_regions=regions))
+        moved = move_page(page, 7, 11)
+        old, new = page.layout, moved.layout
+        assert (new.page_width, new.page_height) == (old.page_width + 7, old.page_height + 11)
+        assert words(new.words, same) == words(old.words, at)
+        assert [(same(s.box), s.orientation) for s in new.separators] == [
+            (at(s.box), s.orientation) for s in old.separators
+        ]
+        assert [same(r) for r in new.non_text_regions] == [(8, 13, 10, 15)]
+        for t, m in zip(page.gt.tables, moved.gt.tables, strict=True):
+            assert same(m.region) == at(t.region)
+            assert replace(m, region=t.region, cells=t.cells) == t  # marks and shape stay
+            assert [(same(c.box), c.content, words(c.words, same)) for c in m.cells] == [
+                (at(c.box), c.content, words(c.words, at)) for c in t.cells
+            ]
+        assert moved.tuple_sets == page.tuple_sets
+        raised = move_page(page, 0, 0, 5)
+        line = lambda w: w.line_id + 5
+        assert [w.line_id for w in raised.layout.words] == [*map(line, old.words)]
+        assert [w.line_id for t in raised.gt.tables for c in t.cells for w in c.words] == [
+            line(w) for t in page.gt.tables for c in t.cells for w in c.words
+        ]
+
+
+def _blocks(seed, n):
+    """Ruled and booktabs fixture pages by turns, every third in interpretation mode."""
+    rng = random.Random(seed)
+    return [
+        (gen_bordered_page, gen_booktabs_page)[k % 2](
+            rng, "d", 1, columns_mode="interpretation" if k % 3 == 2 else None
+        )
+        for k in range(n)
+    ]
+
+
+def _without_line_ids(page):
+    words = tuple(replace(w, line_id=None) for w in page.layout.words)
+    return replace(page, layout=replace(page.layout, words=words))
+
+
+def test_stacked_pages_lie_top_down_with_their_own_lines():
+    blocks = _blocks(3, 6)
+    page = stack_pages(blocks, "d", 1)
+    layout = page.layout
+    assert len(layout.words) == sum(len(b.layout.words) for b in blocks)
+    assert len(layout.separators) == sum(len(b.layout.separators) for b in blocks)
+    assert layout.page_height == sum(b.layout.page_height for b in blocks)
+    assert layout.page_width == max(b.layout.page_width for b in blocks)
+    # line ids are offset per block, so no two blocks share a line
+    assert len({w.line_id for w in layout.words}) == sum(
+        len({w.line_id for w in b.layout.words}) for b in blocks
+    )
+    tables = page.gt.tables
+    shapes = [(t.n_rows, t.n_cols, t.source) for b in blocks for t in b.gt.tables]
+    assert [(t.n_rows, t.n_cols, t.source) for t in tables] == shapes
+    assert [t.source for t in tables] == [TableSource.SEPARATOR, TableSource.BOOKTABS] * 3
+    assert all(a.region.bottom < b.region.top for a, b in zip(tables, tables[1:]))
+    assert all(grid_is_tiled(t) for t in tables)
+    # tuple ground truth points at the interpretation-mode tables
+    assert [(ts.file_id, ts.page_nr, ts.table_idx) for ts in page.tuple_sets] == [
+        ("d", 1, 2), ("d", 1, 5)
+    ]
+    assert [ts.tuples for ts in page.tuple_sets] == [
+        blocks[2].tuple_sets[0].tuples, blocks[5].tuple_sets[0].tuples
+    ]
+
+
+def test_a_page_without_line_ids_keeps_none_and_takes_no_line():
+    first, second = _blocks(2, 2)
+    page = stack_pages([_without_line_ids(first), second], "d", 1)
+    n = len(first.layout.words)
+    assert {w.line_id for w in page.layout.words[:n]} == {None}
+    assert [w.line_id for w in page.layout.words[n:]] == [w.line_id for w in second.layout.words]
+
+
+def test_stacked_cell_words_are_the_layout_words_on_their_lines():
+    page = stack_pages(_blocks(3, 6), "d", 1)
+    on_page = {(w.box, w.text, w.line_id) for w in page.layout.words}
+    cells = [c for t in page.gt.tables for c in t.cells]
+    cell_words = [(w.box, w.text, w.line_id) for c in cells for w in c.words]
+    assert len(cell_words) > 100 and set(cell_words) <= on_page
+
+
+def _cells(t):
+    return t.region, {(c.row_start, c.col_start): (c.box, c.content, c.words) for c in t.cells}
+
+
+def test_the_corpus_config_recognizes_a_stacked_page_as_its_ground_truth():
+    page = stack_pages(_blocks(5, 4), "d", 1)
+    result = recognize_page(page.layout, corpus_recognizer_config())
+    assert [_cells(t) for t in result.tables] == [_cells(t) for t in page.gt.tables]
+
+
+DENSE = Path(__file__).resolve().parents[1] / "perfbench" / "dense.py"
+
+
+@pytest.fixture(scope="module")
+def dense():
+    spec = importlib.util.spec_from_file_location("perfbench_dense", DENSE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _written(page):
+    return page_layout_to_dict(page.layout), page_tables_to_dict(page.gt), page.tuple_sets
+
+
+# the table counts of the benchmark's dense and dense-noline workloads, whose
+# pages are drawn one after another from one generator
+@pytest.mark.parametrize(
+    "counts, line_ids", [((5, 10, 20, 40, 80), True), ((5, 10, 15), False)],
+    ids=["dense", "dense-noline"],
+)
+def test_stack_pages_writes_the_benchmark_dense_pages(dense, counts, line_ids):
+    ours, theirs = random.Random(dense.GEOMETRY_SEED), random.Random(dense.GEOMETRY_SEED)
+    for n in counts:
+        file_id = f"dense{n:03d}"
+        page = stack_pages([dense.make_block(ours, file_id, 1, k) for k in range(n)], file_id, 1)
+        page = page if line_ids else _without_line_ids(page)
+        assert _written(page) == _written(dense.stack_page(theirs, file_id, 1, n, line_ids))
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tabgrid.corpusio import PageTables
 from tabgrid.errors import TabgridError
 from tabgrid.booktabs import recognize_booktabs_tables
 from tabgrid.fixtures import (
+    FixturePage,
     corpus_recognizer_config,
     gen_booktabs_page,
     gen_bordered_page,
+    move_page,
     shift_separators,
+    stack_pages,
 )
 from tabgrid.geometry import box, iou
 from tabgrid.model import (
@@ -122,29 +126,16 @@ def test_overlap_drops_follow_each_recognizers_own_diagnostics(monkeypatch):
     )
 
 
+def _gapped(page, gap):
+    """The page with ``gap`` px more at its foot."""
+    return replace(page, layout=replace(page.layout, page_height=page.layout.page_height + gap))
+
+
 def test_two_tables_on_one_page_sorted_reading_order():
     rng = random.Random(8)
     top = gen_bordered_page(rng, "p", 1, rows=2, cols=2)
     bottom = gen_booktabs_page(rng, "p", 1, rows=3, cols=3)
-    dy = top.layout.page_height + 60
-    shifted_words = [
-        Word(box=box(w.box.left, w.box.top + dy, w.box.right, w.box.bottom + dy),
-             text=w.text,
-             line_id=None if w.line_id is None else w.line_id + 1000)
-        for w in bottom.layout.words
-    ]
-    shifted_seps = [
-        Separator(box=box(s.box.left, s.box.top + dy, s.box.right, s.box.bottom + dy),
-                  orientation=s.orientation)
-        for s in bottom.layout.separators
-    ]
-    merged = PageLayout(
-        page_width=max(top.layout.page_width, bottom.layout.page_width),
-        page_height=bottom.layout.page_height + dy,
-        words=top.layout.words + tuple(shifted_words),
-        separators=top.layout.separators + tuple(shifted_seps),
-    )
-    res = recognize_page(merged, CFG)
+    res = recognize_page(stack_pages([_gapped(top, 60), bottom], "p", 1).layout, CFG)
     assert len(res.tables) == 2
     assert res.tables[0].source is TableSource.SEPARATOR
     assert res.tables[1].source is TableSource.BOOKTABS
@@ -154,47 +145,20 @@ def test_two_tables_on_one_page_sorted_reading_order():
     assert got == want
 
 
-def _shifted(b, dy, dx=0):
-    return box(b.left + dx, b.top + dy, b.right + dx, b.bottom + dy)
+def _grid(t):
+    return t.source, t.region, t.n_rows, t.n_cols, {
+        (c.row_start, c.row_end, c.col_start, c.col_end): (c.box, c.content) for c in t.cells
+    }
 
 
 def test_three_ruled_and_three_booktabs_tables_on_one_page_each_recovered_exactly():
     # neighbours sit 40 px apart, inside the 50 px label search margin
     rng = random.Random(10)
-    words, seps, want = [], [], []
-    dy = 0
-    for k in range(6):
-        gen = gen_bordered_page if k % 2 == 0 else gen_booktabs_page
-        block = gen(rng, "p", 1)
-        words += [
-            Word(box=_shifted(w.box, dy), text=w.text,
-                 line_id=None if w.line_id is None else w.line_id + 1000 * k)
-            for w in block.layout.words
-        ]
-        seps += [Separator(box=_shifted(s.box, dy), orientation=s.orientation)
-                 for s in block.layout.separators]
-        (table,) = block.gt.tables
-        want.append((table.source, _shifted(table.region, dy), table.n_rows, table.n_cols, {
-            (c.row_start, c.row_end, c.col_start, c.col_end): (_shifted(c.box, dy), c.content)
-            for c in table.cells
-        }))
-        dy += block.layout.page_height + 40
-    page = PageLayout(
-        page_width=max(w.box.right for w in words) + 10,
-        page_height=dy,
-        words=tuple(words),
-        separators=tuple(seps),
-    )
-    res = recognize_page(page, CFG)
-    got = [
-        (t.source, t.region, t.n_rows, t.n_cols, {
-            (c.row_start, c.row_end, c.col_start, c.col_end): (c.box, c.content)
-            for c in t.cells
-        })
-        for t in res.tables
-    ]
+    gens = [gen_bordered_page, gen_booktabs_page] * 3
+    page = stack_pages([_gapped(gen(rng, "p", 1), 40) for gen in gens], "p", 1)
+    got = [_grid(t) for t in recognize_page(page.layout, CFG).tables]
     assert [g[0] for g in got] == [TableSource.SEPARATOR, TableSource.BOOKTABS] * 3
-    assert got == want
+    assert got == [_grid(t) for t in page.gt.tables]
 
 
 def test_empty_page_is_fine():
@@ -212,24 +176,15 @@ def test_recognize_page_deterministic():
     assert a == b
 
 
-def _stack(rng: random.Random, n: int = 3, dx: int = 0) -> tuple[PageLayout, list]:
-    """``n`` fixture tables, by turns a ruled, a booktabs and a ruled one,
-    each page below the one before and ``dx`` px left of it, with their own
-    lines; and the ``n`` ground-truth tables."""
-    words, seps, tables = [], [], []
-    dy = lines = width = 0
+def _stack(rng: random.Random, n: int = 3, dx: int = 0) -> FixturePage:
+    """A page of ``n`` fixture tables, by turns a ruled, a booktabs and a
+    ruled one, each page below the one before and ``dx`` px left of it."""
+    blocks = []
     for k in range(n):
         gen = (gen_bordered_page, gen_booktabs_page)[k % 3 == 1]
         block = gen(rng, "s", 1, columns_mode="interpretation" if k % 3 == 2 else None)
-        x = dx * (n - 1 - k)
-        words += [replace(w, box=_shifted(w.box, dy, x), line_id=w.line_id + lines)
-                  for w in block.layout.words]
-        seps += [replace(s, box=_shifted(s.box, dy, x)) for s in block.layout.separators]
-        tables += [replace(t, region=_shifted(t.region, dy, x)) for t in block.gt.tables]
-        lines += 1 + max(w.line_id for w in block.layout.words)
-        dy += block.layout.page_height
-        width = max(width, x + block.layout.page_width)
-    return PageLayout(width, dy, tuple(words), tuple(seps)), tables
+        blocks.append(move_page(block, dx * (n - 1 - k), 0))
+    return stack_pages(blocks, "s", 1)
 
 
 # Were the ruled tables' rulings scanned, the top table's bottom ruling and
@@ -240,8 +195,9 @@ def _stack(rng: random.Random, n: int = 3, dx: int = 0) -> tuple[PageLayout, lis
 @pytest.mark.parametrize("jitter", [0, 3])
 @pytest.mark.parametrize("seed", range(100))
 def test_no_table_of_a_ruled_booktabs_ruled_stack_is_lost(seed, jitter):
-    layout, want = _stack(random.Random(seed))
-    layout = shift_separators(layout, random.Random(100 + seed), jitter)
+    page = _stack(random.Random(seed))
+    want = page.gt.tables
+    layout = shift_separators(page.layout, random.Random(100 + seed), jitter)
     found = recognize_page(layout, corpus_recognizer_config()).tables
     lost = [t.source for t in want if not any(iou(t.region, f.region) >= 0.5 for f in found)]
     assert lost == []
@@ -249,7 +205,7 @@ def test_no_table_of_a_ruled_booktabs_ruled_stack_is_lost(seed, jitter):
 
 @pytest.mark.parametrize("n", [24, 48])
 def test_each_candidate_is_tested_only_against_the_tables_beside_it(monkeypatch, n):
-    layout, _ = _stack(random.Random(n), n)
+    layout = _stack(random.Random(n), n).layout
     calls = []
     monkeypatch.setattr(pipeline, "overlaps", lambda a, b, real=pipeline.overlaps: (
         calls.append(1) or real(a, b)
@@ -359,7 +315,7 @@ def _outcome(layout, cfg, orientation):
 @settings(max_examples=60, deadline=None)
 @given(doc=layout_dicts())
 @example(doc=page_layout_to_dict(gen_booktabs_page(random.Random(6), "p", 1).layout))
-@example(doc=page_layout_to_dict(_stack(random.Random(6), dx=300)[0]))
+@example(doc=page_layout_to_dict(_stack(random.Random(6), dx=300).layout))
 def test_vertical_page_equals_standard_on_transposed_layout(doc):
     layout = page_layout_from_dict(doc)
     for cfg in CONFIGS:
@@ -375,3 +331,23 @@ def test_vertical_page_equals_standard_on_transposed_layout(doc):
         assert vres.diagnostics == sres.diagnostics
         key = lambda t: (t.region.left, t.region.top, t.region.right, t.region.bottom)
         assert list(vres.tables) == sorted(vres.tables, key=key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    ruled=st.lists(st.booleans(), min_size=1, max_size=3),
+    seed=st.integers(0, 999),
+    dx=st.integers(0, 400),
+    dy=st.integers(0, 400),
+)
+def test_recognition_moves_with_the_page(ruled, seed, dx, dy):
+    """Moving a page's content moves its tables, and changes nothing else in them."""
+    rng = random.Random(seed)
+    gens = [gen_bordered_page if r else gen_booktabs_page for r in ruled]
+    page = stack_pages([gen(rng, "m", 1) for gen in gens], "m", 1)
+    moved = move_page(page, dx, dy).layout
+    for cfg in CONFIGS:
+        for orientation in PageOrientation:
+            tables = recognize_page(page.layout, cfg, orientation).tables
+            want = move_page(replace(page, gt=PageTables("m", 1, [*tables])), dx, dy).gt.tables
+            assert [*recognize_page(moved, cfg, orientation).tables] == want
