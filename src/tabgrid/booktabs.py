@@ -27,7 +27,7 @@ from .model import (
     TableSource,
     Word,
     assign_words_to_cells,
-    column_runs,
+    grid_spans,
     grid_table,
 )
 from .separator import BORDER_CLUSTER_TOL, has_table_label, split_at_gaps
@@ -226,17 +226,12 @@ def build_booktabs_grid(
         raise DegenerateGrid(f"non-increasing borders for triple at {region.as_tuple()}")
 
     n_rows, n_cols = len(ys) - 1, len(xs) - 1
-    spans = []
-    for r in range(n_rows):
-        # a grouping rule joins the two columns beside each border it crosses
-        joined = {
-            j
-            for rule in (levels[r].rules if r < len(levels) else ())
-            for j in range(n_cols - 1)
-            if rule.box.left < xs[j + 1] < rule.box.right
-        }
-        spans += [(r, r, cs, ce) for cs, ce in column_runs(n_cols, joined)]
-
+    # a grouping rule joins the two columns beside each border it crosses
+    joined = [
+        {j for r in lv.rules for j in range(n_cols - 1) if r.box.left < xs[j + 1] < r.box.right}
+        for lv in levels
+    ]
+    spans = grid_spans(n_rows, n_cols, joined)
     cells = assign_words_to_cells(spans, words, ys, xs)
     return grid_table(cells, TableSource.BOOKTABS, labeled, header_row_count=len(levels) + 1)
 

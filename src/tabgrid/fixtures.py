@@ -42,6 +42,7 @@ from .model import (
     Word,
     assign_words_to_cells,
     column_runs,
+    grid_spans,
     grid_table,
     page_layout_to_dict,
     recognizer_config_to_dict,
@@ -160,30 +161,6 @@ def _random_merges(rng: random.Random, rows: int, cols: int, count: int) -> list
     return merges
 
 
-def _merge_spans(
-    rows: int, cols: int, merges: list[MergeSpec]
-) -> list[tuple[int, int, int, int]]:
-    """Cell index spans (rs, re, cs, ce) after applying the merges; two
-    merges that share a cell are a ConfigError."""
-    owner: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-    for m in merges:
-        if m.direction == "right":
-            span = (m.row, m.row, m.col, m.col + 1)
-        else:
-            span = (m.row, m.row + 1, m.col, m.col)
-        for cell in ((span[0], span[2]), (span[1], span[3])):
-            if cell in owner:
-                raise ConfigError(f"merge {m} shares cell {cell} with another merge")
-            owner[cell] = span
-    spans = []
-    for i in range(rows):
-        for j in range(cols):
-            span = owner.get((i, j), (i, i, j, j))
-            if (span[0], span[2]) == (i, j):
-                spans.append(span)
-    return spans
-
-
 def _ruling_pieces(borders: list[int], cut: set[int]) -> list[tuple[int, int]]:
     """The (start, end) pieces of a ruling that runs from ``borders[0]`` to
     ``borders[-1]`` with the bands in ``cut`` removed; band i runs from
@@ -222,19 +199,28 @@ def gen_bordered_page(
             raise ConfigError(f"merge {m} outside a {rows}x{cols} grid")
         if m.direction == "down" and not (0 <= m.row < rows - 1 and 0 <= m.col < cols):
             raise ConfigError(f"merge {m} outside a {rows}x{cols} grid")
-    spans = _merge_spans(rows, cols, merges)
-    # the bands each merge cuts out of the border it spans
-    cut_v: dict[int, set[int]] = {}
-    cut_h: dict[int, set[int]] = {}
+    # a right merge at (i, j) joins slot (i, j) to its right neighbour, a down
+    # merge to the one below; two merges that share a slot are a ConfigError
+    joined: list[set[int]] = [set() for _ in range(rows)]
+    down: set[tuple[int, int]] = set()
+
+    def merged(i: int, j: int) -> bool:
+        return j in joined[i] or j - 1 in joined[i] or (i, j) in down or (i - 1, j) in down
+
     for m in merges:
+        far = (m.row, m.col + 1) if m.direction == "right" else (m.row + 1, m.col)
+        for cell in ((m.row, m.col), far):
+            if merged(*cell):
+                raise ConfigError(f"merge {m} shares cell {cell} with another merge")
         if m.direction == "right":
-            cut_v.setdefault(m.col + 1, set()).add(m.row)
+            joined[m.row].add(m.col)
         else:
-            cut_h.setdefault(m.row + 1, set()).add(m.col)
-    if any(len(cut) == rows for cut in cut_v.values()) or any(
-        len(cut) == cols for cut in cut_h.values()
+            down.add((m.row, m.col))
+    if any(all(j in row for row in joined) for j in range(cols - 1)) or any(
+        all((i, j) in down for j in range(cols)) for i in range(rows - 1)
     ):
         raise ConfigError("merges remove a whole grid border, which the page then lacks")
+    spans = grid_spans(rows, cols, joined, lambda i, run: (i, run[0]) in down)
 
     col_w = [rng.randint(78, 128) for _ in range(cols)]
     row_h = [rng.randint(34, 46) for _ in range(rows)]
@@ -244,10 +230,13 @@ def gen_bordered_page(
     rb = list(accumulate(row_h, initial=y0))
 
     separators: list[Separator] = []
+    # a merge cuts the stretch of the border between its two slots out of the ruling
     for j, x in enumerate(cb):
-        separators += [_v_rule(x, y0, y1) for y0, y1 in _ruling_pieces(rb, cut_v.get(j, set()))]
+        cut = {i for i in range(rows) if j - 1 in joined[i]}
+        separators += [_v_rule(x, y0, y1) for y0, y1 in _ruling_pieces(rb, cut)]
     for i, y in enumerate(rb):
-        separators += [_h_rule(x0, y, x1) for x0, x1 in _ruling_pieces(cb, cut_h.get(i, set()))]
+        cut = {j for j in range(cols) if (i - 1, j) in down}
+        separators += [_h_rule(x0, y, x1) for x0, x1 in _ruling_pieces(cb, cut)]
 
     plan = _interpretation_columns(rng, cols) if columns_mode == "interpretation" else None
 
@@ -305,6 +294,8 @@ def gen_booktabs_page(
             cmidrule_levels.append([(a, a + span - 1)])
     n_levels = len(cmidrule_levels)
     for level in cmidrule_levels:
+        if not level:  # its header row would have no rule to show where it ends
+            raise ConfigError("a cmidrule level must hold at least one grouping rule")
         for a, b in level:
             if not (0 <= a <= b < cols):
                 raise ConfigError(f"cmidrule ({a}, {b}) outside {cols} columns")
@@ -411,11 +402,9 @@ def gen_booktabs_page(
 
     # a header level's cells are its spans plus the single columns they
     # leave; the lowest header row and the body have one cell per column
-    spans = []
     n_header = n_levels + 1
-    for r in range(n_header + rows):
-        joined = {j for a, b in (cmidrule_levels[r] if r < n_levels else ()) for j in range(a, b)}
-        spans += [(r, r, a, b) for a, b in column_runs(cols, joined)]
+    joined = [{j for a, b in level for j in range(a, b)} for level in cmidrule_levels]
+    spans = grid_spans(n_header + rows, cols, joined)
     cells = assign_words_to_cells(spans, words, row_borders, col_borders)
     table = grid_table(cells, TableSource.BOOKTABS, labeled, n_header)
     layout = PageLayout(

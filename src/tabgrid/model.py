@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import cached_property
 from pathlib import Path
@@ -274,6 +275,30 @@ def column_runs(n_cols: int, joined: set[int]) -> list[tuple[int, int]]:
             runs.append((first, j))
             first = j + 1
     return runs
+
+
+def grid_spans(
+    n_rows: int, n_cols: int, joined: list[set[int]], continues: Callable = lambda i, run: False
+) -> list[tuple[int, int, int, int]]:
+    """The cells ``(row_start, row_end, col_start, col_end)`` that the slots of
+    an ``n_rows`` x ``n_cols`` grid join into, in order of their top-left slot.
+    Row ``i`` splits into the ``column_runs`` of ``joined[i]`` (rows past its
+    end into single columns); a run's cell grows into row ``i + 1`` while that
+    row has the same run and ``continues(i, run)``, so every cell is a rectangle."""
+    spans: list[tuple[int, int, int, int]] = []
+    above: dict[tuple[int, int], int] = {}  # each run of the row above -> its cell in spans
+    for i in range(n_rows):
+        here = {}
+        for cs, ce in column_runs(n_cols, joined[i] if i < len(joined) else set()):
+            k = above.get((cs, ce))
+            if k is not None and continues(i - 1, (cs, ce)):
+                spans[k] = (spans[k][0], i, cs, ce)
+            else:
+                k = len(spans)
+                spans.append((i, i, cs, ce))
+            here[(cs, ce)] = k
+        above = here
+    return spans
 
 
 def grid_table(

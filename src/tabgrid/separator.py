@@ -3,10 +3,12 @@
 Ruling lines are expanded by a few pixels so almost-touching lines
 count as crossing, then merged into clusters; clusters containing both
 orientations become table candidates.  A rough grid comes from the
-distinct border coordinates.  In each row, rough cells with no vertical
-ruling between them join into runs of columns, and a run's cell extends
-down through every row below that has the same run and no horizontal
-ruling above it.
+distinct border coordinates.  The rough cells then join into final cells
+by ``model.grid_spans``, the one rule that joins grid slots into cells in
+both recognizers and both fixture generators: in each row, rough cells with
+no vertical ruling between them join into runs of columns, and a run's cell
+extends down through every row below that has the same run and no
+horizontal ruling above it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .model import (
     Word,
     WordIndex,
     assign_words_to_cells,
-    column_runs,
+    grid_spans,
     grid_table,
 )
 
@@ -171,10 +173,10 @@ def refine_grid(
 ) -> RecognizedTable:
     """Merge rough cells not separated by a ruling into final cells.
 
-    Each row splits into runs of columns with no vertical ruling between
-    them; a cell then extends downward while the next row has the same
-    run and no horizontal ruling crosses the run between the two rows,
-    which keeps every cell rectangular.
+    Through ``grid_spans``, each row splits into runs of columns with no
+    vertical ruling between them; a cell then extends downward while the
+    next row has the same run and no horizontal ruling crosses the run
+    between the two rows, which keeps every cell rectangular.
     """
     rb, cb = grid.row_borders, grid.col_borders
     n_rows, n_cols = len(rb) - 1, len(cb) - 1
@@ -183,36 +185,23 @@ def refine_grid(
     at_row = _by_border(rb, cluster.horizontals, vertical=False)
     half = PROBE_HALF_WIDTH
 
-    runs = []
+    joined = []
     for i in range(n_rows):
         t, b = _middle(rb[i], rb[i + 1])
-        joined = {
+        joined.append({
             j
             for j in range(n_cols - 1)
             if not _strip_hits_separator(at_col[j + 1], cb[j + 1] - half, cb[j + 1] + half, t, b)
-        }
-        runs.append(column_runs(n_cols, joined))
-    # joins_below[i]: the runs of row i whose cell continues into row i + 1
-    joins_below = [
-        {
-            (cs, ce)
-            for cs, ce in set(runs[i]) & set(runs[i + 1])
-            if not _strip_hits_separator(
-                at_row[i + 1], *_middle(cb[cs], cb[ce + 1]), rb[i + 1] - half, rb[i + 1] + half
-            )
-        }
-        for i in range(n_rows - 1)
-    ] + [set()]
+        })
 
-    spans = []
-    for i in range(n_rows):
-        for cs, ce in runs[i]:
-            if i and (cs, ce) in joins_below[i - 1]:
-                continue  # the cell starting above already covers this run
-            re_ = i
-            while (cs, ce) in joins_below[re_]:
-                re_ += 1
-            spans.append((i, re_, cs, ce))
+    def continues(i: int, run: tuple[int, int]) -> bool:
+        """No horizontal ruling crosses ``run`` between rows i and i + 1."""
+        cs, ce = run
+        return not _strip_hits_separator(
+            at_row[i + 1], *_middle(cb[cs], cb[ce + 1]), rb[i + 1] - half, rb[i + 1] + half
+        )
+
+    spans = grid_spans(n_rows, n_cols, joined, continues)
     return grid_table(assign_words_to_cells(spans, words, rb, cb), TableSource.SEPARATOR)
 
 

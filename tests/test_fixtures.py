@@ -240,6 +240,16 @@ def test_overlapping_cmidrules_in_one_level_rejected():
     assert grid_is_tiled(page.gt.tables[0])
 
 
+def test_empty_cmidrule_level_rejected():
+    """A level without a grouping rule would add a header row with no rule
+    and no word, which the recognizer cannot find."""
+    with pytest.raises(ConfigError, match="a cmidrule level must hold at least one grouping rule"):
+        gen_booktabs_page(random.Random(0), "bt", 1, rows=3, cols=3, cmidrule_levels=[[]])
+    levels = [[(0, 1)], []]
+    with pytest.raises(ConfigError, match="at least one grouping rule"):
+        gen_booktabs_page(random.Random(0), "bt", 1, rows=3, cols=4, cmidrule_levels=levels)
+
+
 def test_unlabeled_page_marks_expected_missed():
     rng = random.Random(2)
     page = gen_bordered_page(rng, "u", 1, rows=2, cols=2, labeled=False)

@@ -17,7 +17,9 @@ from tabgrid.model import (
     WordIndex,
     assign_words_to_cells,
     cell_grid,
+    column_runs,
     grid_is_tiled,
+    grid_spans,
     join_words,
     page_layout_from_dict,
     page_layout_to_dict,
@@ -212,6 +214,47 @@ def tiled_grids(draw):
 def test_assign_words_matches_per_cell_scan(grid, words):
     spans, ys, xs = grid
     assert assign_words_to_cells(spans, words, ys, xs) == assign_words_oracle(spans, words, ys, xs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid=tiled_grids())
+def test_grid_spans_rebuilds_every_tiling(grid):
+    """Joins and continuations read off a tiling give back its spans, in
+    order of their top-left slot; ``continues`` is asked about exactly the
+    runs that two neighbouring rows share."""
+    spans, ys, xs = grid
+    n_rows, n_cols = len(ys) - 1, len(xs) - 1
+    owner = {
+        (i, j): s for s in spans for i in range(s[0], s[1] + 1) for j in range(s[2], s[3] + 1)
+    }
+    joined = [
+        {j for j in range(n_cols - 1) if owner[i, j] == owner[i, j + 1]} for i in range(n_rows)
+    ]
+    asked = []
+
+    def continues(i, run):
+        asked.append((i, run))
+        return owner[i, run[0]] == owner[i + 1, run[0]]
+
+    top_left_order = sorted(spans, key=lambda s: (s[0], s[2]))
+    assert grid_spans(n_rows, n_cols, joined, continues) == top_left_order
+    runs = [set(column_runs(n_cols, row)) for row in joined]
+    shared = [(i, r) for i in range(n_rows - 1) for r in runs[i] & runs[i + 1]]
+    assert sorted(asked) == sorted(shared)
+
+
+def test_grid_spans_examples():
+    assert grid_spans(1, 4, [{0, 2}]) == [(0, 0, 0, 1), (0, 0, 2, 3)]
+    assert grid_spans(3, 1, [], lambda i, run: i == 0) == [(0, 1, 0, 0), (2, 2, 0, 0)]
+    assert grid_spans(1, 1, []) == [(0, 0, 0, 0)]
+    # rows past the end of joined join nothing, and no run continues by default
+    assert grid_spans(2, 2, [{0}]) == [(0, 0, 0, 1), (1, 1, 0, 0), (1, 1, 1, 1)]
+    assert grid_spans(2, 2, [{0}, {0}]) == [(0, 0, 0, 1), (1, 1, 0, 1)]
+    assert grid_spans(2, 2, [{0}, {0}], lambda i, run: True) == [(0, 1, 0, 1)]
+    # a run continues only into a row with the same run
+    assert grid_spans(2, 3, [{0}, {1}], lambda i, run: True) == [
+        (0, 0, 0, 1), (0, 0, 2, 2), (1, 1, 0, 0), (1, 1, 1, 2)
+    ]
 
 
 @settings(max_examples=200, deadline=None)

@@ -8,6 +8,7 @@ These tests run the program in a new interpreter and hold it to what
 
 from __future__ import annotations
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -140,3 +141,21 @@ def test_unwritable_stdout_ends_as_the_plain_exit_does(tmp_path, stdout, buffere
         ends.append((proc.returncode, proc.stderr))
     assert ends[0] == ends[1]
     assert ends[0][0] == {"closed descriptor": 0, "closed pipe": 120 if buffered else 2}[stdout]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name a ``tabgrid`` module imports is read somewhere in it, so a
+    name whose last use moved elsewhere does not stay behind as an import."""
+    unused = []
+    for path in sorted(Path(tabgrid.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{ln} {name}" for name, ln in imported.items() if name not in read]
+    assert unused == []

@@ -15,13 +15,13 @@ from tabgrid.model import (
     SeparatorOrientation,
     Word,
     WordIndex,
+    column_runs,
 )
 from tabgrid.separator import (
     RoughGrid,
     SeparatorCluster,
     _sort_key,
     _strip_hits_separator,
-    column_runs,
     estimate_grid,
     has_table_label,
     merge_separators,
