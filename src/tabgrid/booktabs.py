@@ -246,24 +246,16 @@ def _booktabs_table(
     body_region = BoundingBox(
         region.left, triple.middle.box.bottom, region.right, triple.bottom.box.top
     )
-    body_borders = segment_rows(index.touching(body_region.top, body_region.bottom), body_region)
+    body_borders = segment_rows(index.touching(body_region), body_region)
     lowest_band_top = levels[-1].band[1] if levels else triple.top.box.bottom
     if lowest_band_top > triple.middle.box.top:
         raise DegenerateGrid(
             "no room for a header row between the inner rules and the middle rule"
         )
     lowest_band = BoundingBox(region.left, lowest_band_top, region.right, triple.middle.box.top)
-    table_words = [
-        w
-        for w in index.centered(region.top, region.bottom)
-        if contains_point(region, *w.box.center)
-    ]
-    projection_words = [
-        w
-        for w in table_words
-        if contains_point(body_region, *w.box.center)
-        or contains_point(lowest_band, *w.box.center)
-    ]
+    table_words = index.centered_in(region)
+    # both boxes lie inside region and do not overlap; a profile's sums ignore word order
+    projection_words = index.centered_in(body_region) + index.centered_in(lowest_band)
     threshold = compute_column_threshold(layout, table_words, gamma)
     col_borders = segment_columns(projection_words, region, threshold.d_column)
     # the grid tiles region, so its words are exactly table_words

@@ -21,7 +21,7 @@ from typing import NoReturn
 from .dsu import linked_groups
 from .errors import ConfigError, LayoutError
 from .fields import expect, keywords, known, load, must_be, one_of
-from .geometry import BoundingBox, transpose_box, union_box
+from .geometry import BoundingBox, contains_point, intersects, transpose_box, union_box
 
 DEFAULT_LABEL_KEYWORDS = ("table", "tab.")
 
@@ -67,10 +67,12 @@ class PageLayout:
 
 
 class WordIndex:
-    """One page's words sorted by y, so a region asks only for its own rows.
+    """One page's words sorted by y, so a box asks only for its own rows.
 
-    Every query returns words in page order, which keeps cell contents
-    and tie-breaks the same as a scan over ``PageLayout.words``.
+    A box holds the words ``touching`` it or, as a cell holds its words,
+    the words ``centered_in`` it.  Every query returns words in page order,
+    which keeps cell contents and tie-breaks the same as a scan over
+    ``PageLayout.words``.
     """
 
     def __init__(self, words: tuple[Word, ...]) -> None:
@@ -80,19 +82,18 @@ class WordIndex:
         self._tops = [tops[i] for i in self._by_top]
         self._max_height = max((w.box.height for w in words), default=0)
 
-    def centered(self, top: int, bottom: int) -> list[Word]:
-        """Words whose box center y lies in [top, bottom), all ``touching``
-        words; the doubled center y, box.top + box.bottom, is an integer."""
-        touching = self.touching(top, bottom)
-        return [w for w in touching if 2 * top <= w.box.top + w.box.bottom < 2 * bottom]
-
-    def touching(self, top: int, bottom: int) -> list[Word]:
-        """Words whose rows [box.top, box.bottom] meet [top, bottom]."""
-        lo = bisect_left(self._tops, top - self._max_height)
-        hi = bisect_right(self._tops, bottom)
+    def touching(self, box: BoundingBox) -> list[Word]:
+        """Words whose box meets ``box``, edges included (``geometry.intersects``)."""
+        lo = bisect_left(self._tops, box.top - self._max_height)
+        hi = bisect_right(self._tops, box.bottom)
         words = self.words
-        hits = [i for i in self._by_top[lo:hi] if words[i].box.bottom >= top]
+        hits = [i for i in self._by_top[lo:hi] if intersects(words[i].box, box)]
         return [words[i] for i in sorted(hits)]
+
+    def centered_in(self, box: BoundingBox) -> list[Word]:
+        """Words whose box centre lies in ``box``, right and bottom edges
+        excluded (``geometry.contains_point``); each of them is ``touching`` it."""
+        return [w for w in self.touching(box) if contains_point(box, *w.box.center)]
 
     @cached_property
     def d_page(self) -> float | None:
@@ -166,8 +167,14 @@ class Cell:
 
 
 def join_words(words: list[Word] | tuple[Word, ...]) -> str:
-    """Single-space join, left-to-right within a line, lines top-down."""
-    ordered = sorted(words, key=lambda w: (w.box.top, w.box.left, w.box.right))
+    """Single-space join of the non-empty texts: the ``reconstruct_lines``
+    lines top-down, left to right within a line, so a word a pixel higher
+    than its left neighbour, as a bracket or a ``±`` may be, stays after it."""
+    if len(words) < 2:
+        return words[0].text if words else ""
+    ordered: list[Word] = []
+    for line in reconstruct_lines(list(words)):
+        ordered += sorted(line, key=lambda w: (w.box.left, w.box.top))
     return " ".join(w.text for w in ordered if w.text)
 
 

@@ -96,16 +96,13 @@ def merge_separators(
 def has_table_label(words: WordIndex, hull: BoundingBox, cfg: RecognizerConfig) -> bool:
     """True iff a word that starts with a label keyword (case-insensitive)
     meets the band ``label_search_margin_px`` above the hull's top edge or
-    below its bottom edge, each band widened by the margin left and right."""
+    below its bottom edge, each band widened by the margin left and right;
+    a band may start left of or above the page."""
     m = cfg.label_search_margin_px
     keywords = tuple(k.lower() for k in cfg.label_keywords)
-    near = words.touching(hull.top - m, hull.top) + words.touching(hull.bottom, hull.bottom + m)
-    return any(
-        hull.left - m <= w.box.right
-        and w.box.left <= hull.right + m
-        and w.text.lower().startswith(keywords)
-        for w in near
-    )
+    near = words.touching(BoundingBox(hull.left - m, hull.top - m, hull.right + m, hull.top))
+    near += words.touching(BoundingBox(hull.left - m, hull.bottom, hull.right + m, hull.bottom + m))
+    return any(w.text.lower().startswith(keywords) for w in near)
 
 
 def split_at_gaps(items: list, key) -> list[list]:
@@ -223,8 +220,9 @@ def recognize_separator_tables(
         except DegenerateGrid as exc:
             diagnostics.append(f"separator candidate dropped: {exc}")
             continue
-        # the refined cells tile the rough grid, so a word centered outside its rows lands nowhere
-        words = index.centered(grid.row_borders[0], grid.row_borders[-1])
+        rb, cb = grid.row_borders, grid.col_borders
+        # the refined cells tile the rough grid, so these are exactly the words they keep
+        words = index.centered_in(BoundingBox(cb[0], rb[0], cb[-1], rb[-1]))
         table = refine_grid(grid, cluster, words)
         tables.append(replace(table, labeled=labeled))
     return tables, diagnostics

@@ -72,6 +72,21 @@ def test_join_words_reading_order():
     assert join_words((_word(0, 0, 5, 5, ""), _word(6, 0, 9, 5, "x"))) == "x"
 
 
+def test_join_words_keeps_a_line_left_to_right_when_tops_differ():
+    # OCR and PDF extractors give brackets, signs and superscripts boxes a
+    # pixel higher or lower than the words beside them
+    ic50 = (_word(100, 100, 135, 116, "IC50"), _word(140, 99, 175, 115, "(uM)"))
+    assert join_words(ic50) == "IC50 (uM)"
+    spread = (_word(100, 100, 130, 116, "12.3"), _word(134, 98, 142, 114, "±"),
+              _word(146, 101, 170, 117, "0.4"))
+    assert join_words(spread) == "12.3 ± 0.4"
+    assert join_words(spread[::-1]) == "12.3 ± 0.4"
+    # a second line follows the first, whatever the order given
+    below = _word(90, 120, 120, 136, "n=3")
+    assert join_words((below, *ic50[::-1])) == "IC50 (uM) n=3"
+    assert join_words(ic50[1:]) == "(uM)"
+
+
 def test_cell_span_validation():
     with pytest.raises(ValueError):
         Cell(box=box(0, 0, 5, 5), row_start=2, row_end=1, col_start=0, col_end=0,
@@ -263,16 +278,19 @@ def test_reconstruct_lines_matches_pairwise(words):
     assert reconstruct_lines(words) == reconstruct_lines_oracle(words)
 
 
-@settings(max_examples=200, deadline=None)
-@given(words=numbered_words(), top=st.integers(-5, 30), height=st.integers(-2, 20))
-def test_word_index_bands_match_scans(words, top, height):
+@settings(max_examples=300, deadline=None)
+@given(words=numbered_words(), region=boxes(lo=-50, hi=40, max_side=60))
+def test_word_index_box_queries_match_scans(words, region):
+    # a region may have zero width or height, or start left of or above the
+    # page, as a label band does
     index = WordIndex(tuple(words))
-    bottom = top + height
-    assert index.centered(top, bottom) == [
-        w for w in words if top <= w.box.center[1] < bottom
+    l, t, r, b = region.as_tuple()
+    assert index.touching(region) == [
+        w for w in words
+        if w.box.left <= r and l <= w.box.right and w.box.top <= b and t <= w.box.bottom
     ]
-    assert index.touching(top, bottom) == [
-        w for w in words if w.box.top <= bottom and w.box.bottom >= top
+    assert index.centered_in(region) == [
+        w for w in words if l <= w.box.center[0] < r and t <= w.box.center[1] < b
     ]
 
 
