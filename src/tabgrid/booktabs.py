@@ -223,7 +223,7 @@ def build_booktabs_grid(
     ys = [region.top, *level_centers, mid_y, *sorted(row_borders), region.bottom]
     xs = [region.left, *sorted(col_borders), region.right]
     if any(b <= a for a, b in zip(ys, ys[1:])) or any(b <= a for a, b in zip(xs, xs[1:])):
-        raise DegenerateGrid(f"non-increasing borders for triple at {region.as_tuple()}")
+        raise DegenerateGrid("non-increasing borders")
 
     n_rows, n_cols = len(ys) - 1, len(xs) - 1
     # a grouping rule joins the two columns beside each border it crosses
@@ -264,15 +264,15 @@ def _booktabs_table(
 
 def recognize_booktabs_tables(
     layout: PageLayout, cfg: RecognizerConfig, ruled: Sequence[BoundingBox] = ()
-) -> tuple[list[RecognizedTable], list[str]]:
-    """Booktabs tables and why each other rule triple was dropped.  The
-    horizontal rulings of the ``ruled`` regions are not scanned."""
+) -> tuple[list[RecognizedTable], list[tuple[str, BoundingBox, str]]]:
+    """Booktabs tables, and a ``("booktabs", region, reason)`` drop for each other
+    rule triple.  The horizontal rulings of the ``ruled`` regions are not scanned."""
     horizontals = [
         s for s in layout.separators if s.orientation is SeparatorOrientation.HORIZONTAL
     ]
     index = layout.word_index
     tables: list[RecognizedTable] = []
-    diagnostics: list[str] = []
+    drops: list[tuple[str, BoundingBox, str]] = []
     for triple in find_rule_triples(horizontals, cfg, ruled):
         region = triple.region
         labeled = has_table_label(index, region, cfg)
@@ -286,6 +286,6 @@ def recognize_booktabs_tables(
                 continue
             except (EmptyBody, InsufficientContext, DegenerateGrid) as exc:
                 reason = str(exc)
-        diagnostics.append(f"booktabs candidate at {region.as_tuple()} dropped: {reason}")
+        drops.append(("booktabs", region, reason))
     tables.sort(key=lambda t: (t.region.top, t.region.left))
-    return tables, diagnostics
+    return tables, drops

@@ -149,7 +149,3 @@ def write_tuple_set(out_dir: Path, ts: TupleSet) -> Path:
     path = out_dir / format_tuple_name(ts.file_id, ts.page_nr, ts.table_idx)
     dump_json(path, tuple_set_to_dict(ts))
     return path
-
-
-def read_tuple_set(path: Path) -> TupleSet:
-    return tuple_set_from_dict(read_json(path))

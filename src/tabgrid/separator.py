@@ -14,7 +14,7 @@ horizontal ruling above it.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dsu import linked_groups
 from .errors import DegenerateGrid
@@ -125,10 +125,7 @@ def estimate_grid(cluster: SeparatorCluster) -> RoughGrid:
     row_borders = _cluster_coords([s.box.center[1] for s in cluster.horizontals])
     col_borders = _cluster_coords([s.box.center[0] for s in cluster.verticals])
     if len(row_borders) < 2 or len(col_borders) < 2:
-        raise DegenerateGrid(
-            f"cluster at {cluster.hull.as_tuple()} has {len(row_borders)} row "
-            f"and {len(col_borders)} column borders"
-        )
+        raise DegenerateGrid(f"{len(row_borders)} row and {len(col_borders)} column borders")
     return RoughGrid(tuple(row_borders), tuple(col_borders))
 
 
@@ -167,6 +164,7 @@ def refine_grid(
     grid: RoughGrid,
     cluster: SeparatorCluster,
     words: list[Word] | tuple[Word, ...] = (),
+    labeled: bool = False,
 ) -> RecognizedTable:
     """Merge rough cells not separated by a ruling into final cells.
 
@@ -199,30 +197,28 @@ def refine_grid(
         )
 
     spans = grid_spans(n_rows, n_cols, joined, continues)
-    return grid_table(assign_words_to_cells(spans, words, rb, cb), TableSource.SEPARATOR)
+    return grid_table(assign_words_to_cells(spans, words, rb, cb), TableSource.SEPARATOR, labeled)
 
 
 def recognize_separator_tables(
     layout: PageLayout, cfg: RecognizerConfig
-) -> tuple[list[RecognizedTable], list[str]]:
+) -> tuple[list[RecognizedTable], list[tuple[str, BoundingBox, str]]]:
+    """Ruled tables, and a ``("separator", hull, reason)`` drop for each other cluster."""
     index = layout.word_index
     tables: list[RecognizedTable] = []
-    diagnostics: list[str] = []
+    drops: list[tuple[str, BoundingBox, str]] = []
     for cluster in merge_separators(list(layout.separators), cfg.separator_expand_px):
         labeled = has_table_label(index, cluster.hull, cfg)
         if cfg.require_labels_separator and not labeled:
-            diagnostics.append(
-                f"separator candidate at {cluster.hull.as_tuple()} dropped: no table label"
-            )
+            drops.append(("separator", cluster.hull, "no table label"))
             continue
         try:
             grid = estimate_grid(cluster)
         except DegenerateGrid as exc:
-            diagnostics.append(f"separator candidate dropped: {exc}")
+            drops.append(("separator", cluster.hull, str(exc)))
             continue
         rb, cb = grid.row_borders, grid.col_borders
         # the refined cells tile the rough grid, so these are exactly the words they keep
         words = index.centered_in(BoundingBox(cb[0], rb[0], cb[-1], rb[-1]))
-        table = refine_grid(grid, cluster, words)
-        tables.append(replace(table, labeled=labeled))
-    return tables, diagnostics
+        tables.append(refine_grid(grid, cluster, words, labeled))
+    return tables, drops

@@ -116,11 +116,9 @@ def test_rulings_whose_centre_a_ruled_region_holds_are_not_scanned(ruled, scanne
     rules = [h_rule(0, 100, 400), h_rule(0, 150, 400), h_rule(0, 300, 400)]
     page = PageLayout(page_width=500, page_height=400, words=(), separators=tuple(rules))
     # the full triple is a candidate, dropped for want of body words
-    diagnostic = (
-        "booktabs candidate at (0, 99, 400, 301) dropped: projection profile is entirely zero"
-    )
-    assert recognize_booktabs_tables(page, CFG) == ([], [diagnostic])
-    want = [diagnostic] if scanned else []
+    drop = ("booktabs", box(0, 99, 400, 301), "projection profile is entirely zero")
+    assert recognize_booktabs_tables(page, CFG) == ([], [drop])
+    want = [drop] if scanned else []
     assert recognize_booktabs_tables(page, CFG, [box(*ruled)]) == ([], want)
 
 
@@ -506,9 +504,9 @@ def test_booktabs_requires_body_region():
         page_width=400, page_height=300, words=tuple(layout_words),
         separators=tuple(rules),
     )
-    tables, diags = recognize_booktabs_tables(page, CFG)
-    assert tables == []
-    assert diags  # explains why the candidate was dropped
+    assert recognize_booktabs_tables(page, CFG) == (
+        [], [("booktabs", box(0, 29, 300, 201), "no body region")]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -595,4 +593,4 @@ def test_build_booktabs_grid_rejects_body_border_above_middle_rule():
     )
     with pytest.raises(DegenerateGrid) as exc:
         build_booktabs_grid(triple, (), [30], [], False)
-    assert str(exc.value) == "non-increasing borders for triple at (0, 9, 100, 101)"
+    assert str(exc.value) == "non-increasing borders"

@@ -1774,7 +1774,7 @@ def test_recognize_drops_a_cluster_with_one_border_each_way(tmp_path, capsys):
     page = json.loads((out / "doc_page01.json").read_text())
     assert page["tables"] == []
     assert page["diagnostics"] == [
-        "separator candidate dropped: cluster at (45, 15, 255, 205) has 1 row and 1 column borders"
+        "separator candidate at (45, 15, 255, 205) dropped: 1 row and 1 column borders"
     ]
 
 

@@ -20,7 +20,7 @@ from tabgrid.corpusio import (
     parse_layout_name,
     parse_tuple_name,
     read_json,
-    read_tuple_set,
+    tuple_set_from_dict,
     write_tuple_set,
 )
 from tabgrid.errors import LayoutError
@@ -227,7 +227,7 @@ def test_write_tuple_set_names_file_and_round_trips(tmp_path):
     )
     path = write_tuple_set(tmp_path, ts)
     assert path.name == "doc_page04_table1.json"
-    assert read_tuple_set(path) == ts
+    assert tuple_set_from_dict(read_json(path)) == ts
 
 
 def test_tuple_set_file_is_plain_json(tmp_path):

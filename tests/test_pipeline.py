@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -105,25 +106,123 @@ class _Region:
 def test_overlap_drops_follow_each_recognizers_own_diagnostics(monkeypatch):
     sep, sep_clash = _Region(0, 0, 10, 10), _Region(5, 5, 15, 15)
     book, book_clash = _Region(20, 20, 30, 30), _Region(8, 8, 12, 12)
+    sep_drops = [("separator", box(40, 40, 50, 50), "s")]
+    book_drops = [("booktabs", box(60, 60, 70, 70), "b")]
     monkeypatch.setattr(
-        pipeline, "recognize_separator_tables", lambda layout, cfg: ([sep, sep_clash], ["s"])
+        pipeline, "recognize_separator_tables", lambda layout, cfg: ([sep, sep_clash], sep_drops)
     )
     ruled = []
     monkeypatch.setattr(
         pipeline,
         "recognize_booktabs_tables",
-        lambda layout, cfg, regions: ruled.append(regions) or ([book_clash, book], ["b"]),
+        lambda layout, cfg, regions: ruled.append(regions) or ([book_clash, book], book_drops),
     )
     layout = PageLayout(page_width=100, page_height=100, words=(), separators=())
     res = recognize_page(layout, CFG)
     assert res.tables == (sep, book)
     assert ruled == [[sep.region]]  # the booktabs scan is told of the accepted ruled table
     assert res.diagnostics == (
-        "s",
-        "separator table at (5, 5, 15, 15) dropped: overlaps accepted table at (0, 0, 10, 10)",
-        "b",
+        "separator candidate at (40, 40, 50, 50) dropped: s",
+        "separator candidate at (5, 5, 15, 15) dropped: overlaps accepted table at (0, 0, 10, 10)",
+        "booktabs candidate at (60, 60, 70, 70) dropped: b",
         "booktabs candidate at (8, 8, 12, 12) dropped: overlaps accepted table at (0, 0, 10, 10)",
     )
+
+
+_H, _V = SeparatorOrientation.HORIZONTAL, SeparatorOrientation.VERTICAL
+
+
+def _layout(rulings=(), words=()) -> PageLayout:
+    """A 500 x 500 page of (l, t, r, b) rulings, horizontal unless taller
+    than wide, and of (l, t, r, b, text, line_id) words."""
+    return PageLayout(
+        page_width=500,
+        page_height=500,
+        words=tuple(Word(box(*w[:4]), w[4], w[5]) for w in words),
+        separators=tuple(
+            Separator(box(*r), _H if r[2] - r[0] >= r[3] - r[1] else _V) for r in rulings
+        ),
+    )
+
+
+def _boxes_transposed(note: str) -> str:
+    """The diagnostic with each (l, t, r, b) box it names written as (t, l, b, r)."""
+    return re.sub(r"\((-?\d+), (-?\d+), (-?\d+), (-?\d+)\)", r"(\2, \1, \4, \3)", note)
+
+
+_GRID = [(10, 9, 310, 11), (10, 209, 310, 211), (9, 10, 11, 210), (309, 10, 311, 210)]
+_INNER_GRID = [(60, 59, 260, 61), (60, 159, 260, 161), (59, 60, 61, 160), (259, 60, 261, 160)]
+_TRIPLE = [(0, 99, 400, 101), (0, 149, 400, 151), (0, 299, 400, 301)]  # rules at y 100, 150, 300
+_BODY = [(10, 200, 50, 210, "a", 1)]
+_PAIR = [(10, 350, 40, 360, "x", 9), (60, 350, 90, 360, "y", 9)]  # gives d_page
+_LABELS = RecognizerConfig(require_labels_separator=True, require_labels_booktabs=True)
+_DROP = re.compile(r"\w+ candidate at (\(\d+(?:, \d+){3}\)) dropped: .+")
+
+
+# One page for each reason a drop is written for; no reason the code can write is left out.
+@pytest.mark.parametrize("layout, cfg, want", [
+    pytest.param(_layout(_GRID), _LABELS,
+                 "separator candidate at (4, 4, 316, 216) dropped: no table label",
+                 id="separator-no-label"),
+    pytest.param(_layout(_TRIPLE, _BODY + _PAIR), _LABELS,
+                 "booktabs candidate at (0, 99, 400, 301) dropped: no table label",
+                 id="booktabs-no-label"),
+    pytest.param(_layout([(50, 99, 250, 101), (149, 20, 151, 200)]), CFG,
+                 "separator candidate at (45, 15, 255, 205) dropped: 1 row and 1 column borders",
+                 id="too-few-ruled-borders"),
+    pytest.param(_layout([(0, 29, 300, 31), (0, 197, 300, 199), (0, 199, 300, 201)]), CFG,
+                 "booktabs candidate at (0, 29, 300, 201) dropped: no body region",
+                 id="no-body-region"),
+    pytest.param(_layout(_TRIPLE + [(100, 130, 200, 150)], _BODY + _PAIR), CFG,
+                 "booktabs candidate at (0, 99, 400, 301) dropped: no room for a header row "
+                 "between the inner rules and the middle rule",
+                 id="no-room-for-a-header-row"),
+    pytest.param(_layout(_TRIPLE), CFG,
+                 "booktabs candidate at (0, 99, 400, 301) dropped: "
+                 "projection profile is entirely zero",
+                 id="empty-row-profile"),
+    # a word across the middle rule meets the body but is centred in neither band
+    pytest.param(_layout(_TRIPLE, [(10, 146, 50, 154, "a", 1)] + _PAIR), CFG,
+                 "booktabs candidate at (0, 99, 400, 301) dropped: "
+                 "column projection profile is entirely zero",
+                 id="empty-column-profile"),
+    pytest.param(_layout(_TRIPLE, _BODY), CFG,
+                 "booktabs candidate at (0, 99, 400, 301) dropped: "
+                 "no adjacent same-line word pairs on the page",
+                 id="no-same-line-word-pairs"),
+    # the one body word is centred left of the rules
+    pytest.param(_layout([(20, y, 400, y + 2) for y in (99, 149, 299)],
+                         [(0, 200, 30, 210, "a", 1)] + _PAIR), CFG,
+                 "booktabs candidate at (20, 99, 400, 301) dropped: "
+                 "table candidate contains no words",
+                 id="no-table-words"),
+    # top and middle rule coincide, so the header row would have no height
+    pytest.param(_layout([(0, 100, 400, 100), (0, 100, 400, 100), (0, 299, 400, 301)],
+                         _BODY + [(100, 200, 140, 210, "b", 1)]), CFG,
+                 "booktabs candidate at (0, 100, 400, 301) dropped: non-increasing borders",
+                 id="non-increasing-borders"),
+    pytest.param(_layout(_GRID + _INNER_GRID), CFG,
+                 "separator candidate at (60, 60, 260, 160) dropped: "
+                 "overlaps accepted table at (10, 10, 310, 210)",
+                 id="separator-overlap"),
+    # a ruled grid in the body of a booktabs table, touching none of its rules
+    pytest.param(_layout([(100, 149, 200, 151), (100, 249, 200, 251), (99, 150, 101, 250),
+                          (199, 150, 201, 250), (0, 9, 400, 11), (0, 59, 400, 61),
+                          (0, 389, 400, 391)],
+                         [(10, 300, 40, 310, "a", 1), (300, 300, 340, 310, "b", 1)]), CFG,
+                 "booktabs candidate at (0, 9, 400, 391) dropped: "
+                 "overlaps accepted table at (100, 150, 200, 250)",
+                 id="booktabs-overlap"),
+])
+def test_every_drop_reason_is_written_once_in_the_documented_form(layout, cfg, want):
+    notes = recognize_page(layout, cfg).diagnostics
+    assert notes == (want,)
+    for note in notes:
+        drop = _DROP.fullmatch(note)
+        assert drop and note.count(drop[1]) == 1  # the candidate's box is written once
+    # on the transposed page read as vertical, every box is in that page's coordinates
+    vertical = recognize_page(transpose_layout(layout), cfg, PageOrientation.VERTICAL)
+    assert vertical.diagnostics == tuple(map(_boxes_transposed, notes))
 
 
 def _gapped(page, gap):
@@ -235,13 +334,13 @@ def _meet(a, b) -> bool:
 @given(ruled=_REGIONS, booktabs=_REGIONS)
 def test_accept_loop_keeps_and_drops_as_a_test_against_every_accepted_table(ruled, booktabs):
     accepted, notes = [], []
-    for label, candidates in (("separator table", ruled), ("booktabs candidate", booktabs)):
+    for kind, candidates in (("separator", ruled), ("booktabs", booktabs)):
         for t in candidates:
             clash = next((a for a in accepted if _meet(t.region, a.region)), None)
             if clash is None:
                 accepted.append(t)
             else:
-                notes.append(f"{label} at {t.region.as_tuple()} dropped: overlaps "
+                notes.append(f"{kind} candidate at {t.region.as_tuple()} dropped: overlaps "
                              f"accepted table at {clash.region.as_tuple()}")
     layout = PageLayout(page_width=100, page_height=100, words=(), separators=())
     with pytest.MonkeyPatch.context() as mp:
@@ -328,7 +427,7 @@ def test_vertical_page_equals_standard_on_transposed_layout(doc):
         # indices in reading orientation, in the standard result's order,
         # which is (left, top) order on the vertical page
         assert vres.tables == tuple(transpose_table(t) for t in sres.tables)
-        assert vres.diagnostics == sres.diagnostics
+        assert vres.diagnostics == tuple(map(_boxes_transposed, sres.diagnostics))
         key = lambda t: (t.region.left, t.region.top, t.region.right, t.region.bottom)
         assert list(vres.tables) == sorted(vres.tables, key=key)
 

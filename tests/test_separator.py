@@ -255,9 +255,10 @@ def test_require_labels_drops_unlabeled():
     rng = random.Random(22)
     page = gen_bordered_page(rng, "s", 1, rows=3, cols=3, labeled=False)
     cfg = RecognizerConfig(require_labels_separator=True)
-    tables, diags = recognize_separator_tables(page.layout, cfg)
+    tables, drops = recognize_separator_tables(page.layout, cfg)
     assert tables == []
-    assert any("label" in d for d in diags)
+    assert drops == [("separator", merge_separators(page.layout.separators)[0].hull,
+                      "no table label")]
 
 
 def test_random_bordered_grids_recovered_exactly():
